@@ -8,6 +8,8 @@ solver with a direct pseudospectral oracle.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .grid import (
     NORMALIZATION_TAG,
     Field,
@@ -79,71 +81,7 @@ from .variation import (
     vp_norm,
 )
 
-__all__ = [
-    "NORMALIZATION_TAG",
-    "Field",
-    "GridError",
-    "GridMismatchError",
-    "GridSpec",
-    "MultiplierSymmetryError",
-    "NonFiniteFieldError",
-    "Path",
-    "apply_multiplier",
-    "derivative",
-    "forward_transform",
-    "inverse_transform",
-    "l2_norm",
-    "lq_norm",
-    "mixed_norm",
-    "Propagator",
-    "duhamel",
-    "evolve",
-    "free_solution",
-    "EstimateReport",
-    "TrialEnsemble",
-    "l6_smallness_report",
-    "verify_bernstein_linfty",
-    "verify_bilinear",
-    "verify_interpolated",
-    "verify_l6_smallness",
-    "verify_multilinear",
-    "verify_strichartz",
-    "LPScale",
-    "project",
-    "project_leq",
-    "project_lt",
-    "scale",
-    "PowerLaw",
-    "dealiased_product",
-    "evaluate_power",
-    "quintic_expansion_check",
-    "telescoping_check",
-    "truncation_operator",
-    "CriticalIndex",
-    "NormReport",
-    "besov_norm",
-    "besov_report",
-    "critical_index",
-    "rescale",
-    "rescale_path",
-    "sobolev_norm",
-    "sobolev_report",
-    "xs_norm",
-    "xs_report",
-    "BlowUpError",
-    "IterationTrace",
-    "PicardConfig",
-    "PicardDivergenceError",
-    "amplitude_threshold",
-    "direct_solve",
-    "lipschitz_probe",
-    "picard_step",
-    "solve_picard",
-    "SampledPath",
-    "bilinear_form",
-    "duality_lower_bound",
-    "sampled_from_path",
-    "v2_kdv_norm",
-    "vp_norm",
-    "__version__",
-]
+# the public names are exactly the ones imported above
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+__all__.append("__version__")

@@ -14,8 +14,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, make_dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .estimates import (EstimateReport, TrialEnsemble, l6_smallness_report,
                         verify_bernstein_linfty, verify_bilinear,
                         verify_interpolated, verify_multilinear,
                         verify_strichartz)
-from .grid import Field, GridSpec, l2_norm, mixed_norm
+from .grid import Field, GridSpec, l2_norm
 from .io import atomic_write_text, canonical_json, save_path
 from .norms import besov_report, critical_index, sobolev_report, xs_report
 from .airy import free_solution
@@ -36,57 +36,70 @@ from .picard import (BlowUpError, PicardConfig, PicardDivergenceError,
 KINDS = ("solve", "picard", "norms", "verify-strichartz", "verify-bilinear",
          "verify-multilinear", "verify-smallness", "lipschitz")
 
-_DEFAULTS = {
-    "length": 200.0,
-    "points": 2048,
-    "steps": 64,
-    "T": 1.0,
-    "p": 5.0,
-    "seed": 0,
-    "q": 6.0,
-    "s": 0.0,
-    "trials": 3,
-    "estimate": "pair",
-    "case": "near",
-    "amplitude": 0.1,
-    "levels": 4,
-    "max_iters": 16,
-    "contraction_target": 0.9,
-    "tolerance": 1e-10,
-    "workers": 1,
-    "format": "json",
-}
+
+class _Option(NamedTuple):
+    """One option: flag --name (dashes for underscores) and config key name.
+
+    type is float, int, str, bool (a switch) or a tuple of choices; check
+    maps a value to the text of its problem, or None when it is valid.
+    """
+
+    name: str
+    type: object
+    default: object = None
+    check: Optional[Callable[[object], Optional[str]]] = None
+    help: Optional[str] = None
 
 
-@dataclass
-class RunConfig:
-    kind: str
-    length: float
-    points: int
-    dt: float
-    steps: int
-    p: float
-    T: float
-    seed: int
-    band_lo: Optional[int]
-    band_hi: Optional[int]
-    outdir: str
-    format: str
-    q: float
-    s: float
-    trials: int
-    estimate: str
-    bilinear_form: bool
-    case: str
-    amplitude: float
-    amplitude_bisect: bool
-    delta_scale: float
-    levels: int
-    max_iters: int
-    contraction_target: float
-    tolerance: float
-    workers: int
+def _need(ok: Callable[[object], bool], problem: str) -> Callable:
+    return lambda v: None if ok(v) else problem
 
+
+def _positive(name: str) -> Callable:
+    return _need(lambda v: v > 0, f"{name} must be positive")
+
+
+def _at_least_one(name: str) -> Callable:
+    return _need(lambda v: v >= 1, f"{name} must be >= 1")
+
+
+_OPTIONS = (
+    _Option("T", float, 1.0, _positive("T")),
+    _Option("dt", float, None, _positive("dt")),
+    _Option("steps", int, 64, _at_least_one("steps")),
+    _Option("length", float, 200.0, _positive("length")),
+    _Option("points", int, 2048,
+            _need(lambda v: v >= 16 and not v & (v - 1),
+                  "points must be a power of two, at least 16")),
+    _Option("p", float, 5.0,
+            _need(lambda v: v >= 5.0, "p must be >= 5 (the supercritical "
+                                      "scope of this laboratory)")),
+    _Option("seed", int, 0, _need(lambda v: v >= 0, "seed must be nonnegative")),
+    _Option("trials", int, 3, _at_least_one("trials")),
+    _Option("levels", int, 4, _at_least_one("levels")),
+    _Option("max_iters", int, 16, _at_least_one("max_iters")),
+    _Option("tolerance", float, 1e-10, _positive("tolerance")),
+    _Option("amplitude", float, 0.1, _positive("amplitude")),
+    _Option("band_lo", int),
+    _Option("band_hi", int),
+    _Option("q", float, 6.0),
+    _Option("estimate", ("pair", "bernstein", "interpolated"), "pair"),
+    _Option("bilinear_form", bool, False,
+            help="interpolated estimate: use the two-factor form"),
+    _Option("case", ("near", "far"), "near"),
+    _Option("amplitude_bisect", bool, False),
+    _Option("delta_scale", float, 1e-3),
+    _Option("format", ("json", "csv"), "json"),
+    _Option("outdir", str,
+            help="output directory (default $GKDVLAB_OUTDIR or .)"),
+)
+_OPTION = {opt.name: opt for opt in _OPTIONS}
+
+# the kinds whose report is an EstimateReport, which alone has a CSV form
+_CSV_KINDS = ("verify-strichartz", "verify-bilinear", "verify-multilinear")
+
+
+class _RunConfigMethods:
     def grid(self) -> GridSpec:
         return GridSpec(self.length, self.points, self.dt, self.steps)
 
@@ -94,6 +107,14 @@ class RunConfig:
         d = asdict(self)
         d["version"] = __version__
         return d
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("kind", str)] + [(opt.name, opt.type if isinstance(opt.type, type)
+                        else str) for opt in _OPTIONS],
+    bases=(_RunConfigMethods,))
+RunConfig.__doc__ = "A resolved run: the kind plus one field per option."
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -116,56 +137,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="experiments for the supercritical dispersive laboratory")
     ap.add_argument("kind", choices=KINDS)
     ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--outdir", default=None,
-                    help="output directory (default $GKDVLAB_OUTDIR or .)")
-    ap.add_argument("--format", choices=("json", "csv"), default=None)
     ap.add_argument("--dry-run", action="store_true")
-    ap.add_argument("--length", type=float, default=None)
-    ap.add_argument("--points", type=int, default=None)
-    ap.add_argument("--dt", type=float, default=None)
-    ap.add_argument("--steps", type=int, default=None)
-    ap.add_argument("--p", type=float, default=None)
-    ap.add_argument("--T", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--band-lo", type=int, default=None)
-    ap.add_argument("--band-hi", type=int, default=None)
-    ap.add_argument("--q", type=float, default=None)
-    ap.add_argument("--s", type=float, default=None)
-    ap.add_argument("--trials", type=int, default=None)
-    ap.add_argument("--estimate", choices=("pair", "bernstein", "interpolated"),
-                    default=None)
-    ap.add_argument("--bilinear-form", action="store_true",
-                    help="interpolated estimate: use the two-factor form")
-    ap.add_argument("--case", choices=("near", "far"), default=None)
-    ap.add_argument("--amplitude", type=float, default=None)
-    ap.add_argument("--amplitude-bisect", action="store_true")
-    ap.add_argument("--delta-scale", type=float, default=None)
-    ap.add_argument("--levels", type=int, default=None)
-    ap.add_argument("--max-iters", type=int, default=None)
-    ap.add_argument("--contraction-target", type=float, default=None)
-    ap.add_argument("--tolerance", type=float, default=None)
-    ap.add_argument("--workers", type=int, default=None)
+    # every option defaults to None so that a given flag can be told apart
+    for opt in _OPTIONS:
+        flag = "--" + opt.name.replace("_", "-")
+        if opt.type is bool:
+            ap.add_argument(flag, action="store_true", default=None,
+                            help=opt.help)
+        elif isinstance(opt.type, tuple):
+            ap.add_argument(flag, choices=opt.type, help=opt.help)
+        else:
+            ap.add_argument(flag, type=opt.type, help=opt.help)
     return ap
 
 
-def _coerce(key: str, raw: str):
-    kind = type(_DEFAULTS.get(key, ""))
-    if key in ("band_lo", "band_hi"):
-        return int(raw)
-    if key in ("amplitude_bisect", "bilinear_form"):
+def _coerce(opt: _Option, raw: str):
+    if opt.type is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    if key == "delta_scale":
-        return float(raw)
-    if kind is float:
-        return float(raw)
-    if kind is int:
-        return int(raw)
-    return raw
+    if isinstance(opt.type, tuple):
+        if raw not in opt.type:
+            raise ValueError(raw)
+        return raw
+    return opt.type(raw)
 
 
 def resolve_config(argv: List[str]) -> tuple:
     """(RunConfig, dry_run) from argv; raises ValueError listing every
-    problem at once."""
+    problem at once. A flag overrides the config file, which overrides the
+    option's default."""
     ns = _build_parser().parse_args(argv)
     problems: List[str] = []
     file_vals: Dict = {}
@@ -175,99 +174,38 @@ def resolve_config(argv: List[str]) -> tuple:
         except OSError as e:
             raise ValueError(f"cannot read config file: {e}")
         for k, v in raw.items():
-            if k not in _DEFAULTS and k not in ("dt", "band_lo", "band_hi",
-                                                "outdir", "amplitude_bisect",
-                                                "bilinear_form", "delta_scale"):
+            if k not in _OPTION:
                 problems.append(f"unknown config key {k!r}")
                 continue
             try:
-                file_vals[k] = _coerce(k, v)
+                file_vals[k] = _coerce(_OPTION[k], v)
             except ValueError:
                 problems.append(f"config key {k!r}: cannot parse {v!r}")
-
-    def pick(key, flag_val):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return file_vals[key]
-        return _DEFAULTS.get(key)
-
-    length = pick("length", ns.length)
-    points = pick("points", ns.points)
-    steps = pick("steps", ns.steps)
-    T = pick("T", ns.T)
-    dt = ns.dt if ns.dt is not None else file_vals.get("dt")
-    p = pick("p", ns.p)
-    if T is not None and T <= 0:
-        problems.append("T must be positive")
-    if dt is not None and dt <= 0:
-        problems.append("dt must be positive")
-    if steps is not None and steps < 1:
-        problems.append("steps must be >= 1")
-    if length is not None and length <= 0:
-        problems.append("length must be positive")
-    if points is not None and (points < 16 or points & (points - 1)):
-        problems.append("points must be a power of two, at least 16")
-    if dt is not None and T is not None and steps and \
-            abs(steps * dt - T) > 1e-9 * max(T, 1.0):
+    vals: Dict = {}
+    for opt in _OPTIONS:
+        v = getattr(ns, opt.name)
+        if v is None:
+            v = file_vals.get(opt.name, opt.default)
+        problem = opt.check(v) if opt.check and v is not None else None
+        if problem:
+            problems.append(problem)
+        vals[opt.name] = v
+    T, dt, steps = vals["T"], vals["dt"], vals["steps"]
+    if dt is not None and steps and abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         problems.append("dt, steps and T are inconsistent (need T = steps*dt)")
-    if dt is None and T is not None and steps:
-        dt = T / steps
-    if p is not None and p < 5.0:
-        problems.append("p must be >= 5 (the supercritical scope of this laboratory)")
-    seed = pick("seed", ns.seed)
-    if seed is not None and seed < 0:
-        problems.append("seed must be nonnegative")
-    trials = pick("trials", ns.trials)
-    if trials is not None and trials < 1:
-        problems.append("trials must be >= 1")
-    q = pick("q", ns.q)
-    workers = pick("workers", ns.workers)
-    if workers is not None and workers < 1:
-        problems.append("workers must be >= 1")
-    levels = pick("levels", ns.levels)
-    if levels is not None and levels < 1:
-        problems.append("levels must be >= 1")
-    max_iters = pick("max_iters", ns.max_iters)
-    if max_iters is not None and max_iters < 1:
-        problems.append("max_iters must be >= 1")
-    ct = pick("contraction_target", ns.contraction_target)
-    if ct is not None and not (0 < ct < 1):
-        problems.append("contraction_target must lie in (0, 1)")
-    tol = pick("tolerance", ns.tolerance)
-    if tol is not None and tol <= 0:
-        problems.append("tolerance must be positive")
-    amplitude = pick("amplitude", ns.amplitude)
-    if amplitude is not None and amplitude <= 0:
-        problems.append("amplitude must be positive")
-    band_lo = ns.band_lo if ns.band_lo is not None else file_vals.get("band_lo")
-    band_hi = ns.band_hi if ns.band_hi is not None else file_vals.get("band_hi")
-    if (band_lo is None) != (band_hi is None):
+    if dt is None and steps:
+        vals["dt"] = T / steps
+    if (vals["band_lo"] is None) != (vals["band_hi"] is None):
         problems.append("band-lo and band-hi must be given together")
-    if band_lo is not None and band_hi is not None and band_lo > band_hi:
+    elif vals["band_lo"] is not None and vals["band_lo"] > vals["band_hi"]:
         problems.append("band-lo must not exceed band-hi")
-    outdir = ns.outdir or file_vals.get("outdir") \
-        or os.environ.get("GKDVLAB_OUTDIR") or "."
-    fmt = pick("format", ns.format)
+    if vals["format"] == "csv" and ns.kind not in _CSV_KINDS:
+        problems.append(f"format csv is written only by {', '.join(_CSV_KINDS)}; "
+                        f"{ns.kind} always writes JSON")
+    vals["outdir"] = vals["outdir"] or os.environ.get("GKDVLAB_OUTDIR") or "."
     if problems:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(problems))
-    cfg = RunConfig(
-        kind=ns.kind, length=float(length), points=int(points),
-        dt=float(dt), steps=int(steps), p=float(p), T=float(T),
-        seed=int(seed), band_lo=band_lo, band_hi=band_hi,
-        outdir=outdir, format=fmt, q=float(q), s=float(pick("s", ns.s)),
-        trials=int(trials), estimate=pick("estimate", ns.estimate),
-        bilinear_form=bool(ns.bilinear_form or
-                           file_vals.get("bilinear_form", False)),
-        case=pick("case", ns.case), amplitude=float(amplitude),
-        amplitude_bisect=bool(ns.amplitude_bisect or
-                              file_vals.get("amplitude_bisect", False)),
-        delta_scale=float(ns.delta_scale if ns.delta_scale is not None
-                          else file_vals.get("delta_scale", 1e-3)),
-        levels=int(levels), max_iters=int(max_iters),
-        contraction_target=float(ct), tolerance=float(tol),
-        workers=int(workers))
-    return cfg, ns.dry_run
+    return RunConfig(kind=ns.kind, **vals), ns.dry_run
 
 
 def seeded_profile(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Field:
@@ -282,24 +220,21 @@ def seeded_profile(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Field:
     return Field.from_values(grid, vals)
 
 
-def _band(cfg: RunConfig, grid: GridSpec):
+def _data(cfg: RunConfig) -> Field:
+    return seeded_profile(cfg.grid(), cfg.seed, cfg.amplitude)
+
+
+def _band(cfg: RunConfig):
     if cfg.band_lo is None:
         return None
     return range(cfg.band_lo, cfg.band_hi + 1)
 
 
-def _report_path(cfg: RunConfig, name: str) -> str:
-    ext = "csv" if cfg.format == "csv" else "json"
-    return os.path.join(cfg.outdir, f"{name}.{ext}")
-
-
 def _write_estimate(cfg: RunConfig, rep: EstimateReport, name: str) -> str:
     rep.config["cli"] = cfg.echo()
-    path = _report_path(cfg, name)
-    if cfg.format == "csv":
-        atomic_write_text(path, rep.to_csv())
-    else:
-        atomic_write_text(path, rep.to_json() + "\n")
+    path = os.path.join(cfg.outdir, f"{name}.{cfg.format}")
+    atomic_write_text(path, rep.to_csv() if cfg.format == "csv"
+                      else rep.to_json() + "\n")
     return path
 
 
@@ -315,7 +250,7 @@ def _write_json(cfg: RunConfig, payload: Dict, name: str) -> str:
 def _dry_run_plan(cfg: RunConfig) -> str:
     lines = [f"kind: {cfg.kind}"]
     grid = cfg.grid()
-    band = _band(cfg, grid) or lp.default_band(grid)
+    band = _band(cfg) or lp.default_band(grid)
     mem = (grid.num_steps + 1) * grid.num_points * 16 / 1e6
     lines.append(f"grid: L={grid.domain_length} N={grid.num_points} "
                  f"dt={grid.dt:.6g} K={grid.num_steps}")
@@ -328,8 +263,7 @@ def _dry_run_plan(cfg: RunConfig) -> str:
 
 
 def _run_solve(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    phi = seeded_profile(grid, cfg.seed, cfg.amplitude)
+    phi = _data(cfg)
     try:
         path = direct_solve(phi, cfg.p)
     except BlowUpError as e:
@@ -343,7 +277,7 @@ def _run_solve(cfg: RunConfig) -> int:
     save_path(path, os.path.join(cfg.outdir, "solve-path.bin"))
     _write_json(cfg, {
         "mass_drift": float(np.max(np.abs(means - means[0]))
-                            * grid.domain_length),
+                            * phi.grid.domain_length),
         "l2_initial": l2s[0], "l2_final": l2s[-1],
         "l2_drift": max(abs(v - l2s[0]) for v in l2s),
         "sup_final": float(np.abs(path.snapshots[-1].values).max()),
@@ -351,19 +285,21 @@ def _run_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def _picard_config(cfg: RunConfig, phi: Field) -> PicardConfig:
+    # solve_picard never reads contraction_target; 0.9 only passes validation
+    return PicardConfig(cfg.p, cfg.T, cfg.max_iters, 0.9, phi, phi.grid,
+                        stop_tolerance=cfg.tolerance)
+
+
 def _run_picard(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    phi = seeded_profile(grid, cfg.seed, cfg.amplitude)
     if cfg.amplitude_bisect:
-        shape = seeded_profile(grid, cfg.seed, 1.0)
+        shape = seeded_profile(cfg.grid(), cfg.seed, 1.0)
         thr = amplitude_threshold(shape, cfg.p, max_iters=cfg.max_iters,
-                                  contraction_target=cfg.contraction_target)
+                                  stop_tolerance=cfg.tolerance)
         _write_json(cfg, {"amplitude_threshold": thr}, "picard-threshold")
         return 0
-    pc = PicardConfig(cfg.p, cfg.T, cfg.max_iters, cfg.contraction_target,
-                      phi, grid, stop_tolerance=cfg.tolerance)
     try:
-        w, trace = solve_picard(pc)
+        w, trace = solve_picard(_picard_config(cfg, _data(cfg)))
     except PicardDivergenceError as e:
         atomic_write_text(os.path.join(cfg.outdir, "picard-trace.csv"),
                           e.trace.to_csv())
@@ -385,10 +321,9 @@ def _run_picard(cfg: RunConfig) -> int:
 
 
 def _run_norms(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    phi = seeded_profile(grid, cfg.seed, cfg.amplitude)
+    phi = _data(cfg)
     ci = critical_index(cfg.p)
-    band = _band(cfg, grid)
+    band = _band(cfg)
     rb = besov_report(phi, ci.s_p, band)
     rs = sobolev_report(phi, ci.s_p, band)
     rx = xs_report(free_solution(phi), ci.s_p, band)
@@ -398,10 +333,8 @@ def _run_norms(cfg: RunConfig) -> int:
 
 
 def _run_lipschitz(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    phi = seeded_profile(grid, cfg.seed, cfg.amplitude)
-    pc = PicardConfig(cfg.p, cfg.T, cfg.max_iters, cfg.contraction_target,
-                      phi, grid, stop_tolerance=cfg.tolerance)
+    phi = _data(cfg)
+    pc = _picard_config(cfg, phi)
     records = []
     try:
         for level in range(cfg.levels):
@@ -427,7 +360,7 @@ def _run_estimates(cfg: RunConfig) -> int:
             rep = verify_interpolated(ens, cfg.q, cfg.p,
                                       bilinear=cfg.bilinear_form)
         else:
-            rep = verify_strichartz(ens, cfg.q, cfg.s)
+            rep = verify_strichartz(ens, cfg.q)
     elif cfg.kind == "verify-bilinear":
         rep = verify_bilinear(ens)
     else:
@@ -438,11 +371,13 @@ def _run_estimates(cfg: RunConfig) -> int:
 
 
 def _run_smallness(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    phi = seeded_profile(grid, cfg.seed, cfg.amplitude)
-    rep = l6_smallness_report(phi, cfg.T, cfg.p)
-    _write_json(cfg, rep, "smallness-report")
+    _write_json(cfg, l6_smallness_report(_data(cfg), cfg.T, cfg.p),
+                "smallness-report")
     return 0
+
+
+_RUNNERS = {"solve": _run_solve, "picard": _run_picard, "norms": _run_norms,
+            "lipschitz": _run_lipschitz, "verify-smallness": _run_smallness}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -456,17 +391,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_dry_run_plan(cfg))
         return 0
     os.makedirs(cfg.outdir, exist_ok=True)
-    if cfg.kind == "solve":
-        return _run_solve(cfg)
-    if cfg.kind == "picard":
-        return _run_picard(cfg)
-    if cfg.kind == "norms":
-        return _run_norms(cfg)
-    if cfg.kind == "lipschitz":
-        return _run_lipschitz(cfg)
-    if cfg.kind == "verify-smallness":
-        return _run_smallness(cfg)
-    return _run_estimates(cfg)
+    return _RUNNERS.get(cfg.kind, _run_estimates)(cfg)
 
 
 if __name__ == "__main__":

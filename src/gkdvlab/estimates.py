@@ -20,10 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import littlewood_paley as lp
-from .airy import free_solution, phase_matrix
+from .airy import free_solution
 from .grid import Field, GridSpec, Path, l2_norm, mixed_norm, time_weights
 from .io import canonical_json
-from .norms import besov_norm, critical_index, xs_norm
+from .nonlinearity import _padded_values
+from .norms import besov_norm, critical_index, rescaled_grid, xs_norm
 
 SCHEMA_VERSION = 1
 
@@ -144,19 +145,66 @@ def _project_path(path: Path, z: int, kind: str) -> Path:
                                      path.spectral_matrix * sym[None, :])
 
 
-def _lattice_rescaled_grid(mother: GridSpec, m: int) -> GridSpec:
-    c = lp.scale_value(m)
-    return GridSpec(mother.domain_length / c, mother.num_points,
-                    mother.dt / c ** 3, mother.num_steps,
-                    mother.dealias_factor)
+def _ratio(lhs: float, rhs: float) -> float:
+    return lhs / rhs if rhs > 0 else 0.0
+
+
+class _Sweep:
+    """The records of one sweep, and the log-log fit of lhs / norm against
+    the swept scale over the records where both are positive."""
+
+    def __init__(self):
+        self.records: List[Dict] = []
+        self.logx: List[float] = []
+        self.logy: List[float] = []
+
+    def add(self, rec: Dict, scale: float, norm: float) -> None:
+        self.records.append(rec)
+        if rec["lhs"] > 0 and norm > 0:
+            self.logx.append(math.log(scale))
+            self.logy.append(math.log(rec["lhs"] / norm))
+
+    def report(self, name: str, cfg: Dict, slope_target: Optional[float],
+               flags: Sequence[str] = ()) -> EstimateReport:
+        worst = max((r["ratio"] for r in self.records), default=None)
+        return EstimateReport(name, cfg, self.records,
+                              _regress(self.logx, self.logy), slope_target,
+                              worst, list(flags))
 
 
 _STRICHARTZ_STEPS = (0, 58, 116, 174, 232, 290, 348, 406, 464, 522, 580,
                      638, 696)
 
 
-def verify_strichartz(ensemble: TrialEnsemble, q: float,
-                      s: float = 0.0) -> EstimateReport:
+def _linear_sweep(ensemble: TrialEnsemble, q: float, r: float,
+                  exponent: float):
+    """Band-localized free solutions across three decades of band scales.
+
+    Trial data lives in band 0 of a mother grid; lattice step m rescales the
+    whole grid by 1.01^m, which carries the same coefficients exactly into
+    band m (the self-similar family). Each record holds lhs, the
+    L^q_t L^r_x norm of the band piece of the free solution, against
+    rhs = lam^exponent ||P_lam phi||_{L2}. Returns (mother, steps, sweep).
+    """
+    mother = GridSpec(512.0, 2048, 33.0 / 128, 128)
+    steps = tuple(ensemble.schedule) or _STRICHARTZ_STEPS
+    sweep = _Sweep()
+    for trial in range(ensemble.num_trials):
+        coeffs = annulus_field(mother, 0, ensemble.rng(trial)).coefficients
+        for m in steps:
+            z = int(m)
+            phi = Field.from_coefficients(rescaled_grid(mother, z), coeffs,
+                                          check=False)
+            lam = lp.scale_value(z)
+            dnorm = l2_norm(lp.project(phi, lp.scale(z)))
+            lhs = mixed_norm(_project_path(free_solution(phi), z, "psi"), q, r)
+            rhs = lam ** exponent * dnorm
+            sweep.add({"trial": trial, "lam": lam, "lhs": lhs, "rhs": rhs,
+                       "ratio": _ratio(lhs, rhs)}, lam, dnorm)
+    return mother, steps, sweep
+
+
+def verify_strichartz(ensemble: TrialEnsemble, q: float) -> EstimateReport:
     """Space-time integrability of band-localized free solutions.
 
     Sweeps the band scale over three decades on a self-similar family of
@@ -168,38 +216,13 @@ def verify_strichartz(ensemble: TrialEnsemble, q: float,
     if not (q > 4):
         raise ValueError("not an admissible pair: need q > 4")
     r = 2.0 * q / (q - 4.0)
-    mother = GridSpec(512.0, 2048, 33.0 / 128, 128)
-    z0 = 0
-    steps = tuple(ensemble.schedule) or _STRICHARTZ_STEPS
-    records = []
-    logx, logy = [], []
-    for trial in range(ensemble.num_trials):
-        rng = ensemble.rng(trial)
-        coeffs = annulus_field(mother, z0, rng).coefficients
-        for m in steps:
-            grid = _lattice_rescaled_grid(mother, int(m))
-            phi = Field.from_coefficients(grid, coeffs, check=False)
-            z = z0 + int(m)
-            lam = lp.scale_value(z)
-            phi_loc = lp.project(phi, lp.scale(z))
-            dnorm = l2_norm(phi_loc)
-            u = _project_path(free_solution(phi), z, "psi")
-            lhs = mixed_norm(u, q, r)
-            rhs = lam ** (-1.0 / q) * dnorm
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            records.append({"trial": trial, "lam": lam, "lhs": lhs,
-                            "rhs": rhs, "ratio": ratio})
-            if lhs > 0 and dnorm > 0:
-                logx.append(math.log(lam))
-                logy.append(math.log(lhs / dnorm))
-    worst = max((r_["ratio"] for r_ in records), default=None)
-    cfg = {"kind": "strichartz", "q": q, "r": r, "s": float(s),
+    mother, steps, sweep = _linear_sweep(ensemble, q, r, -1.0 / q)
+    cfg = {"kind": "strichartz", "q": q, "r": r,
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "lattice_steps": list(steps),
            "mother_grid": [mother.domain_length, mother.num_points,
                            mother.dt, mother.num_steps]}
-    return EstimateReport("strichartz", cfg, records,
-                          _regress(logx, logy), -1.0 / q, worst)
+    return sweep.report("strichartz", cfg, -1.0 / q)
 
 
 _BERNSTEIN_BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
@@ -216,8 +239,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
     ci = critical_index(p)
     grid = GridSpec(400.0, 131072, 1e-3, 12)
     steps = tuple(ensemble.schedule) or _BERNSTEIN_BINS
-    records = []
-    logx, logy = [], []
+    sweep = _Sweep()
     for trial in range(ensemble.num_trials):
         rng = ensemble.rng(trial)
         for top_bin in steps:
@@ -230,30 +252,23 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             lhs = mixed_norm(low, np.inf, np.inf)
             xs = xs_norm(path, ci.s_p)
             rhs = lam ** (0.5 - ci.s_p) * xs
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            records.append({"trial": trial, "lam": lam, "lhs": lhs,
-                            "rhs": rhs, "ratio": ratio})
-            if lhs > 0 and xs > 0:
-                logx.append(math.log(lam))
-                logy.append(math.log(lhs / xs))
-    worst = max((r_["ratio"] for r_ in records), default=None)
+            sweep.add({"trial": trial, "lam": lam, "lhs": lhs, "rhs": rhs,
+                       "ratio": _ratio(lhs, rhs)}, lam, xs)
     cfg = {"kind": "bernstein", "p": float(p), "s_p": ci.s_p,
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "cutoff_bins": list(steps),
            "grid": [grid.domain_length, grid.num_points, grid.dt,
                     grid.num_steps]}
-    return EstimateReport("bernstein_linfty", cfg, records,
-                          _regress(logx, logy), 0.5 - ci.s_p, worst)
+    return sweep.report("bernstein_linfty", cfg, 0.5 - ci.s_p)
 
 
-def _packet_coeffs(grid: GridSpec, z: int, rng: np.random.Generator,
-                   n_points: int) -> np.ndarray:
+def _packet_coeffs(grid: GridSpec, z: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Gaussian-envelope wavepacket in band z with a random center."""
-    psi = lp.psi_symbol(lp.scale(z), _freqs_for(grid.domain_length, n_points))
-    n = n_points
+    xi = grid.frequencies
+    n = grid.num_points
+    psi = lp.psi_symbol(lp.scale(z), xi)
     lam = lp.scale_value(z)
-    dxi = 2.0 * np.pi / grid.domain_length
-    xi = _freqs_for(grid.domain_length, n)
     width = lam * 0.25
     x0 = rng.uniform(0, grid.domain_length)
     half = np.arange(1, n // 2)
@@ -267,89 +282,90 @@ def _packet_coeffs(grid: GridSpec, z: int, rng: np.random.Generator,
     return coeffs
 
 
-def _freqs_for(length: float, n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-
-
-def _crossing_lhs(length: float, n: int, horizon: float, steps: int,
-                  cv: np.ndarray, cu: np.ndarray, q: float) -> float:
+def _crossing_lhs(grid: GridSpec, cv: np.ndarray, cu: np.ndarray,
+                  q: float) -> float:
     """L^q norm in space and time of the product of two free solutions,
     streamed one snapshot at a time (grids here get large)."""
-    xi = _freqs_for(length, n)
-    xi3 = 1j * xi ** 3
-    dt = horizon / steps
-    wts = np.full(steps + 1, dt)
-    wts[0] = wts[-1] = dt / 2.0
-    dx = length / n
+    n = grid.num_points
+    xi3 = 1j * grid.frequencies ** 3
+    wts = time_weights(grid)
     acc = 0.0
-    for k in range(steps + 1):
-        ph = np.exp(xi3 * (k * dt))
+    for k in range(grid.num_steps + 1):
+        ph = np.exp(xi3 * (k * grid.dt))
         v = np.fft.ifft(ph * cv).real * n
         u = np.fft.ifft(ph * cu).real * n
         prod = np.abs(v * u)
-        acc += wts[k] * float(np.sum(prod ** q)) * dx
+        acc += wts[k] * float(np.sum(prod ** q)) * grid.weight
     return acc ** (1.0 / q)
 
 
+_CROSSING_LENGTH = 400.0
+_CROSSING_Z_MU = -70
+_CROSSING_TIME_STEPS = 384
 _BILINEAR_STEPS = (10, 72, 134, 196, 258, 320, 382, 444, 506, 568, 630, 692)
+
+
+def _crossing_sweep(ensemble: TrialEnsemble, steps: Sequence[int],
+                    q: float, oversample: float):
+    """Crossing wavepackets: one at the fixed low scale mu = 1.01^-70, one
+    at lam = 1.01^(d - 70) for each separation d in steps.
+
+    The time window is one relative circuit of the torus (the straight-line
+    analogue of a full transversal crossing), and the grid resolves
+    oversample times the top frequency 2 lam + 2 mu of the product. Yields
+    (trial, d, lam, horizon, grid, cv, cu, lhs), lhs being the space-time
+    L^q norm of the product of the two free solutions.
+    """
+    if any(int(d) < 10 for d in steps):
+        raise ValueError("scale separation below 1.1 violates the hypothesis")
+    length = _CROSSING_LENGTH
+    mu = lp.scale_value(_CROSSING_Z_MU)
+    dxi = 2.0 * np.pi / length
+    for trial in range(ensemble.num_trials):
+        rng = ensemble.rng(trial)
+        for d in steps:
+            z = _CROSSING_Z_MU + int(d)
+            lam = lp.scale_value(z)
+            top = 2.0 * lam + 2.0 * mu
+            n = 1 << max(12, int(math.ceil(math.log2(oversample * top / dxi))))
+            horizon = 1.2 * length / (3.0 * (lam ** 2 - mu ** 2))
+            grid = GridSpec(length, n, horizon / _CROSSING_TIME_STEPS,
+                            _CROSSING_TIME_STEPS)
+            cv = _packet_coeffs(grid, _CROSSING_Z_MU, rng)
+            cu = _packet_coeffs(grid, z, rng)
+            yield (trial, int(d), lam, horizon, grid, cv, cu,
+                   _crossing_lhs(grid, cv, cu, q))
 
 
 def verify_bilinear(ensemble: TrialEnsemble) -> EstimateReport:
     """Crossing wavepackets: L2-in-spacetime product decay with separation.
 
-    Fixed low scale mu, swept high scale lambda >= 1.1 mu. The time window
-    is one relative circuit of the torus (the straight-line analogue of a
-    full transversal crossing), and the resolution grows with lambda so the
-    quadratic integrand never aliases into the mean.
+    Fixed low scale mu, swept high scale lambda >= 1.1 mu. The resolution
+    grows with lambda so the quadratic integrand never aliases into the
+    mean: the squared product needs n > 2 * top / dxi.
     """
-    length = 400.0
-    z_mu = -70
-    mu = lp.scale_value(z_mu)
+    mu = lp.scale_value(_CROSSING_Z_MU)
     steps = tuple(ensemble.schedule) or _BILINEAR_STEPS
-    for d in steps:
-        if int(d) < 10:
-            raise ValueError(
-                "scale separation below 1.1 violates the hypothesis")
-    dxi = 2.0 * np.pi / length
-    records = []
-    logx, logy = [], []
+    sweep = _Sweep()
     flags: List[str] = []
-    for trial in range(ensemble.num_trials):
-        rng = ensemble.rng(trial)
-        for d in steps:
-            z = z_mu + int(d)
-            lam = lp.scale_value(z)
-            top = 2.0 * lam + 2.0 * mu
-            # squared product must not alias into the mean: n > 2 * top / dxi
-            n = 1 << max(12, int(math.ceil(math.log2(2.1 * top / dxi))))
-            Kt = 384
-            horizon = 1.2 * length / (3.0 * (lam ** 2 - mu ** 2))
-            gref = GridSpec(length, 4096, 1.0, 1)
-            cv = _packet_coeffs(gref, z_mu, rng, n)
-            cu = _packet_coeffs(gref, z, rng, n)
-            nv = math.sqrt(length * float(np.sum(np.abs(cv) ** 2)))
-            nu = math.sqrt(length * float(np.sum(np.abs(cu) ** 2)))
-            lhs = _crossing_lhs(length, n, horizon, Kt, cv, cu, 2.0)
-            rhs = lam ** -1.0 * nv * nu
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            rec = {"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
-                   "rhs": rhs, "ratio": ratio,
-                   "grid_points": n, "horizon": horizon}
-            if int(d) == 10:
-                rec["boundary"] = True
-                if "boundary_separation" not in flags:
-                    flags.append("boundary_separation")
-            records.append(rec)
-            if lhs > 0:
-                logx.append(math.log(lam))
-                logy.append(math.log(lhs / (nv * nu)))
-    worst = max((r_["ratio"] for r_ in records), default=None)
+    for trial, d, lam, horizon, grid, cv, cu, lhs in \
+            _crossing_sweep(ensemble, steps, 2.0, 2.1):
+        nv, nu = (math.sqrt(grid.domain_length * float(np.sum(np.abs(c) ** 2)))
+                  for c in (cv, cu))
+        rhs = lam ** -1.0 * nv * nu
+        rec = {"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
+               "rhs": rhs, "ratio": _ratio(lhs, rhs),
+               "grid_points": grid.num_points, "horizon": horizon}
+        if d == 10:
+            rec["boundary"] = True
+            if "boundary_separation" not in flags:
+                flags.append("boundary_separation")
+        sweep.add(rec, lam, nv * nu)
     cfg = {"kind": "bilinear", "seed": ensemble.seed,
-           "num_trials": ensemble.num_trials, "length": length,
-           "z_mu": z_mu, "lattice_steps": [int(d) for d in steps],
-           "time_steps": 384}
-    return EstimateReport("bilinear", cfg, records,
-                          _regress(logx, logy), -1.0, worst, flags)
+           "num_trials": ensemble.num_trials, "length": _CROSSING_LENGTH,
+           "z_mu": _CROSSING_Z_MU, "lattice_steps": [int(d) for d in steps],
+           "time_steps": _CROSSING_TIME_STEPS}
+    return sweep.report("bilinear", cfg, -1.0, flags)
 
 
 def verify_interpolated(ensemble: TrialEnsemble, q: float, p: float = 5.0,
@@ -366,36 +382,11 @@ def verify_interpolated(ensemble: TrialEnsemble, q: float, p: float = 5.0,
     if not bilinear:
         if q < 6:
             raise ValueError("linear form needs q >= 6")
-        mother = GridSpec(512.0, 2048, 33.0 / 128, 128)
-        z0 = 0
-        steps = tuple(ensemble.schedule) or _STRICHARTZ_STEPS
-        records = []
-        logx, logy = [], []
-        for trial in range(ensemble.num_trials):
-            rng = ensemble.rng(trial)
-            coeffs = annulus_field(mother, z0, rng).coefficients
-            for m in steps:
-                grid = _lattice_rescaled_grid(mother, int(m))
-                phi = Field.from_coefficients(grid, coeffs, check=False)
-                z = z0 + int(m)
-                lam = lp.scale_value(z)
-                phi_loc = lp.project(phi, lp.scale(z))
-                dnorm = l2_norm(phi_loc)
-                u = _project_path(free_solution(phi), z, "psi")
-                lhs = mixed_norm(u, q, q)
-                rhs = lam ** (0.5 - 4.0 / q) * dnorm
-                ratio = lhs / rhs if rhs > 0 else 0.0
-                records.append({"trial": trial, "lam": lam, "lhs": lhs,
-                                "rhs": rhs, "ratio": ratio})
-                if lhs > 0 and dnorm > 0:
-                    logx.append(math.log(lam))
-                    logy.append(math.log(lhs / dnorm))
-        worst = max((r_["ratio"] for r_ in records), default=None)
+        _, steps, sweep = _linear_sweep(ensemble, q, q, 0.5 - 4.0 / q)
         cfg = {"kind": "interpolated_linear", "q": q, "p": float(p),
                "seed": ensemble.seed, "num_trials": ensemble.num_trials,
                "lattice_steps": list(steps)}
-        return EstimateReport("interpolated_linear", cfg, records,
-                              _regress(logx, logy), 0.5 - 4.0 / q, worst)
+        return sweep.report("interpolated_linear", cfg, 0.5 - 4.0 / q)
 
     if not (q > 2 and q > (p - 1.0) / 2.0):
         raise ValueError("bilinear form needs q > max(2, (p-1)/2)")
@@ -404,49 +395,23 @@ def verify_interpolated(ensemble: TrialEnsemble, q: float, p: float = 5.0,
     flags = []
     if mu_exp < 0.05:
         flags.append("near_degenerate_mu_exponent")
-    length = 400.0
-    z_mu = -70
-    mu = lp.scale_value(z_mu)
+    mu = lp.scale_value(_CROSSING_Z_MU)
     steps = tuple(ensemble.schedule) or _BILINEAR_STEPS[:8]
-    dxi = 2.0 * np.pi / length
-    records = []
-    logx, logy = [], []
-    for trial in range(ensemble.num_trials):
-        rng = ensemble.rng(trial)
-        for d in steps:
-            if int(d) < 10:
-                raise ValueError(
-                    "scale separation below 1.1 violates the hypothesis")
-            z = z_mu + int(d)
-            lam = lp.scale_value(z)
-            top = 2.0 * lam + 2.0 * mu
-            # |vu|^q has no finite bandwidth for fractional q; resolve the
-            # product generously and let refinement studies cover the rest
-            n = 1 << max(12, int(math.ceil(math.log2((q + 0.5) * top / dxi))))
-            horizon = 1.2 * length / (3.0 * (lam ** 2 - mu ** 2))
-            gref = GridSpec(length, 4096, 1.0, 1)
-            cv = _packet_coeffs(gref, z_mu, rng, n)
-            cu = _packet_coeffs(gref, z, rng, n)
-            gv = GridSpec(length, n, horizon / 384, 384)
-            xv = besov_norm(Field.from_coefficients(gv, cv, check=False),
-                            ci.s_p)
-            xu = besov_norm(Field.from_coefficients(gv, cu, check=False),
-                            ci.s_p)
-            lhs = _crossing_lhs(length, n, horizon, 384, cv, cu, q)
-            rhs = mu ** mu_exp * lam ** lam_exp * xv * xu
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            records.append({"trial": trial, "mu": mu, "lam": lam,
-                            "lhs": lhs, "rhs": rhs, "ratio": ratio})
-            if lhs > 0 and xv > 0 and xu > 0:
-                logx.append(math.log(lam))
-                logy.append(math.log(lhs / (xv * xu)))
-    worst = max((r_["ratio"] for r_ in records), default=None)
+    sweep = _Sweep()
+    # |vu|^q has no finite bandwidth for fractional q; resolve the product
+    # generously and let refinement studies cover the rest
+    for trial, _, lam, _, grid, cv, cu, lhs in \
+            _crossing_sweep(ensemble, steps, q, q + 0.5):
+        xv, xu = (besov_norm(Field.from_coefficients(grid, c, check=False),
+                             ci.s_p) for c in (cv, cu))
+        rhs = mu ** mu_exp * lam ** lam_exp * xv * xu
+        sweep.add({"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
+                   "rhs": rhs, "ratio": _ratio(lhs, rhs)}, lam, xv * xu)
     cfg = {"kind": "interpolated_bilinear", "q": q, "p": float(p),
            "mu_exponent": mu_exp, "lam_exponent": lam_exp,
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "lattice_steps": [int(d) for d in steps]}
-    return EstimateReport("interpolated_bilinear", cfg, records,
-                          _regress(logx, logy), lam_exp, worst, flags)
+    return sweep.report("interpolated_bilinear", cfg, lam_exp, flags)
 
 
 def _centered_segment(coeffs: np.ndarray):
@@ -508,25 +473,11 @@ def default_multilinear_schedule(case: str, num_points: int = 2048,
     raise ValueError("case must be 'near' or 'far'")
 
 
-def _mask_top_bin(mask: np.ndarray) -> int:
-    half = mask.size // 2
-    nz = np.nonzero(mask[1:half])[0]
-    return int(nz[-1]) + 1 if nz.size else 0
-
-
-def _mask_bottom_bin(mask: np.ndarray) -> int:
-    half = mask.size // 2
-    nz = np.nonzero(mask[1:half])[0]
-    return int(nz[0]) + 1 if nz.size else 0
-
-
-def _padded_snapshot(coeffs_row: np.ndarray, m: int) -> np.ndarray:
-    n = coeffs_row.size
-    half = n // 2
-    pad = np.zeros(m, dtype=np.complex128)
-    pad[:half] = coeffs_row[:half]
-    pad[m - half + 1:] = coeffs_row[half + 1:]
-    return np.fft.ifft(pad).real * m
+def _mask_bins(mask: np.ndarray) -> Tuple[int, int]:
+    """(lowest, highest) positive bin where the mask is nonzero; (0, 0)
+    for an empty mask."""
+    nz = np.nonzero(mask[1:mask.size // 2])[0]
+    return (int(nz[0]) + 1, int(nz[-1]) + 1) if nz.size else (0, 0)
 
 
 def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
@@ -557,8 +508,7 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
     exact_zero_mode = (case == "far" and p == 5.0)
     pad = 4 * grid.num_points
     wts = time_weights(grid)
-    records = []
-    logx, logy = [], []
+    sweep = _Sweep()
     flags = []
     if exact_zero_mode:
         flags.append("exact_zero_construction")
@@ -576,12 +526,8 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             z2, z3, z4, z5, zmu = (int(v) for v in zt)
             lams = [lp.scale_value(z) for z in (z2, z3, z4, z5)]
             mu = lp.scale_value(zmu)
-            f0 = annulus_field(grid, z2 - 15, rng)
-            f1 = annulus_field(grid, z2 - 15, rng)
-            f2 = annulus_field(grid, z2, rng)
-            f3 = annulus_field(grid, z3, rng)
-            f4 = annulus_field(grid, z4, rng)
-            f5 = annulus_field(grid, z5, rng)
+            fields = [annulus_field(grid, z, rng)
+                      for z in (z2 - 15, z2 - 15, z2, z3, z4, z5)]
             fu = annulus_field(grid, zmu, rng)
             leq2 = lp.symbol_array(grid, z2, "leq")
             masks = [leq2, leq2,
@@ -592,12 +538,11 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
                      lp.symbol_array(grid, z5, "psi")]
             mask_u = lp.symbol_array(grid, zmu, "psi")
             if exact_zero_mode:
-                reach = sum(_mask_top_bin(m) for m in masks[1:])
-                if reach >= _mask_bottom_bin(mask_u):
+                reach = sum(_mask_bins(m)[1] for m in masks[1:])
+                if reach >= _mask_bins(mask_u)[0]:
                     raise ValueError(
                         "five-factor frequency reach meets the pairing band; "
                         "not an exact-zero configuration")
-            fields = [f0, f1, f2, f3, f4, f5]
             paths = [free_solution(f).spectral_matrix * m[None, :]
                      for f, m in zip(fields, masks)]
             path_u = free_solution(fu).spectral_matrix * mask_u[None, :]
@@ -611,35 +556,28 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             else:
                 for k in range(grid.num_steps + 1):
                     prod = np.ones(pad)
-                    v0 = _padded_snapshot(paths[0][k], pad)
+                    v0 = _padded_values(paths[0][k], pad)
                     av0 = np.maximum(np.abs(v0), 1e-300)
                     prod *= av0 ** (p - 5.0)
                     for rows in paths[1:]:
-                        prod *= _padded_snapshot(rows[k], pad)
-                    prod *= _padded_snapshot(path_u[k], pad)
+                        prod *= _padded_values(rows[k], pad)
+                    prod *= _padded_values(path_u[k], pad)
                     total += wts[k] * grid.domain_length * float(np.mean(prod))
             lhs = abs(total)
             dnorms = [besov_norm(f, ci.s_p) for f in fields]
             nmu = l2_norm(lp.project(fu, lp.scale(zmu)))
             rhs = lams[0] ** exps[0] * lams[3] ** exps[1] * mu ** exps[2] \
                 * dnorms[0] ** (p - 5.0) * float(np.prod(dnorms[1:])) * nmu
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            rec = {"trial": trial, "lams": [round(v, 6) for v in lams],
-                   "mu": mu, "lhs": lhs, "rhs": rhs, "ratio": ratio}
-            records.append(rec)
-            sweep = mu if case == "far" else lams[3]
-            if lhs > 0 and rhs > 0:
-                logx.append(math.log(sweep))
-                logy.append(math.log(ratio))
-    worst = max((r_["ratio"] for r_ in records), default=None)
-    slope = _regress(logx, logy)
+            sweep.add({"trial": trial, "lams": [round(v, 6) for v in lams],
+                       "mu": mu, "lhs": lhs, "rhs": rhs,
+                       "ratio": _ratio(lhs, rhs)},
+                      mu if case == "far" else lams[3], rhs)
     cfg = {"kind": "multilinear", "case": case, "p": float(p),
            "eps": eps, "delta": delta, "exponents": list(exps),
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "num_points": int(num_points),
            "schedule": [list(map(int, t)) for t in schedule]}
-    return EstimateReport("multilinear_" + case, cfg, records, slope,
-                          None, worst, flags)
+    return sweep.report("multilinear_" + case, cfg, None, flags)
 
 
 def verify_l6_smallness(phi: Field, T: float, p: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,17 +68,19 @@ def expansion_constant(p: float) -> float:
     return PowerLaw(p).coefficients[4]
 
 
-def _padded_values(f: Field, factor: float) -> np.ndarray:
-    n = f.grid.num_points
-    m = int(round(factor * n))
-    if m <= n:
-        return f.values.copy()
-    c = f.coefficients
+def _padded_values(c: np.ndarray, m: int) -> np.ndarray:
+    """Samples on m >= N points of the real field whose N-point spectrum is
+    c: the spectrum zero-padded to m modes, then inverse transformed."""
+    n = c.size
     pad = np.zeros(m, dtype=np.complex128)
     half = n // 2
     pad[:half] = c[:half]
     pad[m - half + 1:] = c[half + 1:]
     return np.fft.ifft(pad).real * m
+
+
+def _padded_size(grid: GridSpec) -> int:
+    return int(round(grid.dealias_factor * grid.num_points))
 
 
 def _truncate_spectrum(w: np.ndarray, n: int) -> np.ndarray:
@@ -108,7 +110,7 @@ def evaluate_power(f: Field, p: float) -> Field:
     top of the band.
     """
     law = PowerLaw(p)
-    vals = _padded_values(f, f.grid.dealias_factor)
+    vals = _padded_values(f.coefficients, _padded_size(f.grid))
     out = _truncate_spectrum(law(vals), f.grid.num_points)
     out *= _taper(f.grid)
     return Field.from_coefficients(f.grid, out, check=False)
@@ -118,8 +120,9 @@ def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product via the padded grid; exact for bandwidths that fit."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    a = _padded_values(f, f.grid.dealias_factor)
-    b = _padded_values(g, g.grid.dealias_factor)
+    m = _padded_size(f.grid)
+    a = _padded_values(f.coefficients, m)
+    b = _padded_values(g.coefficients, m)
     out = _truncate_spectrum(a * b, f.grid.num_points)
     return Field.from_coefficients(f.grid, out, check=False)
 

@@ -185,31 +185,31 @@ def xs_norm(path: Path, s: float, band=None) -> float:
     return xs_report(path, s, band).value
 
 
+def rescaled_grid(g: GridSpec, m: int) -> GridSpec:
+    """The grid of the critical rescaling by c = 1.01^m: length L/c and
+    dt/c^3, so the lattice and paired time rescalings map onto themselves."""
+    c = lp.scale_value(int(m))
+    return GridSpec(g.domain_length / c, g.num_points, g.dt / c ** 3,
+                    g.num_steps, g.dealias_factor)
+
+
+def _rescale_factor(m: int, p: float) -> float:
+    return lp.scale_value(int(m)) ** (2.0 / (critical_index(p).p - 1.0))
+
+
 def rescale(f: Field, m: int, p: float) -> Field:
     """Critical rescaling by c = 1.01^m: x -> c x, amplitude c^{2/(p-1)}.
 
-    The lattice maps onto itself: the output lives on a grid of length L/c
-    with identical coefficient values scaled by c^{2/(p-1)}, shifted m slots
-    up in frequency. dt rescales by c^{-3} so paired time rescalings reuse
-    the same grid.
+    The output lives on rescaled_grid(f.grid, m) with identical coefficient
+    values scaled by c^{2/(p-1)}, shifted m slots up in frequency.
     """
-    ci = critical_index(p)
-    c = lp.scale_value(int(m))
-    g = f.grid
-    new_grid = GridSpec(g.domain_length / c, g.num_points, g.dt / c ** 3,
-                        g.num_steps, g.dealias_factor)
-    factor = c ** (2.0 / (ci.p - 1.0))
-    return Field.from_coefficients(new_grid, factor * f.coefficients,
+    return Field.from_coefficients(rescaled_grid(f.grid, m),
+                                   _rescale_factor(m, p) * f.coefficients,
                                    check=False)
 
 
 def rescale_path(path: Path, m: int, p: float) -> Path:
     """Snapshotwise critical rescaling; the grid's dt absorbs c^{-3}."""
-    ci = critical_index(p)
-    c = lp.scale_value(int(m))
-    g = path.grid
-    new_grid = GridSpec(g.domain_length / c, g.num_points, g.dt / c ** 3,
-                        g.num_steps, g.dealias_factor)
-    factor = c ** (2.0 / (ci.p - 1.0))
-    return Path.from_spectral_matrix(new_grid,
-                                     factor * path.spectral_matrix)
+    return Path.from_spectral_matrix(rescaled_grid(path.grid, m),
+                                     _rescale_factor(m, p)
+                                     * path.spectral_matrix)

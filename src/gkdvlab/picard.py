@@ -53,7 +53,7 @@ class PicardConfig:
     p: float
     T: float
     max_iters: int
-    contraction_target: float
+    contraction_target: float  # validated only; divergence is ratio >= 1
     initial_data: Field
     grid: GridSpec
     stop_tolerance: float = 1e-10
@@ -278,9 +278,10 @@ def lipschitz_probe(phi: Field, dphi: Field, cfg: PicardConfig) -> float:
 
 
 def _converges(profile: Field, amp: float, p: float, grid: GridSpec,
-               max_iters: int, contraction_target: float) -> bool:
-    cfg = PicardConfig(p, grid.horizon, max_iters, contraction_target,
-                       profile * amp, grid, stop_tolerance=1e-9)
+               max_iters: int, stop_tolerance: float) -> bool:
+    # solve_picard never reads contraction_target; 0.9 only passes validation
+    cfg = PicardConfig(p, grid.horizon, max_iters, 0.9, profile * amp, grid,
+                       stop_tolerance=stop_tolerance)
     try:
         _, trace = solve_picard(cfg)
     except PicardDivergenceError:
@@ -290,12 +291,13 @@ def _converges(profile: Field, amp: float, p: float, grid: GridSpec,
 
 def amplitude_threshold(profile: Field, p: float,
                         max_iters: int = 12,
-                        contraction_target: float = 0.9,
+                        stop_tolerance: float = 1e-9,
                         rel_tol: float = 0.01,
                         start: float = 1.0) -> float:
     """Empirical smallness boundary: the amplitude separating converging
     from non-converging runs on the profile's grid, located by doubling
-    scan plus log bisection to the requested relative width.
+    scan plus log bisection to the requested relative width. Every probe
+    solve uses stop_tolerance as its PicardConfig.stop_tolerance.
 
     Deterministic: same profile and settings give the same threshold.
     """
@@ -305,11 +307,11 @@ def amplitude_threshold(profile: Field, p: float,
         raise ValueError("rel_tol must lie in (0, 1)")
     grid = profile.grid
     amp = float(start)
-    if _converges(profile, amp, p, grid, max_iters, contraction_target):
+    if _converges(profile, amp, p, grid, max_iters, stop_tolerance):
         lo = amp
         for _ in range(80):
             amp *= 2.0
-            if not _converges(profile, amp, p, grid, max_iters, contraction_target):
+            if not _converges(profile, amp, p, grid, max_iters, stop_tolerance):
                 break
             lo = amp
         else:
@@ -319,7 +321,7 @@ def amplitude_threshold(profile: Field, p: float,
         hi = amp
         for _ in range(80):
             amp *= 0.5
-            if _converges(profile, amp, p, grid, max_iters, contraction_target):
+            if _converges(profile, amp, p, grid, max_iters, stop_tolerance):
                 break
             hi = amp
         else:
@@ -327,7 +329,7 @@ def amplitude_threshold(profile: Field, p: float,
         lo = amp
     while hi / lo > 1.0 + rel_tol:
         mid = math.sqrt(lo * hi)
-        if _converges(profile, mid, p, grid, max_iters, contraction_target):
+        if _converges(profile, mid, p, grid, max_iters, stop_tolerance):
             lo = mid
         else:
             hi = mid

@@ -14,8 +14,8 @@ adding the next increment never changes the attained floating-point maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,18 +67,25 @@ def sampled_from_path(path: Path, terminal: bool = True) -> SampledPath:
 
 
 def increment_tables(sp: SampledPath):
-    """(D, nrm): pairwise increment sizes and vector norms via one Gram matrix.
+    """(D, nrm): pairwise increment sizes and vector norms.
 
-    Distances come from d_j + d_k - 2 G_jk, which cancels catastrophically
-    for nearly equal vectors: increments below sqrt(eps) * ||v|| are noise.
-    Norm values themselves are exact to rounding.
+    Complex rows are read as real vectors (real and imaginary parts side by
+    side), whose dot products are the real parts of the complex ones.
+    Distances come from one Gram matrix G of the rows centred on their
+    mean, as d_j + d_k - 2 G_jk. Centring leaves every difference unchanged
+    and shrinks the rows to the size of the path's own variation, so the
+    small increments of a nearly constant path are not lost to cancellation
+    against ||v||^2. Norms are summed from the uncentred rows directly.
     """
-    V = sp.vectors
-    G = sp.weight * np.real(V @ np.conj(V).T)
+    R = np.ascontiguousarray(sp.vectors)
+    if np.iscomplexobj(R):
+        R = R.view(R.real.dtype)
+    C = R - R.mean(axis=0)
+    G = sp.weight * (C @ C.T)
     d = np.diag(G)
     D2 = d[:, None] + d[None, :] - 2.0 * G
     np.maximum(D2, 0.0, out=D2)
-    return np.sqrt(D2), np.sqrt(np.maximum(d, 0.0))
+    return np.sqrt(D2), np.sqrt(sp.weight * np.einsum("ij,ij->i", R, R))
 
 
 def vp_norm(sp: SampledPath, p: float) -> float:

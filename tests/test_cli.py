@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gkdvlab import cli
+from gkdvlab import cli, picard
 
 
 def run(args, outdir):
@@ -138,6 +138,21 @@ class TestPicard:
         rep = json.loads((tmp_path / "picard-threshold.json").read_text())
         assert 0.05 < rep["amplitude_threshold"] < 20.0
 
+    def test_amplitude_bisect_uses_tolerance(self, tmp_path, monkeypatch):
+        seen = []
+        solve = picard.solve_picard
+
+        def recording_solve(cfg):
+            seen.append(cfg.stop_tolerance)
+            return solve(cfg)
+
+        monkeypatch.setattr(picard, "solve_picard", recording_solve)
+        rc = run(["picard", "--amplitude-bisect", "--points", "256",
+                  "--steps", "8", "--length", "100", "--seed", "6",
+                  "--max-iters", "6", "--tolerance", "1e-7"], tmp_path)
+        assert rc == 0
+        assert seen and all(t == 1e-7 for t in seen)
+
 
 class TestReports:
     def test_norms_report(self, tmp_path):
@@ -180,10 +195,30 @@ class TestReports:
         lines = (tmp_path / "strichartz-report.csv").read_text().splitlines()
         assert lines[0].startswith("trial,lam,")
 
-    def test_workers_flag_accepted(self, tmp_path):
+    def test_csv_format_refused_for_json_kinds(self, tmp_path, capsys):
         rc = run(["norms", "--points", "256", "--length", "50",
-                  "--workers", "2"], tmp_path)
-        assert rc == 0
+                  "--format", "csv"], tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "format csv" in err and "norms" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--s", "0.5"],
+                                      ["--contraction-target", "0.5"]])
+    def test_flag_rejected(self, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["norms", "--points", "256", "--length", "50"] + flag,
+                tmp_path)
+        assert exc.value.code == 2
+
+    def test_config_key_rejected(self, tmp_path, capsys):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("workers = 2\n")
+        rc = cli.main(["norms", "--config", str(cfile)])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -109,6 +109,20 @@ class TestInterpolated:
         assert rep.slope_target == pytest.approx(0.5 - 4.0 / 10.0)
         assert abs(rep.slope - rep.slope_target) <= 0.02
 
+    def test_linear_matches_strichartz_at_q6(self):
+        # r = 2q/(q-4) = q at q = 6: the same experiment; only the rhs
+        # exponents -1/6 and 1/2 - 4/6 differ, in their last bit
+        e = est.TrialEnsemble(seed=7, num_trials=1, schedule=(0, 232, 464))
+        a = est.verify_strichartz(e, 6.0)
+        b = est.verify_interpolated(e, 6.0)
+        assert a.slope == b.slope
+        assert len(a.records) == len(b.records) == 3
+        for ra, rb in zip(a.records, b.records):
+            assert ra["lam"] == rb["lam"]
+            assert ra["lhs"] == rb["lhs"]
+            assert abs(ra["rhs"] - rb["rhs"]) <= np.spacing(
+                max(ra["rhs"], rb["rhs"]))
+
     def test_linear_needs_q_at_least_six(self):
         e = est.TrialEnsemble(seed=1, num_trials=1)
         with pytest.raises(ValueError, match="q >= 6"):

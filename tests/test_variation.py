@@ -89,6 +89,28 @@ class TestVpNorm:
         sp = var.SampledPath(np.array([0.0, 1.0]), v, terminal=True)
         assert var.vp_norm(sp, 2.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("rel", [1e-6, 1e-9])
+    def test_nearly_constant_path_matches_direct_differences(self, rel):
+        # increments far below sqrt(eps) * ||v|| cancel in a Gram matrix of
+        # the raw rows; the oracle forms every difference directly
+        rng = np.random.default_rng(5)
+        m, dim = 65, 256
+        base = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        steps = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+        steps *= rel * np.linalg.norm(base) \
+            / np.linalg.norm(steps, axis=1, keepdims=True)
+        v = base[None, :] + np.cumsum(steps, axis=0)
+        w = 0.7
+        sp = var.SampledPath(np.arange(m, dtype=float), v, weight=w,
+                             terminal=False)
+        d2 = np.array([[w * np.sum(np.abs(v[j] - v[k]) ** 2)
+                        for k in range(m)] for j in range(m)])
+        best = np.zeros(m)
+        for k in range(1, m):
+            best[k] = np.max(best[:k] + d2[:k, k])
+        oracle = np.sqrt(best.max())
+        assert var.vp_norm(sp, 2.0) == pytest.approx(oracle, rel=1e-12)
+
     @pytest.mark.parametrize("terminal", [True, False])
     @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0])
     def test_dp_matches_enumeration_bitwise(self, p, terminal):
