@@ -106,10 +106,9 @@ def _regress(logx: Sequence[float], logy: Sequence[float]) -> Optional[float]:
 def annulus_field(grid: GridSpec, z: int, rng: np.random.Generator,
                   aligned: bool = False) -> Field:
     """Random conjugate-symmetric data supported where the band mask lives."""
-    psi = lp.symbol_array(grid, z, "psi")
+    start, row = lp.band_row(grid, z)
     n = grid.num_points
-    half = np.arange(1, n // 2)
-    sel = half[psi[half] > 0]
+    sel = np.arange(start, start + row.size)
     coeffs = np.zeros(n, dtype=np.complex128)
     if sel.size:
         if aligned:
@@ -267,13 +266,13 @@ def _packet_coeffs(grid: GridSpec, z: int,
     """Gaussian-envelope wavepacket in band z with a random center."""
     xi = grid.frequencies
     n = grid.num_points
-    psi = lp.psi_symbol(lp.scale(z), xi)
+    start, row = lp.band_row(grid, z)
     lam = lp.scale_value(z)
     width = lam * 0.25
     x0 = rng.uniform(0, grid.domain_length)
     half = np.arange(1, n // 2)
     env = np.exp(-((xi[half] - 1.45 * lam) / width) ** 2)
-    env *= psi[half] > 0
+    env *= (half >= start) & (half < start + row.size)
     jitter = 1.0 + 0.1 * rng.standard_normal(half.size)
     vals = env * jitter * np.exp(-1j * xi[half] * x0)
     coeffs = np.zeros(n, dtype=np.complex128)
@@ -473,11 +472,11 @@ def default_multilinear_schedule(case: str, num_points: int = 2048,
     raise ValueError("case must be 'near' or 'far'")
 
 
-def _mask_bins(mask: np.ndarray) -> Tuple[int, int]:
-    """(lowest, highest) positive bin where the mask is nonzero; (0, 0)
-    for an empty mask."""
-    nz = np.nonzero(mask[1:mask.size // 2])[0]
-    return (int(nz[0]) + 1, int(nz[-1]) + 1) if nz.size else (0, 0)
+def _mask_bins(grid: GridSpec, z: int, kind: str) -> Tuple[int, int]:
+    """(lowest, highest) positive bin where the symbol is nonzero; (0, 0)
+    for an empty symbol."""
+    start, row = lp.band_row(grid, z, kind)
+    return (start, start + row.size - 1) if row.size else (0, 0)
 
 
 def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
@@ -529,17 +528,14 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             fields = [annulus_field(grid, z, rng)
                       for z in (z2 - 15, z2 - 15, z2, z3, z4, z5)]
             fu = annulus_field(grid, zmu, rng)
-            leq2 = lp.symbol_array(grid, z2, "leq")
-            masks = [leq2, leq2,
-                     leq2 if case == "far" else
-                     lp.symbol_array(grid, z2, "psi"),
-                     lp.symbol_array(grid, z3, "psi"),
-                     lp.symbol_array(grid, z4, "psi"),
-                     lp.symbol_array(grid, z5, "psi")]
+            specs = [(z2, "leq"), (z2, "leq"),
+                     (z2, "leq" if case == "far" else "psi"),
+                     (z3, "psi"), (z4, "psi"), (z5, "psi")]
+            masks = [lp.symbol_array(grid, z, kind) for z, kind in specs]
             mask_u = lp.symbol_array(grid, zmu, "psi")
             if exact_zero_mode:
-                reach = sum(_mask_bins(m)[1] for m in masks[1:])
-                if reach >= _mask_bins(mask_u)[0]:
+                reach = sum(_mask_bins(grid, z, kind)[1] for z, kind in specs[1:])
+                if reach >= _mask_bins(grid, zmu, "psi")[0]:
                     raise ValueError(
                         "five-factor frequency reach meets the pairing band; "
                         "not an exact-zero configuration")
@@ -598,17 +594,12 @@ def l6_smallness_report(phi: Field, T: float, p: float,
     f = Field.from_coefficients(grid, phi.coefficients, check=False)
     path = free_solution(f)
     band = lp.default_band(grid)
-    c2 = np.abs(f.coefficients) ** 2
     L = grid.domain_length
     entries = []
-    for z in band:
-        psi = lp.symbol_array(grid, z, "psi")
-        nz = int(np.count_nonzero(psi))
-        if nz == 0:
-            continue
-        dn = math.sqrt(L * float(np.sum(psi ** 2 * c2)))
+    for z, dn in zip(band, np.sqrt(lp.band_energies(f, band))):
         if dn == 0.0:
             continue
+        nz = 2 * lp.band_row(grid, z)[1].size
         lam = lp.scale_value(z)
         # L6 <= T^{1/6} Linf^{2/3} L2^{1/3} and Linf <= sqrt(n/L) L2
         bound = lam ** (1.0 / 6.0 + ci.s_p) * T ** (1.0 / 6.0) \

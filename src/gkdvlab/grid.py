@@ -116,10 +116,6 @@ class GridSpec:
         return self.num_points // 2
 
     @property
-    def nyquist_frequency(self) -> float:
-        return np.pi * self.num_points / self.domain_length
-
-    @property
     def resolvable_max(self) -> float:
         """Largest frequency magnitude that survives the Nyquist projection."""
         return (self.num_points // 2 - 1) * self.delta_xi

@@ -117,16 +117,6 @@ def path_to_csv(p: Path, fileobj=None) -> str:
     return text
 
 
-def field_to_csv(f: Field, fileobj=None) -> str:
-    lines = ["x,value"]
-    for xj, vj in zip(f.grid.x, f.values):
-        lines.append(f"{xj!r},{vj!r}")
-    text = "\n".join(lines) + "\n"
-    if fileobj is not None:
-        fileobj.write(text)
-    return text
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON used for every report: sorted keys, repr floats."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

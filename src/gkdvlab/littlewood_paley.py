@@ -17,6 +17,14 @@ Consequently supp Psi_z = (lam_z/1.01, 2 lam_z), inside the coarser bound
 
 Mode 0 is excluded from every projection (homogeneous convention); the mean
 must be tracked separately, which reconstruction helpers do.
+
+Band symbols live in one store of rows per frequency set (L, N). A psi or
+leq row covers only its nonzero span of positive bins, evaluated there and
+nowhere else; negative bins mirror it (xi_{N-m} = -xi_m). Expanded to N
+bins a row is bitwise the symbol on the grid frequencies with Nyquist (and
+mode 0 for leq) zeroed. Rows are built on first use and kept for the
+_BANKS_KEPT most recently used frequency sets. Reductions read the span
+(band_row, band_energies); multipliers take the expansion (symbol_array).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -112,42 +121,71 @@ def leq_symbol(sc: LPScale, xi):
     return np.where(a == 0.0, 0.0, out)
 
 
-# ------------------------------------------------------------- cached symbols
+# ------------------------------------------------------------ band-row store
 
-_symbol_lock = threading.Lock()
-_symbol_cache: dict = {}
-_SYMBOL_CACHE_MAX = 1024
-_SYMBOL_CACHE_N_LIMIT = 8192  # larger grids are transient, do not retain
+_BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
 
 
-def _compute_symbol(grid: GridSpec, z: int, kind: str) -> np.ndarray:
-    axi = np.abs(grid.frequencies)
-    if kind == "psi":
-        arr = bump(axi / scale_value(z)) - bump(axi / scale_value(z - 1))
-    elif kind == "leq":
-        arr = np.asarray(bump(axi / scale_value(z)))
-        arr[0] = 0.0
-    else:
+@lru_cache(maxsize=_BANKS_KEPT)
+def _bank(length: float, num_points: int) -> dict:
+    """(z, kind) -> (first bin, row) for every grid with this frequency set."""
+    return {}
+
+
+def _compute_symbol(xi: np.ndarray, z: int, kind: str) -> np.ndarray:
+    """The symbol of band z on the frequencies xi, read-only."""
+    if kind not in ("psi", "leq"):
         raise ValueError(kind)
-    arr[grid.nyquist_index] = 0.0
+    arr = (psi_symbol if kind == "psi" else leq_symbol)(scale(z), xi)
     arr.flags.writeable = False
     return arr
 
 
+def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray]:
+    """(first bin, read-only row) of the symbol over its nonzero span of
+    bins 1 .. N/2 - 1; built on first use, then shared."""
+    bank = _bank(grid.domain_length, grid.num_points)
+    key = (int(z), kind)
+    entry = bank.get(key)
+    if entry is None:
+        pos = grid.frequencies[:grid.nyquist_index]
+        # psi vanishes for xi <= lam_{z-1}, both kinds for xi >= 2 lam_z
+        lo = 1 if kind == "leq" else int(np.searchsorted(pos, scale_value(z - 1), "right"))
+        hi = max(lo, int(np.searchsorted(pos, 2.0 * scale_value(z))))
+        row = _compute_symbol(pos[lo:hi], z, kind)
+        nz = np.flatnonzero(row)
+        entry = bank.setdefault(key, (lo + int(nz[0]), row[nz[0]:nz[-1] + 1])
+                                if nz.size else (lo, row[:0]))
+    return entry
+
+
+def _expand(grid: GridSpec, rows: Iterable[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """Sum of (first bin, row) spans on all N bins: each row on its positive
+    bins and mirrored onto bin N - m, zero at mode 0 and Nyquist."""
+    out = np.zeros(grid.num_points)
+    for start, row in rows:
+        out[start:start + row.size] += row
+    half = grid.nyquist_index
+    out[half + 1:] = out[1:half][::-1]
+    return out
+
+
 def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
-    if grid.num_points > _SYMBOL_CACHE_N_LIMIT:
-        return _compute_symbol(grid, z, kind)
-    key = (grid, int(z), kind)
-    with _symbol_lock:
-        hit = _symbol_cache.get(key)
-    if hit is not None:
-        return hit
-    arr = _compute_symbol(grid, z, kind)
-    with _symbol_lock:
-        if len(_symbol_cache) >= _SYMBOL_CACHE_MAX:
-            _symbol_cache.clear()
-        _symbol_cache[key] = arr
-    return arr
+    """The symbol on all N grid frequencies, expanded from its stored row."""
+    return _expand(grid, [band_row(grid, z, kind)])
+
+
+def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
+    """||P_z f||_{L2}^2 for each z in the band, summed over the stored spans."""
+    c2 = np.abs(f.coefficients) ** 2
+    half = f.grid.nyquist_index
+    c2[1:half] += c2[:half:-1]  # fold bin -m onto bin m
+    out = []
+    for z in band:
+        start, psi = band_row(f.grid, z)
+        out.append(f.grid.domain_length
+                   * float((psi * psi * c2[start:start + psi.size]).sum()))
+    return np.array(out)
 
 
 # ----------------------------------------------------------------- projections
@@ -211,10 +249,7 @@ def default_band(grid: GridSpec) -> range:
 
 def partition_sum(grid: GridSpec, band: Iterable[int]) -> np.ndarray:
     """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly)."""
-    total = np.zeros(grid.num_points)
-    for z in band:
-        total = total + symbol_array(grid, z, "psi")
-    return total
+    return _expand(grid, (band_row(grid, z) for z in band))
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:
@@ -237,14 +272,10 @@ def mean_mode(f: Field) -> Field:
 
 def coverage_rows(f: Field, band: Iterable[int]) -> List[Tuple[int, float, float]]:
     """(z, lam, fraction of ||f||^2 captured by band z) rows for reporting."""
-    c2 = (f.coefficients * np.conj(f.coefficients)).real
-    total = float(f.grid.domain_length * c2.sum())
-    rows = []
-    for z in band:
-        psi = symbol_array(f.grid, z, "psi")
-        cap = float(f.grid.domain_length * np.sum(psi * psi * c2))
-        rows.append((z, scale_value(z), cap / total if total > 0 else 0.0))
-    return rows
+    band = list(band)
+    total = float(f.grid.domain_length * np.sum(np.abs(f.coefficients) ** 2))
+    return [(z, scale_value(z), float(cap) / total if total > 0 else 0.0)
+            for z, cap in zip(band, band_energies(f, band))]
 
 
 def coverage_csv(f: Field, band: Iterable[int]) -> str:

@@ -71,17 +71,6 @@ def _resolve_band(grid: GridSpec, band) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _band_l2(f: Field, band: range) -> np.ndarray:
-    """||P_z f||_{L2} for each z, straight off the coefficients."""
-    c2 = np.abs(f.coefficients) ** 2
-    L = f.grid.domain_length
-    out = np.empty(len(band))
-    for i, z in enumerate(band):
-        psi = lp.symbol_array(f.grid, z, "psi")
-        out[i] = np.sqrt(L * float(np.sum(psi * psi * c2)))
-    return out
-
-
 def out_of_band_fraction(f: Field, band) -> float:
     """Squared-L2 fraction of f not reproduced by the band's partition.
 
@@ -101,7 +90,7 @@ def out_of_band_fraction(f: Field, band) -> float:
 def besov_report(f: Field, s: float, band=None) -> NormReport:
     """sup over band scales of lam^s ||P_z f||_{L2}, with argmax."""
     band = _resolve_band(f.grid, band)
-    vals = _band_l2(f, band)
+    vals = np.sqrt(lp.band_energies(f, band))
     best = 0.0
     arg = None
     for i, z in enumerate(band):
@@ -120,7 +109,7 @@ def besov_norm(f: Field, s: float, band=None) -> float:
 def sobolev_report(f: Field, s: float, band=None) -> NormReport:
     """l2 over band scales of lam^s ||P_z f||_{L2}; argmax is the top term."""
     band = _resolve_band(f.grid, band)
-    vals = _band_l2(f, band)
+    vals = np.sqrt(lp.band_energies(f, band))
     total = 0.0
     best = 0.0
     arg = None
@@ -154,11 +143,14 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     last = np.abs(g[-1]) ** 2
     entries = []
     for z in band:
-        psi = lp.symbol_array(grid, z, "psi")
-        idx = np.nonzero(psi)[0]
-        if idx.size == 0:
+        start, row = lp.band_row(grid, z)
+        if row.size == 0:
             continue
-        p2 = psi[idx] ** 2
+        # the span and its mirror at N - bin, in fft order
+        pos = np.arange(start, start + row.size)
+        idx = np.concatenate([pos, grid.num_points - pos[::-1]])
+        psi = np.concatenate([row, row[::-1]])
+        p2 = psi ** 2
         v1 = float(np.sum(np.sqrt(L * diffs[:, idx] @ p2)))
         v1 += float(np.sqrt(L * last[idx] @ p2))
         if v1 > 0.0:
@@ -166,17 +158,16 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     entries.sort(key=lambda e: -e[0])
     best = 0.0
     arg = None
-    frac_field = Field.from_coefficients(grid, g[0], check=False) \
-        if g.shape[0] else None
     for bound, z, idx, psi in entries:
         if bound <= best:
             break
-        sp = SampledPath(grid.times, g[:, idx] * psi[idx], weight=L)
+        sp = SampledPath(grid.times, g[:, idx] * psi, weight=L)
         v = lp.scale_value(z) ** s * vp_norm(sp, 2.0)
         if v > best:
             best = v
             arg = lp.scale_value(z)
-    frac = out_of_band_fraction(frac_field, band) if frac_field is not None else 0.0
+    frac = out_of_band_fraction(
+        Field.from_coefficients(grid, g[0], check=False), band)
     return NormReport("xs", float(s), band.start, band.stop - 1,
                       best, arg, frac)
 

@@ -187,8 +187,43 @@ class TestDecompose:
         assert text.startswith("z,lam,fraction\n")
 
 
-def test_symbol_cache_reuse(grid):
-    a = lp.symbol_array(grid, 10, "psi")
-    b = lp.symbol_array(grid, 10, "psi")
-    assert a is b
-    assert not a.flags.writeable
+def test_symbol_cache_reuse():
+    # rows are kept per frequency set (L, N), on large grids as well, and
+    # shared by grids that differ only in their time sampling
+    for n in (1024, 16384):
+        g = GridSpec(200.0, n, 0.05, 20)
+        start, row = lp.band_row(g, 10, "psi")
+        assert lp.band_row(g, 10, "psi")[1] is row
+        other = lp.band_row(GridSpec(200.0, n, 0.1, 7), 10, "psi")
+        assert other[0] == start and other[1] is row
+        assert not row.flags.writeable
+
+
+def test_band_store_does_not_thrash():
+    g = GridSpec(200.0, 2048, 0.05, 20)
+    band = lp.default_band(g)
+    assert len(band) == 767
+
+    def sweep():
+        return [lp.band_row(g, z, kind)[1] for z in band for kind in ("psi", "leq")]
+
+    first = sweep()
+    second = sweep()
+    assert sum(a is b for a, b in zip(first, second)) == 2 * len(band)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_band_rows_expand_to_symbols_bitwise(n):
+    g = GridSpec(200.0, n, 0.05, 20)
+    for z in lp.default_band(g):
+        for kind, symbol in (("psi", lp.psi_symbol), ("leq", lp.leq_symbol)):
+            ref = np.array(symbol(lp.scale(z), g.frequencies), dtype=np.float64)
+            ref[g.nyquist_index] = 0.0
+            if kind == "leq":
+                ref[0] = 0.0
+            full = lp.symbol_array(g, z, kind)
+            np.testing.assert_array_equal(full.view(np.int64), ref.view(np.int64))
+            # the stored span is exactly the nonzero positive support
+            start, row = lp.band_row(g, z, kind)
+            nonzero = np.flatnonzero(ref[:g.nyquist_index])
+            np.testing.assert_array_equal(np.arange(start, start + row.size), nonzero)
