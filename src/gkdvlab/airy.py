@@ -101,16 +101,20 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     return Path.from_spectral_matrix(g, out)
 
 
+def equation_defects(path: Path, forcing=0.0) -> np.ndarray:
+    """L2 norm, at each interior time, of the centered-difference defect of
+    v_t + v_xxx + forcing (the forcing as spectra of the interior rows)."""
+    g = path.grid
+    c = path.spectral_matrix
+    dt_c = (c[2:] - c[:-2]) / (2.0 * g.dt)
+    d3 = (1j * g.frequencies) ** 3
+    resid = dt_c + c[1:-1] * d3[None, :] + forcing
+    return np.sqrt(g.domain_length * np.sum((resid * np.conj(resid)).real, axis=1))
+
+
 def free_equation_residual(path: Path) -> float:
     """sup_k L2 residual of v_t + v_xxx = 0, centered differences in time.
 
     O(dt^2) for free solutions; used as a self-check, not a norm.
     """
-    g = path.grid
-    c = path.spectral_matrix
-    dt_c = (c[2:] - c[:-2]) / (2.0 * g.dt)
-    xi = g.frequencies
-    d3 = (1j * xi) ** 3
-    resid = dt_c + c[1:-1] * d3[None, :]
-    per_k = np.sqrt(g.domain_length * np.sum((resid * np.conj(resid)).real, axis=1))
-    return float(per_k.max(initial=0.0))
+    return float(equation_defects(path).max(initial=0.0))

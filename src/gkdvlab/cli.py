@@ -251,7 +251,8 @@ def _dry_run_plan(cfg: RunConfig) -> str:
     lines = [f"kind: {cfg.kind}"]
     grid = cfg.grid()
     band = _band(cfg) or lp.default_band(grid)
-    mem = (grid.num_steps + 1) * grid.num_points * 16 / 1e6
+    # 8 B of values plus 16 B of spectrum per sample
+    mem = (grid.num_steps + 1) * grid.num_points * 24 / 1e6
     lines.append(f"grid: L={grid.domain_length} N={grid.num_points} "
                  f"dt={grid.dt:.6g} K={grid.num_steps}")
     lines.append(f"bands: {len(band)} (z={band.start}..{band.stop - 1})")
@@ -273,14 +274,14 @@ def _run_solve(cfg: RunConfig) -> int:
                     "solve-report")
         return 3
     means = np.real(path.spectral_matrix[:, 0])
-    l2s = [l2_norm(s) for s in path.snapshots]
+    l2s = [l2_norm(s) for s in path]
     save_path(path, os.path.join(cfg.outdir, "solve-path.bin"))
     _write_json(cfg, {
         "mass_drift": float(np.max(np.abs(means - means[0]))
                             * phi.grid.domain_length),
         "l2_initial": l2s[0], "l2_final": l2s[-1],
         "l2_drift": max(abs(v - l2s[0]) for v in l2s),
-        "sup_final": float(np.abs(path.snapshots[-1].values).max()),
+        "sup_final": float(np.abs(path.values_matrix[-1]).max()),
     }, "solve-report")
     return 0
 

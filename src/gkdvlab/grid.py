@@ -16,9 +16,10 @@ zero. The resolvable band is |m| <= N/2 - 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -125,17 +126,23 @@ class GridSpec:
         return self.num_steps * self.dt
 
 
-def _project_nyquist(coeffs: np.ndarray, n: int) -> np.ndarray:
-    out = np.array(coeffs, dtype=np.complex128, copy=True)
-    out[n // 2] = 0.0
-    return out
+def _real_spectra(grid: GridSpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, spectra) of the real fields whose spectra are c along the
+    last axis: NaN/inf is refused, the Nyquist column of c (a fresh complex
+    array the caller gives up) is zeroed in place, and the values come from
+    one inverse transform."""
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteFieldError("coefficients contain NaN or inf")
+    c[..., grid.nyquist_index] = 0.0
+    return np.fft.ifft(c * grid.num_points).real, c
 
 
 class Field:
     """Real spatial state with a consistent spectral view.
 
-    Immutable. Both representations are stored; linear operations act on both
-    so that identities like P_{<lam} = P_{<=lam} - P_lam hold bitwise.
+    Immutable (both arrays are made read-only here). Both representations
+    are stored; linear operations act on both so that identities like
+    P_{<lam} = P_{<=lam} - P_lam hold bitwise.
     """
 
     __slots__ = ("grid", "_values", "_coeffs")
@@ -143,6 +150,8 @@ class Field:
     def __init__(self, grid: GridSpec, values: np.ndarray, coeffs: np.ndarray, _internal: bool = False):
         if not _internal:
             raise TypeError("use Field.from_values or Field.from_coefficients")
+        values.flags.writeable = False
+        coeffs.flags.writeable = False
         self.grid = grid
         self._values = values
         self._coeffs = coeffs
@@ -154,21 +163,14 @@ class Field:
             raise GridError(f"values shape {v.shape} does not match grid N={grid.num_points}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("field values contain NaN or inf")
-        c = np.fft.fft(v) / grid.num_points
-        c[grid.nyquist_index] = 0.0
-        vv = np.fft.ifft(c * grid.num_points).real
-        c.flags.writeable = False
-        vv.flags.writeable = False
-        return cls(grid, vv, c, _internal=True)
+        return cls(grid, *_real_spectra(grid, np.fft.fft(v) / grid.num_points), _internal=True)
 
     @classmethod
     def from_coefficients(cls, grid: GridSpec, coeffs, check: bool = True) -> "Field":
-        c = np.asarray(coeffs, dtype=np.complex128)
+        c = np.array(coeffs, dtype=np.complex128)
         if c.shape != (grid.num_points,):
             raise GridError(f"coefficient shape {c.shape} does not match grid N={grid.num_points}")
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteFieldError("coefficients contain NaN or inf")
-        c = _project_nyquist(c, grid.num_points)
+        v, c = _real_spectra(grid, c)
         if check:
             # conjugate symmetry c_{N-m} = conj(c_m) guarantees a real field
             idx = np.arange(1, grid.nyquist_index)
@@ -179,19 +181,12 @@ class Field:
                 raise MultiplierSymmetryError(
                     f"coefficients break conjugate symmetry (err {err:.3e}, scale {scale:.3e})"
                 )
-        v = np.fft.ifft(c * grid.num_points).real
-        c = c.copy()
-        c.flags.writeable = False
-        v.flags.writeable = False
         return cls(grid, v, c, _internal=True)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Field":
-        z = np.zeros(grid.num_points)
-        zc = np.zeros(grid.num_points, dtype=np.complex128)
-        z.flags.writeable = False
-        zc.flags.writeable = False
-        return cls(grid, z, zc, _internal=True)
+        return cls(grid, np.zeros(grid.num_points),
+                   np.zeros(grid.num_points, dtype=np.complex128), _internal=True)
 
     @property
     def values(self) -> np.ndarray:
@@ -206,11 +201,8 @@ class Field:
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatchError("fields live on different grids")
-        v = op(self._values, other._values)
-        c = op(self._coeffs, other._coeffs)
-        v.flags.writeable = False
-        c.flags.writeable = False
-        return Field(self.grid, v, c, _internal=True)
+        return Field(self.grid, op(self._values, other._values),
+                     op(self._coeffs, other._coeffs), _internal=True)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -222,11 +214,7 @@ class Field:
         if not np.isscalar(scalar):
             return NotImplemented
         s = float(scalar)
-        v = self._values * s
-        c = self._coeffs * s
-        v.flags.writeable = False
-        c.flags.writeable = False
-        return Field(self.grid, v, c, _internal=True)
+        return Field(self.grid, self._values * s, self._coeffs * s, _internal=True)
 
     __rmul__ = __mul__
 
@@ -300,9 +288,14 @@ def lq_norm(f: Field, q) -> float:
 
 
 class Path:
-    """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt."""
+    """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
-    __slots__ = ("grid", "snapshots", "_vmat", "_cmat")
+    Holds two read-only (K+1) x N matrices, the sample values and the
+    spectra, one row per snapshot; `path[k]` is a Field view of row k.
+    Arithmetic acts on both matrices, row by row exactly as on the fields.
+    """
+
+    __slots__ = ("grid", "_vmat", "_cmat")
 
     def __init__(self, grid: GridSpec, snapshots: Sequence[Field]):
         snaps = tuple(snapshots)
@@ -313,68 +306,70 @@ class Path:
         for s in snaps:
             if s.grid != grid:
                 raise GridMismatchError("snapshot grid differs from path grid")
-        self.grid = grid
-        self.snapshots = snaps
-        self._vmat = None
-        self._cmat = None
+        self._fill(grid, np.stack([s.values for s in snaps]),
+                   np.stack([s.coefficients for s in snaps]))
+
+    def _fill(self, grid: GridSpec, vmat: np.ndarray, cmat: np.ndarray) -> "Path":
+        vmat.flags.writeable = False
+        cmat.flags.writeable = False
+        self.grid, self._vmat, self._cmat = grid, vmat, cmat
+        return self
 
     @classmethod
-    def from_spectral_matrix(cls, grid: GridSpec, cmat: np.ndarray, check: bool = False) -> "Path":
-        cmat = np.asarray(cmat, dtype=np.complex128)
+    def _wrap(cls, grid: GridSpec, vmat: np.ndarray, cmat: np.ndarray) -> "Path":
+        return cls.__new__(cls)._fill(grid, vmat, cmat)
+
+    @classmethod
+    def from_spectral_matrix(cls, grid: GridSpec, cmat) -> "Path":
+        """Path whose row k has spectrum cmat[k], under the contract of
+        Field.from_coefficients (without the symmetry check)."""
+        cmat = np.array(cmat, dtype=np.complex128)
         if cmat.shape != (grid.num_steps + 1, grid.num_points):
             raise GridError("spectral matrix shape mismatch")
-        cmat = cmat.copy()
-        cmat[:, grid.nyquist_index] = 0.0
-        vmat = np.fft.ifft(cmat * grid.num_points, axis=1).real
-        snaps = []
-        for k in range(cmat.shape[0]):
-            v = vmat[k]
-            c = cmat[k]
-            v.flags.writeable = False
-            c.flags.writeable = False
-            snaps.append(Field(grid, v, c, _internal=True))
-        p = cls(grid, snaps)
-        p._vmat, p._cmat = vmat, cmat
-        return p
+        return cls._wrap(grid, *_real_spectra(grid, cmat))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Path":
-        z = Field.zero(grid)
-        return cls(grid, [z] * (grid.num_steps + 1))
+        shape = (grid.num_steps + 1, grid.num_points)
+        return cls._wrap(grid, np.zeros(shape), np.zeros(shape, dtype=np.complex128))
 
     @property
     def values_matrix(self) -> np.ndarray:
-        if self._vmat is None:
-            self._vmat = np.stack([s.values for s in self.snapshots])
         return self._vmat
 
     @property
     def spectral_matrix(self) -> np.ndarray:
-        if self._cmat is None:
-            self._cmat = np.stack([s.coefficients for s in self.snapshots])
         return self._cmat
 
     def __len__(self):
-        return len(self.snapshots)
+        return self._vmat.shape[0]
 
-    def __getitem__(self, k) -> Field:
-        return self.snapshots[k]
+    def __getitem__(self, k: int) -> Field:
+        k = operator.index(k)
+        return Field(self.grid, self._vmat[k], self._cmat[k], _internal=True)
+
+    def __iter__(self) -> Iterator[Field]:
+        return (self[k] for k in range(len(self)))
 
     def _binary(self, other: "Path", op) -> "Path":
         if not isinstance(other, Path):
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatchError("paths live on different grids")
-        return Path(self.grid, [op(a, b) for a, b in zip(self.snapshots, other.snapshots)])
+        return Path._wrap(self.grid, op(self._vmat, other._vmat),
+                          op(self._cmat, other._cmat))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return Path(self.grid, [s * scalar for s in self.snapshots])
+        if not np.isscalar(scalar):
+            return NotImplemented
+        s = float(scalar)
+        return Path._wrap(self.grid, self._vmat * s, self._cmat * s)
 
     __rmul__ = __mul__
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 import tempfile
 from typing import Union
 
@@ -99,7 +98,7 @@ def load(path):
     if head["kind"] == "path":
         if rows.shape[0] != grid.num_steps + 1:
             raise ContainerError("path snapshot count disagrees with grid")
-        return Path(grid, [Field.from_values(grid, r) for r in rows])
+        return Path.from_spectral_matrix(grid, np.fft.fft(rows) / grid.num_points)
     raise ContainerError(f"unknown kind {head['kind']!r}")
 
 
@@ -107,8 +106,7 @@ def path_to_csv(p: Path, fileobj=None) -> str:
     """Plot-ready CSV with one (t, x, value) row per sample."""
     lines = ["t,x,value"]
     x = p.grid.x
-    for k, t in enumerate(p.grid.times):
-        vals = p.snapshots[k].values
+    for t, vals in zip(p.grid.times, p.values_matrix):
         for j in range(p.grid.num_points):
             lines.append(f"{t!r},{x[j]!r},{vals[j]!r}")
     text = "\n".join(lines) + "\n"

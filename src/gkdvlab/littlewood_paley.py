@@ -228,7 +228,7 @@ def default_band(grid: GridSpec) -> range:
     the band vanishes on every grid frequency. Top: smallest z with
     lam >= top resolvable frequency, rounding OUTWARD so the partition still
     sums to 1 at the topmost frequencies (the top lambda may exceed pi N / L
-    by under one percent).
+    by under one percent). Empty on grids with no nonzero resolvable mode.
     """
     lo_target = grid.delta_xi / 2.0
     z = int(np.floor(np.log(lo_target) / np.log(BASE)))
@@ -238,6 +238,8 @@ def default_band(grid: GridSpec) -> range:
         z -= 1
     z_min = z
     hi_target = grid.resolvable_max
+    if hi_target <= 0:  # N <= 2: no nonzero mode is resolvable
+        return range(z_min, z_min)
     z = int(np.ceil(np.log(hi_target) / np.log(BASE)))
     while scale_value(z) < hi_target:
         z += 1

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import littlewood_paley as lp
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, NonFiniteFieldError
 
 
 class ExpansionBudgetError(Exception):
@@ -69,13 +69,14 @@ def expansion_constant(p: float) -> float:
 
 
 def _padded_values(c: np.ndarray, m: int) -> np.ndarray:
-    """Samples on m >= N points of the real field whose N-point spectrum is
-    c: the spectrum zero-padded to m modes, then inverse transformed."""
-    n = c.size
-    pad = np.zeros(m, dtype=np.complex128)
+    """Samples on m >= N points of the real fields whose N-point spectra
+    are c along the last axis: zero-padded to m modes, then inverse
+    transformed."""
+    n = c.shape[-1]
+    pad = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
     half = n // 2
-    pad[:half] = c[:half]
-    pad[m - half + 1:] = c[half + 1:]
+    pad[..., :half] = c[..., :half]
+    pad[..., m - half + 1:] = c[..., half + 1:]
     return np.fft.ifft(pad).real * m
 
 
@@ -84,12 +85,12 @@ def _padded_size(grid: GridSpec) -> int:
 
 
 def _truncate_spectrum(w: np.ndarray, n: int) -> np.ndarray:
-    m = w.size
+    m = w.shape[-1]
     cc = np.fft.fft(w) / m
     half = n // 2
-    out = np.zeros(n, dtype=np.complex128)
-    out[:half] = cc[:half]
-    out[half + 1:] = cc[m - half + 1:]
+    out = np.zeros(w.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :half] = cc[..., :half]
+    out[..., half + 1:] = cc[..., m - half + 1:]
     return out
 
 
@@ -102,18 +103,29 @@ def _taper(grid: GridSpec) -> np.ndarray:
     return t
 
 
-def evaluate_power(f: Field, p: float) -> Field:
-    """|f|^{p-1} f on a zero-padded grid, truncated back and tapered.
+def power_spectra(c: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
+    """Spectra of |f|^{p-1} f for the fields whose spectra are c along the
+    last axis (one field or a whole path at once).
 
     Real powers alias; padding by the grid's dealias factor pushes the
     dominant aliases out, and the taper suppresses what re-enters near the
-    top of the band.
+    top of the band. Raises NonFiniteFieldError like Field.from_coefficients
+    and returns the spectra with the Nyquist column projected out.
     """
     law = PowerLaw(p)
-    vals = _padded_values(f.coefficients, _padded_size(f.grid))
-    out = _truncate_spectrum(law(vals), f.grid.num_points)
-    out *= _taper(f.grid)
-    return Field.from_coefficients(f.grid, out, check=False)
+    out = _truncate_spectrum(law(_padded_values(c, _padded_size(grid))),
+                             grid.num_points)
+    out *= _taper(grid)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteFieldError("coefficients contain NaN or inf")
+    out[..., grid.nyquist_index] = 0.0
+    return out
+
+
+def evaluate_power(f: Field, p: float) -> Field:
+    """|f|^{p-1} f on a zero-padded grid, truncated back and tapered."""
+    return Field.from_coefficients(f.grid, power_spectra(f.coefficients, f.grid, p),
+                                   check=False)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:

@@ -166,10 +166,9 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
         if v > best:
             best = v
             arg = lp.scale_value(z)
-    frac = out_of_band_fraction(
-        Field.from_coefficients(grid, g[0], check=False), band)
+    # row 0 of the pullback is u(0) itself (S(0) is the identity)
     return NormReport("xs", float(s), band.start, band.stop - 1,
-                      best, arg, frac)
+                      best, arg, out_of_band_fraction(path[0], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:

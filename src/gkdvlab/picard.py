@@ -16,11 +16,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .airy import duhamel, free_solution
+from .airy import duhamel, equation_defects, free_solution
 from .estimates import verify_l6_smallness
 from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
-                   Path, derivative, l2_norm, mixed_norm)
-from .nonlinearity import evaluate_power
+                   Path, l2_norm, mixed_norm)
+from .nonlinearity import power_spectra
 from .norms import besov_norm, critical_index, xs_norm
 
 
@@ -100,10 +100,6 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _power_path(u: Path, p: float) -> Path:
-    return Path(u.grid, [evaluate_power(s, p) for s in u.snapshots])
-
-
 def picard_step(v: Path, w_prev: Path, p: float) -> Path:
     """One correction update: minus the retarded integral of d_x f_p(v+w).
 
@@ -117,28 +113,19 @@ def picard_step(v: Path, w_prev: Path, p: float) -> Path:
     scale = max(mixed_norm(w_prev, np.inf, 2.0), 1.0)
     if head > 1e-9 * scale:
         raise ValueError("correction path must vanish at t = 0")
-    forcing = Path(v.grid,
-                   [derivative(s, 1) for s in _power_path(v + w_prev, p).snapshots])
-    return duhamel(forcing) * (-1.0)
+    g = v.grid
+    power = power_spectra((v + w_prev).spectral_matrix, g, p)
+    return duhamel(Path.from_spectral_matrix(g, (1j * g.frequencies) * power)) * (-1.0)
 
 
 def gkdv_residual(u: Path, p: float) -> float:
     """sup over interior times of the L2 equation defect, with a centered
     difference standing in for the time derivative (so O(dt^2) even for an
-    exact solution)."""
+    exact solution). Times whose defect is NaN are skipped."""
     g = u.grid
-    if g.num_steps < 2:
-        return 0.0
-    c = u.spectral_matrix
-    dt_c = (c[2:] - c[:-2]) / (2.0 * g.dt)
-    d3 = (1j * g.frequencies) ** 3
-    worst = 0.0
-    for k in range(1, g.num_steps):
-        fp = evaluate_power(u[k], p)
-        resid = dt_c[k - 1] + c[k] * d3 + (1j * g.frequencies) * fp.coefficients
-        val = math.sqrt(g.domain_length * float(np.sum((resid * np.conj(resid)).real)))
-        worst = max(worst, val)
-    return worst
+    power = power_spectra(u.spectral_matrix[1:-1], g, p)
+    defects = equation_defects(u, (1j * g.frequencies) * power)
+    return float(np.fmax.reduce(defects, initial=0.0))
 
 
 def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
@@ -230,8 +217,8 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
     ceiling = ceiling_factor * float(np.abs(phi.values).max())
 
     def nl(c: np.ndarray) -> np.ndarray:
-        f = Field.from_coefficients(grid, c, check=False)
-        return -dxi * evaluate_power(f, p).coefficients
+        # a non-finite c makes the power spectrum non-finite, which raises
+        return -dxi * power_spectra(c, grid, p)
 
     cmat = np.zeros((grid.num_steps + 1, grid.num_points), dtype=np.complex128)
     cmat[0] = phi.coefficients

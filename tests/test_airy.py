@@ -74,7 +74,7 @@ class TestFreeSolution:
         phi = random_field(small_grid, rng)
         p = free_solution(phi)
         n0 = l2_norm(phi)
-        for s in p.snapshots:
+        for s in p:
             assert l2_norm(s) == pytest.approx(n0, rel=1e-12)
 
     def test_snapshots_match_evolve(self, small_grid):
@@ -82,7 +82,7 @@ class TestFreeSolution:
         p = free_solution(phi)
         k = 7
         direct = evolve(phi, small_grid.times[k])
-        np.testing.assert_allclose(p.snapshots[k].values, direct.values, atol=1e-13)
+        np.testing.assert_allclose(p[k].values, direct.values, atol=1e-13)
 
     def test_residual_second_order_in_dt(self):
         # centered-difference residual of the free equation drops like dt^2
@@ -106,7 +106,7 @@ class TestDuhamel:
         forcing = Path(small_grid, [random_field(small_grid, rng)
                                     for _ in range(small_grid.num_steps + 1)])
         out = duhamel(forcing)
-        assert np.abs(out.snapshots[0].values).max() == 0.0
+        assert np.abs(out[0].values).max() == 0.0
 
     def test_free_forcing_gives_t_times_free(self, small_grid):
         # f(s) = S(s) phi is constant in the interaction picture, so the
@@ -117,7 +117,7 @@ class TestDuhamel:
             t = small_grid.times[k]
             expect = evolve(phi, t) * t
             scale = max(np.abs(expect.values).max(), 1e-300)
-            err = np.abs(out.snapshots[k].values - expect.values).max()
+            err = np.abs(out[k].values - expect.values).max()
             assert err <= 1e-12 * scale * (1 + t)
 
     def test_linearity(self, small_grid):

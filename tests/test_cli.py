@@ -86,6 +86,14 @@ class TestDryRun:
         assert "memory" in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_path_memory_counts_values_and_spectrum(self, tmp_path, capsys):
+        # (K+1) N samples at 8 B of values plus 16 B of spectrum each
+        rc = run(["picard", "--dry-run", "--points", "4096", "--steps", "256"],
+                 tmp_path)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "path memory estimate: 25.3 MB" in out
+
 
 class TestSolve:
     def test_report_and_path(self, tmp_path):

@@ -219,6 +219,52 @@ class TestPath:
         with pytest.raises(GridMismatchError):
             p + Path.zero(other)
 
+    def test_matrices_read_only(self, small_grid):
+        p = self._ramp_path(small_grid)
+        built = Path.from_spectral_matrix(small_grid, p.spectral_matrix)
+        for path in (p, built, Path.zero(small_grid), p + built, p - built, p * 2.0):
+            for m in (path.values_matrix, path.spectral_matrix):
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+
+    def test_snapshots_are_views_of_rows(self, small_grid):
+        p = self._ramp_path(small_grid)
+        assert len(list(p)) == len(p) == small_grid.num_steps + 1
+        for k in (0, 5, small_grid.num_steps, -1):
+            assert np.shares_memory(p[k].values, p.values_matrix[k])
+            assert np.shares_memory(p[k].coefficients, p.spectral_matrix[k])
+        for k, f in enumerate(p):
+            assert np.array_equal(f.values, p.values_matrix[k])
+            assert np.array_equal(f.coefficients, p.spectral_matrix[k])
+
+    def test_algebra_matches_snapshot_algebra_bitwise(self, small_grid):
+        rng = np.random.default_rng(12)
+        a = Path(small_grid, [random_field(small_grid, rng)
+                              for _ in range(small_grid.num_steps + 1)])
+        b = Path.from_spectral_matrix(small_grid, a.spectral_matrix[::-1] * 0.5)
+        for path, expect in ((a + b, lambda k: a[k] + b[k]),
+                             (a - b, lambda k: a[k] - b[k]),
+                             (-1.5 * a, lambda k: a[k] * -1.5)):
+            for k in range(len(path)):
+                assert np.array_equal(path[k].values, expect(k).values)
+                assert np.array_equal(path[k].coefficients, expect(k).coefficients)
+
+    def test_from_spectral_matrix_contract(self, small_grid):
+        shape = (small_grid.num_steps + 1, small_grid.num_points)
+        c = np.zeros(shape, dtype=np.complex128)
+        c[:, 3] = 1.0
+        c[:, -3] = 1.0
+        c[:, small_grid.nyquist_index] = 2.0
+        p = Path.from_spectral_matrix(small_grid, c)
+        assert not np.any(p.spectral_matrix[:, small_grid.nyquist_index])
+        assert c[0, small_grid.nyquist_index] == 2.0  # the input is not touched
+        c[4, 7] = np.nan
+        with pytest.raises(NonFiniteFieldError):
+            Path.from_spectral_matrix(small_grid, c)
+        with pytest.raises(GridError):
+            Path.from_spectral_matrix(small_grid, c[:-1])
+
 
 class TestSerialization:
     def test_field_round_trip(self, tmp_path, small_grid):
@@ -247,6 +293,16 @@ class TestSerialization:
         scale = np.abs(p.values_matrix).max()
         np.testing.assert_allclose(q.values_matrix, p.values_matrix,
                                    rtol=0, atol=1e-14 * scale)
+
+    def test_path_with_nan_sample_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        target = tmp_path / "p.gkdv"
+        io.save_path(Path.zero(small_grid), target)
+        blob = target.read_bytes()
+        target.write_bytes(blob[:-8] + np.float64(np.nan).tobytes())
+        with pytest.raises(NonFiniteFieldError):
+            io.load(target)
 
     def test_bad_magic_rejected(self, tmp_path):
         from gkdvlab import io

@@ -227,3 +227,14 @@ def test_band_rows_expand_to_symbols_bitwise(n):
             start, row = lp.band_row(g, z, kind)
             nonzero = np.flatnonzero(ref[:g.nyquist_index])
             np.testing.assert_array_equal(np.arange(start, start + row.size), nonzero)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_default_band_empty_without_resolvable_modes(n):
+    from gkdvlab.norms import besov_norm
+
+    g = GridSpec(10.0, n, 0.1, 1)
+    assert len(lp.default_band(g)) == 0
+    if n == 2:
+        f = Field.from_values(g, np.array([1.0, -0.5]))
+        assert besov_norm(f, 0.5) == 0.0

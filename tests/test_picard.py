@@ -86,7 +86,7 @@ class TestPicardStep:
                                                    check=False))
         xi = fine.frequencies
         F = np.stack([derivative(evaluate_power(s, 5.0), 1).coefficients
-                      for s in vf.snapshots])
+                      for s in vf])
         out = np.zeros((grid.num_steps + 1, grid.num_points),
                        dtype=np.complex128)
         for k in range(1, grid.num_steps + 1):
@@ -163,6 +163,51 @@ class TestSolvePicard:
         assert float(lines[2].split(",")[3]) == trace.ratios[0]
 
 
+class TestBatchedPower:
+    def test_power_spectra_match_evaluate_power_bitwise(self, medium):
+        from gkdvlab.nonlinearity import power_spectra
+
+        grid, prof = medium
+        v = free_solution(prof * 0.3)
+        for p in (5.0, 5.5):
+            batched = power_spectra(v.spectral_matrix, grid, p)
+            for k in range(grid.num_steps + 1):
+                assert np.array_equal(batched[k],
+                                      evaluate_power(v[k], p).coefficients)
+
+    @staticmethod
+    def _residual_by_snapshot(u, p):
+        # the per-snapshot loop gkdv_residual once ran; Python max skips NaN
+        grid = u.grid
+        c = u.spectral_matrix
+        dt_c = (c[2:] - c[:-2]) / (2.0 * grid.dt)
+        d3 = (1j * grid.frequencies) ** 3
+        worst = 0.0
+        for k in range(1, grid.num_steps):
+            fp = evaluate_power(u[k], p)
+            resid = dt_c[k - 1] + c[k] * d3 + (1j * grid.frequencies) * fp.coefficients
+            val = math.sqrt(grid.domain_length
+                            * float(np.sum((resid * np.conj(resid)).real)))
+            worst = max(worst, val)
+        return worst
+
+    def test_gkdv_residual_matches_snapshot_loop(self, medium):
+        grid, prof = medium
+        v = free_solution(prof * 0.3)
+        u = v + picard_step(v, Path.zero(grid), 5.0)
+        assert gkdv_residual(u, 5.0) == self._residual_by_snapshot(u, 5.0)
+        # a non-finite first row makes the k = 1 defect NaN; it is skipped
+        c = np.zeros((grid.num_steps + 1, grid.num_points), dtype=np.complex128)
+        c[0, 3] = c[0, -3] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = Path.from_spectral_matrix(grid, c) * 1e10
+            bad = u + (big - big)
+            expect = self._residual_by_snapshot(bad, 5.0)
+            got = gkdv_residual(bad, 5.0)
+        assert math.isfinite(expect) and expect > 0
+        assert got == expect
+
+
 class TestDirectSolve:
     def test_zero_data(self, small_grid):
         path = direct_solve(Field.zero(small_grid), 5.0)
@@ -190,7 +235,7 @@ class TestDirectSolve:
         phi = seeded_profile(sg, 4, amplitude=0.8)
         path = direct_solve(phi, 5.0)
         c0 = phi.coefficients[0]
-        drift = max(abs(s.coefficients[0] - c0) for s in path.snapshots)
+        drift = max(abs(s.coefficients[0] - c0) for s in path)
         assert drift == 0.0
 
     def test_l2_drift_small(self):
@@ -198,7 +243,7 @@ class TestDirectSolve:
         phi = seeded_profile(sg, 4, amplitude=0.8)
         path = direct_solve(phi, 5.0)
         base = l2_norm(phi)
-        worst = max(abs(l2_norm(s) - base) for s in path.snapshots)
+        worst = max(abs(l2_norm(s) - base) for s in path)
         assert worst <= 1e-6 * sg.horizon
 
     def test_blow_up_detected(self):
