@@ -175,11 +175,17 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
     return _expand(grid, [band_row(grid, z, kind)])
 
 
+def fold_bins(e: np.ndarray) -> np.ndarray:
+    """Add bin N - m onto bin m for 0 < m < N/2 along the last axis, in
+    place, so a stored row reads both signs of its frequencies. Returns e."""
+    half = e.shape[-1] // 2
+    e[..., 1:half] += e[..., :half:-1]
+    return e
+
+
 def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
     """||P_z f||_{L2}^2 for each z in the band, summed over the stored spans."""
-    c2 = np.abs(f.coefficients) ** 2
-    half = f.grid.nyquist_index
-    c2[1:half] += c2[:half:-1]  # fold bin -m onto bin m
+    c2 = fold_bins(np.abs(f.coefficients) ** 2)
     out = []
     for z in band:
         start, psi = band_row(f.grid, z)

@@ -16,7 +16,7 @@ from . import littlewood_paley as lp
 from .airy import phase_matrix
 from .grid import Field, GridSpec, Path
 from .io import canonical_json
-from .variation import SampledPath, vp_norm
+from .variation import distances, vp_batch
 
 
 @dataclass(frozen=True)
@@ -127,45 +127,141 @@ def sobolev_norm(f: Field, s: float, band=None) -> float:
     return sobolev_report(f, s, band).value
 
 
+# bytes of working memory the V2 engine of xs_report may hold at once: the
+# weights of one screen block, or the Gram, distance and powered distance
+# tables (3 x m x m floats per band) of one chunk of bands
+_ENGINE_BYTES = 1 << 23
+
+
+def _band_columns(e: np.ndarray, spans: list, L: float) -> np.ndarray:
+    """sqrt(L * e[:, span] . row^2) for each (first bin, row) span, one
+    column per band. Consecutive bands share one matmul over the window of
+    bins their spans cover, as long as the weight block fits the budget."""
+    out = np.empty((e.shape[0], len(spans)))
+    i = 0
+    while i < len(spans):
+        lo = spans[i][0]
+        j = i + 1
+        while j < len(spans) and (spans[j][0] + spans[j][1].size - lo) \
+                * (j + 1 - i) * 8 <= _ENGINE_BYTES:
+            j += 1
+        W = np.zeros((j - i, max(st + row.size for st, row in spans[i:j]) - lo))
+        for b, (start, row) in enumerate(spans[i:j]):
+            W[b, start - lo:start - lo + row.size] = row * row
+        out[:, i:j] = e[:, lo:lo + W.shape[1]] @ W.T
+        i = j
+    return np.sqrt(L * out)
+
+
+def _folded_energy(x: np.ndarray) -> np.ndarray:
+    """|x|^2 with bin N - m folded onto bin m, along the last axis."""
+    return lp.fold_bins(x.real ** 2 + x.imag ** 2)
+
+
+def _band_values(cen: np.ndarray, energy: np.ndarray, bands: list,
+                 s: float, L: float) -> list:
+    """lam^s V2 of each (z, first bin, row) band, one batched DP for all:
+    the Gram matrix of a band is L (A1 A1^T + A2 A2^T), A1 and A2 the real
+    views of its span of the centred pullback and of the mirror span, each
+    weighted by the row; the norms come from the folded |g|^2."""
+    n = cen.shape[1]
+    G = np.empty((len(bands), cen.shape[0], cen.shape[0]))
+    nrm = np.empty((len(bands), cen.shape[0]))
+    for b, (_, start, row) in enumerate(bands):
+        w = row.size
+        a = (cen[:, start:start + w] * row).view(np.float64)
+        r = (cen[:, n - start - w + 1:n - start + 1] * row[::-1]).view(np.float64)
+        np.matmul(a, a.T, out=G[b])
+        G[b] += r @ r.T
+        nrm[b] = energy[:, start:start + w] @ (row * row)
+    G *= L
+    return [lp.scale_value(z) ** s * v for (z, _, _), v
+            in zip(bands, vp_batch(distances(G), np.sqrt(L * nrm), 2.0))]
+
+
 def xs_report(path: Path, s: float, band=None) -> NormReport:
     """sup over band scales of lam^s V2 of the flow-undone localized path.
 
-    Exact V2 per band is a dynamic program, so scales are screened first by
-    the cheap full-chain V1 bound (V2 <= V1) and only survivors are solved
-    exactly, best-first.
+    Exact V2 per band is a dynamic program, so bands are screened by the
+    cheap full-chain V1 bound (V2 <= V1) and visited best-first: in order of
+    bound descending, then z ascending, stopping at the first band whose
+    bound is at most the best value so far. The argmax is the first visited
+    band attaining the maximum.
+
+    Three things cut the work without changing that answer. The band with
+    the largest terminal jump is solved first; once the visit has passed it
+    the best is at least its value, so no band after the first later bound
+    at most that value is visited. A visited band whose second bound,
+    sqrt(diam V1 + max_k |g_k|^2), is below the best so far or below that
+    first value cannot be the argmax and is not solved; skipping it only
+    lowers the running best, which can lengthen the visit but not change
+    its maximum. The rest are solved in chunks, one batched DP per chunk,
+    and their values are taken in visiting order under the same stop rule,
+    so bands solved past the sequential stop (values at most their bound,
+    hence at most the best) never change the answer.
+
+    The pullback is centred over time once: centring commutes with the band
+    weights, so each band's Gram matrix is that of its own centred rows,
+    built from two contiguous slices (a span and its mirror at N - bin).
     """
     grid = path.grid
     band = _resolve_band(grid, band)
-    # out-of-band fraction is reported for the initial snapshot
-    g = path.spectral_matrix * phase_matrix(grid, -1)
     L = grid.domain_length
-    diffs = np.abs(np.diff(g, axis=0)) ** 2
-    last = np.abs(g[-1]) ** 2
-    entries = []
-    for z in band:
-        start, row = lp.band_row(grid, z)
-        if row.size == 0:
-            continue
-        # the span and its mirror at N - bin, in fft order
-        pos = np.arange(start, start + row.size)
-        idx = np.concatenate([pos, grid.num_points - pos[::-1]])
-        psi = np.concatenate([row, row[::-1]])
-        p2 = psi ** 2
-        v1 = float(np.sum(np.sqrt(L * diffs[:, idx] @ p2)))
-        v1 += float(np.sqrt(L * last[idx] @ p2))
-        if v1 > 0.0:
-            entries.append((lp.scale_value(z) ** s * v1, z, idx, psi))
+    g = path.spectral_matrix * phase_matrix(grid, -1)
+    bands = [(z,) + lp.band_row(grid, z) for z in band]
+    bands = [(z, start, row) for z, start, row in bands if row.size]
+    spans = [(start, row) for _, start, row in bands]
+    energy = _folded_energy(g)
+    # V1: the K increments plus the terminal jump g[-1]
+    chain = _band_columns(
+        np.vstack([_folded_energy(np.diff(g, axis=0)), energy[-1:]]), spans, L)
+    steps = chain[:-1].sum(axis=0)
+    entries = [(lp.scale_value(b[0]) ** s * float(v + t), float(t), float(v), b)
+               for b, v, t in zip(bands, steps, chain[-1]) if v + t > 0.0]
     entries.sort(key=lambda e: -e[0])
-    best = 0.0
+    g -= g.mean(axis=0)  # centred from here on
+    spread = _folded_energy(g)
+
+    def unbeatable(e) -> bool:
+        # no partition's sum of squared steps exceeds its largest step (at
+        # most the diameter, min(V1, 2 max_k |g_k - mean|)) times its total
+        # (at most V1), so V2^2 <= diam V1 + max_k |g_k|^2. A band below the
+        # value of x cannot be the argmax either. The margin, far above the
+        # DP's rounding, leaves near-ties to the DP.
+        _, _, total, (z, start, row) = e
+        span, w2 = slice(start, start + row.size), row * row
+        diam = min(total, 2.0 * np.sqrt(L * (spread[:, span] @ w2).max()))
+        top = diam * total + L * (energy[:, span] @ w2).max()
+        return (1.0 + 1e-9) * lp.scale_value(z) ** s * np.sqrt(top) <= max(best, cut)
+
+    m = g.shape[0]
+    chunk = max(1, _ENGINE_BYTES // (24 * m * m))
+    best = cut = 0.0
     arg = None
-    for bound, z, idx, psi in entries:
-        if bound <= best:
-            break
-        sp = SampledPath(grid.times, g[:, idx] * psi, weight=L)
-        v = lp.scale_value(z) ** s * vp_norm(sp, 2.0)
-        if v > best:
-            best = v
-            arg = lp.scale_value(z)
+    vals = {}
+    if entries:
+        # the visit never reaches a band after x whose bound is at most x's value
+        x = max(range(len(entries)), key=lambda k: entries[k][1])
+        vals[x] = cut = _band_values(g, energy, [entries[x][3]], s, L)[0]
+        del entries[next((k for k in range(x + 1, len(entries))
+                          if entries[k][0] <= cut), len(entries)):]
+    i = 0
+    while i < len(entries):
+        todo = range(i, min(i + chunk, len(entries)))
+        solve = [k for k in todo if k not in vals and not entries[k][0] <= best
+                 and not unbeatable(entries[k])]
+        if solve:
+            vals.update(zip(solve, _band_values(
+                g, energy, [entries[k][3] for k in solve], s, L)))
+        i = todo.stop
+        for k in todo:
+            bound, _, _, (z, _, _) = entries[k]
+            if bound <= best:
+                i = len(entries)
+                break
+            if vals.get(k, 0.0) > best:
+                best = vals[k]
+                arg = lp.scale_value(z)
     # row 0 of the pullback is u(0) itself (S(0) is the identity)
     return NormReport("xs", float(s), band.start, band.stop - 1,
                       best, arg, out_of_band_fraction(path[0], band))

@@ -82,34 +82,46 @@ def increment_tables(sp: SampledPath):
         R = R.view(R.real.dtype)
     C = R - R.mean(axis=0)
     G = sp.weight * (C @ C.T)
-    d = np.diag(G)
-    D2 = d[:, None] + d[None, :] - 2.0 * G
+    return distances(G), np.sqrt(sp.weight * np.einsum("ij,ij->i", R, R))
+
+
+def distances(G: np.ndarray) -> np.ndarray:
+    """sqrt(max(d_j + d_k - 2 G_jk, 0)) for Gram matrices G of centred rows,
+    stacked along any leading axes; d is the diagonal."""
+    d = np.diagonal(G, axis1=-2, axis2=-1)
+    D2 = d[..., :, None] + d[..., None, :] - 2.0 * G
     np.maximum(D2, 0.0, out=D2)
-    return np.sqrt(D2), np.sqrt(sp.weight * np.einsum("ij,ij->i", R, R))
+    return np.sqrt(D2, out=D2)
+
+
+def vp_batch(D: np.ndarray, nrm: np.ndarray, p: float,
+             terminal: bool = True) -> list:
+    """vp_norm of each path in a stack of increment tables D (B, m, m) and
+    norms nrm (B, m), as Python floats.
+
+    Dynamic program: M[k] = max over j < k of M[j] + d(j,k)^p, one k-loop
+    for the whole stack. Maxima are exact and each entry is summed as in a
+    lone DP, so every value is bitwise the one path's own.
+    """
+    Dp = D ** p
+    M = np.zeros(nrm.shape)
+    for k in range(1, M.shape[1]):
+        np.maximum.reduce(M[:, :k] + Dp[:, :k, k], axis=1, out=M[:, k])
+    best = np.max(M + nrm ** p, axis=1) if terminal else np.max(M, axis=1)
+    return [float(b) ** (1.0 / p) for b in best]
 
 
 def vp_norm(sp: SampledPath, p: float) -> float:
     """Supremum over all sample-time partitions of the l^p increment sum,
-    plus the terminal jump when the v(inf)=0 convention is on.
-
-    Dynamic program: M[k] = max over j < k of M[j] + d(j,k)^p.
-    """
+    plus the terminal jump when the v(inf)=0 convention is on (vp_batch of
+    one path)."""
     p = float(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    m = len(sp)
-    if m == 0:
+    if len(sp) == 0:
         return 0.0
     D, nrm = increment_tables(sp)
-    Dp = D ** p
-    M = np.zeros(m)
-    for k in range(1, m):
-        M[k] = np.max(M[:k] + Dp[:k, k])
-    if sp.terminal:
-        best = float(np.max(M + nrm ** p))
-    else:
-        best = float(np.max(M))
-    return best ** (1.0 / p)
+    return vp_batch(D[None], nrm[None], p, sp.terminal)[0]
 
 
 def v2_kdv_norm(path: Path, terminal: bool = True) -> float:

@@ -148,24 +148,88 @@ class TestXs:
             vals.append(norms.xs_norm(path, 0.0))
         assert abs(vals[1] - vals[0]) <= 0.02 * abs(vals[0])
 
-    def test_screening_matches_exhaustive(self, small_grid):
-        # the V1 screen must not change the answer: compare against a direct
-        # per-band evaluation without pruning
+    @staticmethod
+    def _exhaustive(path, s):
+        """(value, argmax scale) of every band's V2 by vp_norm, no pruning;
+        the argmax is the lowest z attaining the maximum."""
         from gkdvlab.airy import phase_matrix
         from gkdvlab.variation import SampledPath, vp_norm
-        rng = np.random.default_rng(32)
+        grid = path.grid
+        g = path.spectral_matrix * phase_matrix(grid, -1)
+        best, arg = 0.0, None
+        for z in lp.default_band(grid):
+            psi = lp.symbol_array(grid, z, "psi")
+            sp = SampledPath(grid.times, g * psi, weight=grid.domain_length)
+            v = lp.scale_value(z) ** s * vp_norm(sp, 2.0)
+            if v > best:
+                best, arg = v, lp.scale_value(z)
+        return best, arg
+
+    def test_screening_matches_exhaustive(self, small_grid):
+        # the V1 screen must not change the answer: compare value and argmax
+        # against every band solved without pruning
         phi = gaussian_bump(small_grid, 0.8, 3.0, 2.0)
-        forcing = airy.free_solution(phi)
-        path = airy.duhamel(forcing)
+        path = airy.duhamel(airy.free_solution(phi))
         s = 0.1
+        best, arg = self._exhaustive(path, s)
+        rep = norms.xs_report(path, s)
+        assert rep.value == pytest.approx(best, rel=1e-12)
+        assert rep.argmax_scale == arg
+
+    @pytest.mark.parametrize("s", [0.1, -0.3])
+    def test_screening_matches_exhaustive_over_chunks(self, small_grid, s,
+                                                      monkeypatch):
+        # a path whose rows are independent random fields leaves many bands
+        # in contention; with a budget of two bands per chunk (and small
+        # screen blocks) they are solved over many chunks, and the answer
+        # must still be the exhaustive one
+        m = small_grid.num_steps + 1
+        monkeypatch.setattr(norms, "_ENGINE_BYTES", 2 * 24 * m * m)
+        chunks = []
+        solve = norms.vp_batch
+        monkeypatch.setattr(norms, "vp_batch",
+                            lambda D, *a: chunks.append(len(D)) or solve(D, *a))
+        rng = np.random.default_rng(34)
+        path = Path.from_spectral_matrix(small_grid, np.stack(
+            [random_field(small_grid, rng, decay=1.0).coefficients
+             for _ in range(m)]))
+        best, arg = self._exhaustive(path, s)
+        rep = norms.xs_report(path, s)
+        assert len(chunks) > 10 and max(chunks) == 2
+        assert rep.value == pytest.approx(best, rel=1e-12)
+        assert rep.argmax_scale == arg
+
+    def test_nearly_constant_path_matches_direct_differences(self, small_grid):
+        # a constant plus increments of 1e-9 of its size after the pullback;
+        # the oracle forms every band's differences directly
+        from gkdvlab.airy import phase_matrix
+        rng = np.random.default_rng(33)
+        m = small_grid.num_steps + 1
+        base = random_field(small_grid, rng, decay=1.0).coefficients
+        steps = np.stack([random_field(small_grid, rng, decay=1.0).coefficients
+                          for _ in range(m)])
+        steps *= 1e-9 * np.linalg.norm(base) \
+            / np.linalg.norm(steps, axis=1, keepdims=True)
+        pulled = base[None, :] + np.cumsum(steps, axis=0)
+        path = Path.from_spectral_matrix(small_grid,
+                                         pulled * phase_matrix(small_grid, +1))
         g = path.spectral_matrix * phase_matrix(small_grid, -1)
-        best = 0.0
+        L = small_grid.domain_length
+        s = 0.2
+        best, arg = 0.0, None
         for z in lp.default_band(small_grid):
-            psi = lp.symbol_array(small_grid, z, "psi")
-            sp = SampledPath(small_grid.times, g * psi,
-                             weight=small_grid.domain_length)
-            best = max(best, lp.scale_value(z) ** s * vp_norm(sp, 2.0))
-        assert norms.xs_norm(path, s) == pytest.approx(best, rel=1e-12)
+            x = g * lp.symbol_array(small_grid, z, "psi")
+            d2 = L * np.sum(np.abs(x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+            top = np.zeros(m)
+            for k in range(1, m):
+                top[k] = np.max(top[:k] + d2[:k, k])
+            v = lp.scale_value(z) ** s * np.sqrt(
+                np.max(top + L * np.sum(np.abs(x) ** 2, axis=1)))
+            if v > best:
+                best, arg = v, lp.scale_value(z)
+        rep = norms.xs_report(path, s)
+        assert rep.value == pytest.approx(best, rel=1e-9)
+        assert rep.argmax_scale == arg
 
 
 class TestRescale:

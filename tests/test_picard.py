@@ -208,6 +208,45 @@ class TestBatchedPower:
         assert got == expect
 
 
+    @pytest.mark.parametrize("amp", [0.1, 3.0])
+    def test_trace_matches_two_evaluations_per_iterate(self, medium, amp,
+                                                       monkeypatch):
+        # solve_picard evaluates f(v + w) once per iterate; the rows must be
+        # those of evaluating it in picard_step and again in gkdv_residual.
+        # At amplitude 3 the last row of f(v + w_3) overflows while the
+        # interior does not: the residual then reads the interior alone
+        # and the next step raises, as before.
+        from gkdvlab import norms, picard
+        from gkdvlab.grid import NonFiniteFieldError
+        grid, prof = medium
+        phi = prof * amp
+        cfg = PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid)
+        fallbacks = []
+        monkeypatch.setattr(picard, "gkdv_residual",
+                            lambda u, p: fallbacks.append(1) or gkdv_residual(u, p))
+        try:
+            _, trace = solve_picard(cfg)
+        except PicardDivergenceError as exc:
+            trace = exc.trace
+        s_p = norms.critical_index(5.0).s_p
+        v = free_solution(phi)
+        w = Path.zero(grid)
+        want = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in trace.rows:
+                try:
+                    w_next = picard_step(v, w, 5.0)
+                    want.append((norms.xs_norm(w_next, s_p),
+                                 norms.xs_norm(w_next - w, s_p),
+                                 gkdv_residual(v + w_next, 5.0)))
+                except NonFiniteFieldError:
+                    want.append((math.inf, math.inf, math.inf))
+                    break
+                w = w_next
+        assert [(r["w_norm"], r["diff_norm"], r["residual"])
+                for r in trace.rows] == want
+        assert len(fallbacks) == (1 if amp == 3.0 else 0)
+
 class TestDirectSolve:
     def test_zero_data(self, small_grid):
         path = direct_solve(Field.zero(small_grid), 5.0)

@@ -122,6 +122,23 @@ class TestVpNorm:
                                 terminal=terminal)
             assert var.vp_norm(sp, p) == brute_force_vp(sp, p)
 
+    @pytest.mark.parametrize("terminal", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0])
+    def test_batched_dp_matches_single_and_enumeration_bitwise(self, p, terminal):
+        # one k-loop over a stack of tables gives each path its own value
+        rng = np.random.default_rng(43)
+        for trial in range(10):
+            m = int(rng.integers(2, 10))
+            paths = [random_sampled(rng, m, int(rng.integers(1, 5)),
+                                    complex_=bool(rng.integers(0, 2)),
+                                    terminal=terminal)
+                     for _ in range(int(rng.integers(1, 7)))]
+            tables = [var.increment_tables(sp) for sp in paths]
+            got = var.vp_batch(np.stack([D for D, _ in tables]),
+                               np.stack([nrm for _, nrm in tables]), p, terminal)
+            assert got == [var.vp_norm(sp, p) for sp in paths]
+            assert got == [brute_force_vp(sp, p) for sp in paths]
+
     def test_monotone_in_p(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
