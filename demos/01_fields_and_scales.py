@@ -15,9 +15,10 @@ grid = GridSpec(domain_length=100.0, num_points=1024, dt=0.01, num_steps=4)
 x = grid.x
 f = Field.from_values(grid, np.exp(-(((x - 40.0) / 6.0) ** 2)) * np.cos(1.3 * x))
 
-back = Field.from_coefficients(grid, f.coefficients, check=False)
+back = Field.from_coefficients(grid, f.coefficients)
 roundtrip = float(np.max(np.abs(back.values - f.values)))
-spectral = grid.domain_length * float(np.sum(np.abs(f.coefficients) ** 2))
+# only the bins m >= 0 are stored; bin m > 0 also stands for -m
+spectral = grid.domain_length * float(np.abs(f.coefficients) ** 2 @ grid.bin_weights)
 pointwise = grid.weight * float(np.sum(f.values ** 2))
 
 print(f"grid: L={grid.domain_length}, N={grid.num_points}, "

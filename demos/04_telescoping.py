@@ -20,8 +20,7 @@ grid = GridSpec(domain_length=200.0, num_points=1024, dt=1.0 / 16, num_steps=16)
 rng = np.random.default_rng(4)
 raw = Field.from_values(grid, rng.standard_normal(grid.num_points))
 xi = np.abs(grid.frequencies)
-u = Field.from_coefficients(grid, raw.coefficients * ((xi >= 0.5) & (xi < 4.0)),
-                            check=False)
+u = Field.from_coefficients(grid, raw.coefficients * ((xi >= 0.5) & (xi < 4.0)))
 u = u * (1.0 / l2_norm(u))
 
 print("one-level telescoping residual, p = 5:")

@@ -21,13 +21,11 @@ from .grid import (
     Path,
     apply_multiplier,
     derivative,
-    forward_transform,
-    inverse_transform,
     l2_norm,
     lq_norm,
     mixed_norm,
 )
-from .airy import Propagator, duhamel, evolve, free_solution
+from .airy import duhamel, evolve, free_solution
 from .estimates import (
     EstimateReport,
     TrialEnsemble,

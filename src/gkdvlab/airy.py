@@ -5,48 +5,25 @@ v(t) = S(t) phi satisfies the discretized v_t + v_xxx = 0 (plug in a single
 harmonic: cos(xi x + xi^3 t) works). A global sign flip would change no norm
 in this package, but the convention is fixed here once.
 
-The propagator is unitary on the resolvable band; the Nyquist bin is zero by
-the field construction contract, so unitarity and the group law hold to
-rounding, not just approximately.
+The propagator is unitary on the stored bins, and the unpaired Nyquist bin
+is not stored (grid.py), so unitarity and the group law hold to rounding,
+not just approximately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, GridSpec, Path
+from .grid import Field, GridMismatchError, GridSpec, Path, apply_multiplier
 
-_PHASE_CACHE_LIMIT = 1 << 23  # do not retain (K+1)*N phase tables above this
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Multiplier table of S(t) on one grid at one time."""
-
-    grid: GridSpec
-    time: float
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        xi = self.grid.frequencies
-        tab = np.exp(1j * xi ** 3 * self.time)
-        tab[self.grid.nyquist_index] = 0.0
-        tab.flags.writeable = False
-        return tab
-
-    def apply(self, f: Field) -> Field:
-        if f.grid != self.grid:
-            raise GridMismatchError("field grid does not match propagator grid")
-        out = self.table * f.coefficients
-        return Field.from_coefficients(self.grid, out, check=False)
+_PHASE_CACHE_LIMIT = 1 << 23  # do not retain phase tables with (K+1)*N above this
 
 
 def evolve(f: Field, t: float) -> Field:
     """S(t) f."""
-    return Propagator(f.grid, float(t)).apply(f)
+    return apply_multiplier(f, np.exp(1j * f.grid.frequencies ** 3 * float(t)))
 
 
 @lru_cache(maxsize=8)
@@ -57,7 +34,6 @@ def _phase_matrix_cached(grid: GridSpec, sign: int) -> np.ndarray:
 def _phase_matrix_compute(grid: GridSpec, sign: int) -> np.ndarray:
     xi3 = grid.frequencies ** 3
     m = np.exp((sign * 1j) * np.outer(grid.times, xi3))
-    m[:, grid.nyquist_index] = 0.0
     m.flags.writeable = False
     return m
 
@@ -90,13 +66,12 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     if g != forcing.grid:
         raise GridMismatchError("forcing path lives on a different grid")
     dt = g.dt
-    pulled = forcing.spectral_matrix * phase_matrix(g, -1)
-    acc = np.zeros_like(pulled)
-    for k in range(1, g.num_steps + 1):
-        if k >= 2 and k % 2 == 0:
-            acc[k] = acc[k - 2] + (dt / 3.0) * (pulled[k - 2] + 4.0 * pulled[k - 1] + pulled[k])
-        else:
-            acc[k] = acc[k - 1] + (dt / 2.0) * (pulled[k - 1] + pulled[k])
+    p = forcing.spectral_matrix * phase_matrix(g, -1)
+    acc = np.zeros_like(p)
+    # even rows sum the Simpson panels; an odd row adds one trapezoid step
+    np.cumsum((dt / 3.0) * (p[:-2:2] + 4.0 * p[1:-1:2] + p[2::2]), axis=0,
+              out=acc[2::2])
+    acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
     out = acc * phase_matrix(g, +1)
     return Path.from_spectral_matrix(g, out)
 
@@ -109,7 +84,8 @@ def equation_defects(path: Path, forcing=0.0) -> np.ndarray:
     dt_c = (c[2:] - c[:-2]) / (2.0 * g.dt)
     d3 = (1j * g.frequencies) ** 3
     resid = dt_c + c[1:-1] * d3[None, :] + forcing
-    return np.sqrt(g.domain_length * np.sum((resid * np.conj(resid)).real, axis=1))
+    return np.sqrt(g.domain_length
+                   * np.sum((resid * np.conj(resid)).real * g.bin_weights, axis=1))
 
 
 def free_equation_residual(path: Path) -> float:

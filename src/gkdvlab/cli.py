@@ -251,8 +251,8 @@ def _dry_run_plan(cfg: RunConfig) -> str:
     lines = [f"kind: {cfg.kind}"]
     grid = cfg.grid()
     band = _band(cfg) or lp.default_band(grid)
-    # 8 B of values plus 16 B of spectrum per sample
-    mem = (grid.num_steps + 1) * grid.num_points * 24 / 1e6
+    # 8 B of values plus a 16 B stored bin per two samples
+    mem = (grid.num_steps + 1) * grid.num_points * 16 / 1e6
     lines.append(f"grid: L={grid.domain_length} N={grid.num_points} "
                  f"dt={grid.dt:.6g} K={grid.num_steps}")
     lines.append(f"bands: {len(band)} (z={band.start}..{band.stop - 1})")

@@ -13,6 +13,7 @@ it (crossing experiments). Reports embed the grid recipe.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from .airy import free_solution
-from .grid import Field, GridSpec, Path, l2_norm, mixed_norm, time_weights
+from .grid import (Field, GridSpec, Path, l2_norm, mixed_norm, time_weights,
+                   to_samples)
 from .io import canonical_json
-from .nonlinearity import _padded_values
 from .norms import besov_norm, critical_index, rescaled_grid, xs_norm
 
 SCHEMA_VERSION = 1
@@ -105,20 +106,17 @@ def _regress(logx: Sequence[float], logy: Sequence[float]) -> Optional[float]:
 
 def annulus_field(grid: GridSpec, z: int, rng: np.random.Generator,
                   aligned: bool = False) -> Field:
-    """Random conjugate-symmetric data supported where the band mask lives."""
+    """Random real data supported where the band mask lives."""
     start, row = lp.band_row(grid, z)
-    n = grid.num_points
-    sel = np.arange(start, start + row.size)
-    coeffs = np.zeros(n, dtype=np.complex128)
-    if sel.size:
+    coeffs = np.zeros(grid.num_points // 2, dtype=np.complex128)
+    if row.size:
         if aligned:
-            vals = np.abs(rng.standard_normal(sel.size)) + 0.0j
+            vals = np.abs(rng.standard_normal(row.size)) + 0.0j
         else:
-            vals = rng.standard_normal(sel.size) \
-                + 1j * rng.standard_normal(sel.size)
-        coeffs[sel] = vals
-        coeffs[n - sel] = np.conj(vals)
-    return Field.from_coefficients(grid, coeffs, check=False)
+            vals = rng.standard_normal(row.size) \
+                + 1j * rng.standard_normal(row.size)
+        coeffs[start:start + row.size] = vals
+    return Field.from_coefficients(grid, coeffs)
 
 
 def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
@@ -128,14 +126,10 @@ def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
     the extremal profile of the height-vs-bandwidth inequality; random
     phases would blur the scaling with a sqrt(log) drift.
     """
-    n = grid.num_points
-    top_bin = int(min(top_bin, n // 2 - 1))
-    coeffs = np.zeros(n, dtype=np.complex128)
-    bins = np.arange(1, top_bin + 1)
-    vals = np.abs(rng.standard_normal(bins.size)) + 0.0j
-    coeffs[bins] = vals
-    coeffs[n - bins] = np.conj(vals)
-    return Field.from_coefficients(grid, coeffs, check=False)
+    top_bin = int(min(top_bin, grid.num_points // 2 - 1))
+    coeffs = np.zeros(grid.num_points // 2, dtype=np.complex128)
+    coeffs[1:top_bin + 1] = np.abs(rng.standard_normal(top_bin))
+    return Field.from_coefficients(grid, coeffs)
 
 
 def _project_path(path: Path, z: int, kind: str) -> Path:
@@ -192,8 +186,7 @@ def _linear_sweep(ensemble: TrialEnsemble, q: float, r: float,
         coeffs = annulus_field(mother, 0, ensemble.rng(trial)).coefficients
         for m in steps:
             z = int(m)
-            phi = Field.from_coefficients(rescaled_grid(mother, z), coeffs,
-                                          check=False)
+            phi = Field.from_coefficients(rescaled_grid(mother, z), coeffs)
             lam = lp.scale_value(z)
             dnorm = l2_norm(lp.project(phi, lp.scale(z)))
             lhs = mixed_norm(_project_path(free_solution(phi), z, "psi"), q, r)
@@ -264,20 +257,17 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
 def _packet_coeffs(grid: GridSpec, z: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Gaussian-envelope wavepacket in band z with a random center."""
-    xi = grid.frequencies
-    n = grid.num_points
+    xi = grid.frequencies[1:]
     start, row = lp.band_row(grid, z)
     lam = lp.scale_value(z)
     width = lam * 0.25
     x0 = rng.uniform(0, grid.domain_length)
-    half = np.arange(1, n // 2)
-    env = np.exp(-((xi[half] - 1.45 * lam) / width) ** 2)
-    env *= (half >= start) & (half < start + row.size)
-    jitter = 1.0 + 0.1 * rng.standard_normal(half.size)
-    vals = env * jitter * np.exp(-1j * xi[half] * x0)
-    coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[half] = vals
-    coeffs[n - half] = np.conj(vals)
+    env = np.exp(-((xi - 1.45 * lam) / width) ** 2)
+    bins = np.arange(1, xi.size + 1)
+    env *= (bins >= start) & (bins < start + row.size)
+    jitter = 1.0 + 0.1 * rng.standard_normal(xi.size)
+    coeffs = np.zeros(xi.size + 1, dtype=np.complex128)
+    coeffs[1:] = env * jitter * np.exp(-1j * xi * x0)
     return coeffs
 
 
@@ -285,14 +275,12 @@ def _crossing_lhs(grid: GridSpec, cv: np.ndarray, cu: np.ndarray,
                   q: float) -> float:
     """L^q norm in space and time of the product of two free solutions,
     streamed one snapshot at a time (grids here get large)."""
-    n = grid.num_points
     xi3 = 1j * grid.frequencies ** 3
     wts = time_weights(grid)
     acc = 0.0
     for k in range(grid.num_steps + 1):
         ph = np.exp(xi3 * (k * grid.dt))
-        v = np.fft.ifft(ph * cv).real * n
-        u = np.fft.ifft(ph * cu).real * n
+        v, u = to_samples(np.stack([ph * cv, ph * cu]), grid.num_points)
         prod = np.abs(v * u)
         acc += wts[k] * float(np.sum(prod ** q)) * grid.weight
     return acc ** (1.0 / q)
@@ -349,7 +337,8 @@ def verify_bilinear(ensemble: TrialEnsemble) -> EstimateReport:
     flags: List[str] = []
     for trial, d, lam, horizon, grid, cv, cu, lhs in \
             _crossing_sweep(ensemble, steps, 2.0, 2.1):
-        nv, nu = (math.sqrt(grid.domain_length * float(np.sum(np.abs(c) ** 2)))
+        nv, nu = (math.sqrt(grid.domain_length
+                            * float(np.abs(c) ** 2 @ grid.bin_weights))
                   for c in (cv, cu))
         rhs = lam ** -1.0 * nv * nu
         rec = {"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
@@ -401,8 +390,8 @@ def verify_interpolated(ensemble: TrialEnsemble, q: float, p: float = 5.0,
     # generously and let refinement studies cover the rest
     for trial, _, lam, _, grid, cv, cu, lhs in \
             _crossing_sweep(ensemble, steps, q, q + 0.5):
-        xv, xu = (besov_norm(Field.from_coefficients(grid, c, check=False),
-                             ci.s_p) for c in (cv, cu))
+        xv, xu = (besov_norm(Field.from_coefficients(grid, c), ci.s_p)
+                  for c in (cv, cu))
         rhs = mu ** mu_exp * lam ** lam_exp * xv * xu
         sweep.add({"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
                    "rhs": rhs, "ratio": _ratio(lhs, rhs)}, lam, xv * xu)
@@ -413,40 +402,48 @@ def verify_interpolated(ensemble: TrialEnsemble, q: float, p: float = 5.0,
     return sweep.report("interpolated_bilinear", cfg, lam_exp, flags)
 
 
-def _centered_segment(coeffs: np.ndarray):
-    """(offset, segment) of the nonzero centered-spectrum span; offset is
-    the frequency index of segment[0] counted from -(N/2 - 1)."""
-    n = coeffs.size
-    half = n // 2
-    cent = np.concatenate([coeffs[half + 1:], coeffs[:half]])
-    nz = np.nonzero(cent)[0]
-    if nz.size == 0:
-        return 0, np.zeros(0, dtype=np.complex128)
-    a, b = int(nz[0]), int(nz[-1]) + 1
-    return a - (half - 1), cent[a:b].copy()
+def _segment(coeffs: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(first bin, span) of the nonzero stored bins."""
+    nz = np.flatnonzero(coeffs)
+    return (int(nz[0]), coeffs[nz[0]:nz[-1] + 1]) if nz.size else (0, coeffs[:0])
 
 
-def _pairing_integral(segments, target) -> float:
-    """L * sum_k g(k) h(-k) with g the exact convolution of the segments.
+def _convolution(segments) -> Tuple[int, np.ndarray]:
+    """(first bin, span) of the exact convolution of (first bin, span)s."""
+    off, seg = 0, np.ones(1, dtype=np.complex128)
+    for o, s in segments:
+        off, seg = off + o, np.convolve(seg, s)
+    return off, seg
 
-    Every term outside the convolution support multiplies an exact zero, so
-    disjoint supports give exactly 0.0, never a small residue.
+
+def _pairing_integral(segments) -> float:
+    """sum over k_1 + ... + k_n = 0 of prod_j c_j(k_j), the mean of the
+    product of the real mean-free fields whose stored bins are given as
+    (first bin, span) segments with first bin >= 1.
+
+    Each k_j is +m or -m for a stored bin m, with c_j(-m) = conj(c_j(m)). A
+    sign pattern balances its positive frequencies against its negative
+    ones, so it contributes the dot product of the convolution of the
+    positive segments with that of the conjugated negative ones. Flipping
+    every sign conjugates the term, so patterns with the last factor
+    positive count twice their real part. A pattern whose two convolutions
+    have disjoint supports contributes an exact 0.0 and is never convolved,
+    so disjoint supports give exactly 0.0, never a small residue.
     """
-    off, seg = segments[0]
-    for o2, s2 in segments[1:]:
-        if seg.size == 0 or s2.size == 0:
-            return 0.0
-        seg = np.convolve(seg, s2)
-        off += o2
-    toff, tseg = target
-    if seg.size == 0 or tseg.size == 0:
+    *rest, last = segments
+    if any(s.size == 0 for _, s in segments):
         return 0.0
     total = 0.0
-    # overlap of supp(conv) with -supp(target)
-    lo = max(off, -(toff + tseg.size - 1))
-    hi = min(off + seg.size - 1, -toff)
-    for k in range(lo, hi + 1):
-        total += float(np.real(seg[k - off] * tseg[-k - toff]))
+    for signs in itertools.product((1, -1), repeat=len(rest)):
+        pos = [last] + [sg for sg, d in zip(rest, signs) if d > 0]
+        neg = [(o, np.conj(s)) for (o, s), d in zip(rest, signs) if d < 0]
+        lo = max(sum(o for o, _ in part) for part in (pos, neg))
+        hi = min(sum(o + s.size - 1 for o, s in part) for part in (pos, neg))
+        if lo > hi:
+            continue
+        (po, ps), (no, ns) = _convolution(pos), _convolution(neg)
+        total += 2.0 * float(np.real(ps[lo - po:hi - po + 1]
+                                     @ ns[lo - no:hi - no + 1]))
     return total
 
 
@@ -545,19 +542,17 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             total = 0.0
             if exact_zero_mode:
                 for k in range(grid.num_steps + 1):
-                    segs = [_centered_segment(rows[k]) for rows in paths[1:]]
-                    tgt = _centered_segment(path_u[k])
-                    total += wts[k] * grid.domain_length * \
-                        _pairing_integral(segs, tgt)
+                    segs = [_segment(rows[k]) for rows in paths[1:] + [path_u]]
+                    total += wts[k] * grid.domain_length * _pairing_integral(segs)
             else:
                 for k in range(grid.num_steps + 1):
                     prod = np.ones(pad)
-                    v0 = _padded_values(paths[0][k], pad)
+                    v0 = to_samples(paths[0][k], pad)
                     av0 = np.maximum(np.abs(v0), 1e-300)
                     prod *= av0 ** (p - 5.0)
                     for rows in paths[1:]:
-                        prod *= _padded_values(rows[k], pad)
-                    prod *= _padded_values(path_u[k], pad)
+                        prod *= to_samples(rows[k], pad)
+                    prod *= to_samples(path_u[k], pad)
                     total += wts[k] * grid.domain_length * float(np.mean(prod))
             lhs = abs(total)
             dnorms = [besov_norm(f, ci.s_p) for f in fields]
@@ -591,7 +586,7 @@ def l6_smallness_report(phi: Field, T: float, p: float,
     if T <= 0:
         raise ValueError("horizon must be positive")
     grid = GridSpec(g.domain_length, g.num_points, T / num_steps, num_steps)
-    f = Field.from_coefficients(grid, phi.coefficients, check=False)
+    f = Field.from_coefficients(grid, phi.coefficients)
     path = free_solution(f)
     band = lp.default_band(grid)
     L = grid.domain_length

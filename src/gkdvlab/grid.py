@@ -3,15 +3,20 @@
 A long periodic cell of length L sampled at N points stands in for the real
 line; data is kept concentrated away from the cell boundary by the callers.
 Everything downstream (projections, propagators, norms) is built on the
-transform convention fixed here:
+transform convention fixed here, and this module alone calls np.fft:
 
-    c_m = fft(values)[m] / N  ~  (1/L) * integral f(x) exp(-i xi_m x) dx,
-    xi_m = 2 pi m / L,   Parseval:  (L/N) sum |f_j|^2 = L sum |c_m|^2.
+    c_m = rfft(values)[m] / N  ~  (1/L) * integral f(x) exp(-i xi_m x) dx,
+    xi_m = 2 pi m / L,  m = 0 .. N/2 - 1.
+
+Fields are real, so only the nonnegative bins are stored: bin m stands for
+both m and -m (c_{-m} = conj(c_m)), and no mirror exists anywhere. Parseval
+carries the bin weights w_0 = 1, w_m = 2 for m >= 1 (GridSpec.bin_weights):
+
+    (L/N) sum_j |f_j|^2 = L sum_m w_m |c_m|^2.
 
 The unpaired Nyquist mode m = N/2 of an even-length real transform cannot be
 evolved unitarily by a complex multiplier (its sine partner is aliased away),
-so fields project it out once at construction and every multiplier keeps it
-zero. The resolvable band is |m| <= N/2 - 1.
+so it is not stored: values come back from irfft with that bin zero.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class GridSpec:
     """Periodic spatial grid plus uniform time sampling.
 
     domain_length: cell length L > 0
-    num_points: N, a power of two
+    num_points: N, a power of two, at least 2
     dt: time step > 0
     num_steps: K >= 1; sampled times are k*dt for k = 0..K
     dealias_factor: zero-padding ratio for nonlinear products, >= 1
@@ -69,8 +74,8 @@ class GridSpec:
         problems = []
         if not (self.domain_length > 0):
             problems.append("domain_length must be positive")
-        if not _is_power_of_two(self.num_points):
-            problems.append("num_points must be a positive power of two")
+        if not (_is_power_of_two(self.num_points) and self.num_points >= 2):
+            problems.append("num_points must be a power of two, at least 2")
         if not (self.dt > 0):
             problems.append("dt must be positive")
         if not (self.num_steps >= 1):
@@ -92,8 +97,16 @@ class GridSpec:
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        """xi_m = 2 pi m / L in standard fft ordering."""
-        v = 2.0 * np.pi * np.fft.fftfreq(self.num_points, d=self.domain_length / self.num_points)
+        """xi_m = 2 pi m / L for the stored bins m = 0 .. N/2 - 1."""
+        v = 2.0 * np.pi * np.fft.rfftfreq(self.num_points, d=self.weight)[:-1]
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def bin_weights(self) -> np.ndarray:
+        """Parseval weights of the stored bins: 1 at mode 0, 2 above it."""
+        v = np.full(self.num_points // 2, 2.0)
+        v[0] = 1.0
         v.flags.writeable = False
         return v
 
@@ -113,12 +126,8 @@ class GridSpec:
         return 2.0 * np.pi / self.domain_length
 
     @property
-    def nyquist_index(self) -> int:
-        return self.num_points // 2
-
-    @property
     def resolvable_max(self) -> float:
-        """Largest frequency magnitude that survives the Nyquist projection."""
+        """Largest stored frequency."""
         return (self.num_points // 2 - 1) * self.delta_xi
 
     @property
@@ -126,15 +135,33 @@ class GridSpec:
         return self.num_steps * self.dt
 
 
+def to_samples(c: np.ndarray, m: int) -> np.ndarray:
+    """Samples on m points of the real fields whose stored bins are c along
+    the last axis; m >= 2 c.shape[-1], the bins above c zero-padded."""
+    return np.fft.irfft(c, n=m, norm="forward")
+
+
+def to_spectrum(v: np.ndarray, n: int) -> np.ndarray:
+    """The n/2 stored bins of the real samples v along the last axis, for
+    n at most the sample count; higher bins are truncated."""
+    return np.fft.rfft(v, norm="forward")[..., :n // 2]
+
+
 def _real_spectra(grid: GridSpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(values, spectra) of the real fields whose spectra are c along the
-    last axis: NaN/inf is refused, the Nyquist column of c (a fresh complex
-    array the caller gives up) is zeroed in place, and the values come from
-    one inverse transform."""
+    last axis: NaN/inf is refused, and the values come from one inverse
+    transform."""
     if not np.all(np.isfinite(c)):
         raise NonFiniteFieldError("coefficients contain NaN or inf")
-    c[..., grid.nyquist_index] = 0.0
-    return np.fft.ifft(c * grid.num_points).real, c
+    return to_samples(c, grid.num_points), c
+
+
+def _check_mean(table: np.ndarray, tol: float, what: str) -> None:
+    """A real field needs a real mode 0; the other bins are unconstrained."""
+    scale = max(np.abs(table).max(initial=0.0), 1e-300)
+    if abs(table[0].imag) > tol * scale:
+        raise MultiplierSymmetryError(
+            f"{what} has a non-real mode 0 ({table[0]!r}, scale {scale:.3e})")
 
 
 class Field:
@@ -163,30 +190,23 @@ class Field:
             raise GridError(f"values shape {v.shape} does not match grid N={grid.num_points}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("field values contain NaN or inf")
-        return cls(grid, *_real_spectra(grid, np.fft.fft(v) / grid.num_points), _internal=True)
+        return cls(grid, *_real_spectra(grid, to_spectrum(v, grid.num_points)),
+                   _internal=True)
 
     @classmethod
-    def from_coefficients(cls, grid: GridSpec, coeffs, check: bool = True) -> "Field":
+    def from_coefficients(cls, grid: GridSpec, coeffs) -> "Field":
+        """The real field with the stored bins coeffs (shape (N/2,))."""
         c = np.array(coeffs, dtype=np.complex128)
-        if c.shape != (grid.num_points,):
+        if c.shape != (grid.num_points // 2,):
             raise GridError(f"coefficient shape {c.shape} does not match grid N={grid.num_points}")
         v, c = _real_spectra(grid, c)
-        if check:
-            # conjugate symmetry c_{N-m} = conj(c_m) guarantees a real field
-            idx = np.arange(1, grid.nyquist_index)
-            err = np.abs(c[grid.num_points - idx] - np.conj(c[idx])).max(initial=0.0)
-            err += abs(c[0].imag)
-            scale = np.abs(c).max(initial=0.0)
-            if err > 1e-10 * max(scale, 1e-300):
-                raise MultiplierSymmetryError(
-                    f"coefficients break conjugate symmetry (err {err:.3e}, scale {scale:.3e})"
-                )
+        _check_mean(c, 1e-10, "coefficient vector")
         return cls(grid, v, c, _internal=True)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Field":
         return cls(grid, np.zeros(grid.num_points),
-                   np.zeros(grid.num_points, dtype=np.complex128), _internal=True)
+                   np.zeros(grid.num_points // 2, dtype=np.complex128), _internal=True)
 
     @property
     def values(self) -> np.ndarray:
@@ -225,50 +245,26 @@ class Field:
         return f"Field(N={self.grid.num_points}, L={self.grid.domain_length:g}, max|f|={np.abs(self._values).max():.3e})"
 
 
-def forward_transform(f: Field) -> np.ndarray:
-    """Fourier coefficients of the field under the documented normalization."""
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteFieldError("field values contain NaN or inf")
-    return f.coefficients
-
-
-def inverse_transform(grid: GridSpec, coeffs) -> Field:
-    return Field.from_coefficients(grid, coeffs)
-
-
-def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-                     check: bool = True) -> Field:
+def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> Field:
     """Apply the Fourier multiplier m(xi) to the field.
 
-    m may be a callable evaluated on the grid frequencies or a precomputed
-    table. A real output requires m(-xi) = conj(m(xi)); violations are
-    rejected when check is on. The Nyquist bin of the output is zero.
+    m may be a callable evaluated on the (nonnegative) grid frequencies or a
+    precomputed table of shape (N/2,); it acts on -xi as conj(m(xi)), so the
+    output is real. A non-real m(0) has no real meaning and is rejected.
     """
     grid = f.grid
     table = np.asarray(m(grid.frequencies) if callable(m) else m, dtype=np.complex128)
     if table.ndim == 0:
-        table = np.full(grid.num_points, complex(table))
-    if table.shape != (grid.num_points,):
+        table = np.full(grid.num_points // 2, complex(table))
+    if table.shape != (grid.num_points // 2,):
         raise GridError("multiplier table has wrong shape")
-    if check:
-        # pair bins m and N-m; the Nyquist bin is projected out, skip it
-        idx = np.arange(1, grid.nyquist_index)
-        err = np.abs(table[grid.num_points - idx] - np.conj(table[idx])).max(initial=0.0)
-        err += abs(table[0].imag)
-        scale = max(np.abs(table).max(initial=0.0), 1e-300)
-        if err > 1e-12 * scale:
-            raise MultiplierSymmetryError(
-                f"multiplier breaks conjugate symmetry (err {err:.3e})"
-            )
-    out = table * f.coefficients
-    out[grid.nyquist_index] = 0.0
-    return Field.from_coefficients(grid, out, check=False)
+    _check_mean(table, 1e-12, "multiplier")
+    return Field(grid, *_real_spectra(grid, table * f.coefficients), _internal=True)
 
 
 def derivative(f: Field, order: int = 1) -> Field:
     """Spectral derivative (i xi)^order."""
-    xi = f.grid.frequencies
-    return apply_multiplier(f, (1j * xi) ** order, check=False)
+    return apply_multiplier(f, (1j * f.grid.frequencies) ** order)
 
 
 def l2_norm(f: Field) -> float:
@@ -290,8 +286,9 @@ def lq_norm(f: Field, q) -> float:
 class Path:
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
-    Holds two read-only (K+1) x N matrices, the sample values and the
-    spectra, one row per snapshot; `path[k]` is a Field view of row k.
+    Holds two read-only matrices, the (K+1) x N sample values and the
+    (K+1) x N/2 stored bins, one row per snapshot; `path[k]` is a Field
+    view of row k.
     Arithmetic acts on both matrices, row by row exactly as on the fields.
     """
 
@@ -322,16 +319,17 @@ class Path:
     @classmethod
     def from_spectral_matrix(cls, grid: GridSpec, cmat) -> "Path":
         """Path whose row k has spectrum cmat[k], under the contract of
-        Field.from_coefficients (without the symmetry check)."""
+        Field.from_coefficients (without the mode-0 check)."""
         cmat = np.array(cmat, dtype=np.complex128)
-        if cmat.shape != (grid.num_steps + 1, grid.num_points):
+        if cmat.shape != (grid.num_steps + 1, grid.num_points // 2):
             raise GridError("spectral matrix shape mismatch")
         return cls._wrap(grid, *_real_spectra(grid, cmat))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Path":
-        shape = (grid.num_steps + 1, grid.num_points)
-        return cls._wrap(grid, np.zeros(shape), np.zeros(shape, dtype=np.complex128))
+        rows = grid.num_steps + 1
+        return cls._wrap(grid, np.zeros((rows, grid.num_points)),
+                         np.zeros((rows, grid.num_points // 2), dtype=np.complex128))
 
     @property
     def values_matrix(self) -> np.ndarray:
@@ -408,9 +406,3 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     qt = float(q_time)
     w = time_weights(grid)
     return float((np.sum(w * spatial ** qt)) ** (1.0 / qt))
-
-
-def parseval_spectral_sum(f: Field) -> float:
-    """L * sum |c_m|^2; equals the squared L2 norm under the normalization."""
-    c = f.coefficients
-    return float(f.grid.domain_length * np.sum((c * np.conj(c)).real))

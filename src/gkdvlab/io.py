@@ -10,7 +10,7 @@ from typing import Union
 
 import numpy as np
 
-from .grid import NORMALIZATION_TAG, Field, GridSpec, Path
+from .grid import NORMALIZATION_TAG, GridSpec, Path, to_spectrum
 
 MAGIC = b"GKDVBIN1"
 SCHEMA_VERSION = 1
@@ -44,7 +44,7 @@ def _pack(grid: GridSpec, kind: str, payload_rows: np.ndarray) -> bytes:
 
 def _unpack(blob: bytes):
     if blob[:8] != MAGIC:
-        raise ContainerError("bad magic; not a field/path container")
+        raise ContainerError("bad magic; not a path container")
     (hlen,) = struct.unpack("<I", blob[8:12])
     head = json.loads(blob[12:12 + hlen].decode())
     if head.get("normalization") != NORMALIZATION_TAG:
@@ -80,25 +80,19 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-def save_field(f: Field, path) -> None:
-    atomic_write_bytes(path, _pack(f.grid, "field", f.values[None, :]))
-
-
 def save_path(p: Path, path) -> None:
     atomic_write_bytes(path, _pack(p.grid, "path", p.values_matrix))
 
 
 def load(path):
-    """Load a container; returns a Field or a Path according to its kind."""
+    """Load a path container."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head, grid, rows = _unpack(blob)
-    if head["kind"] == "field":
-        return Field.from_values(grid, rows[0])
     if head["kind"] == "path":
         if rows.shape[0] != grid.num_steps + 1:
             raise ContainerError("path snapshot count disagrees with grid")
-        return Path.from_spectral_matrix(grid, np.fft.fft(rows) / grid.num_points)
+        return Path.from_spectral_matrix(grid, to_spectrum(rows, grid.num_points))
     raise ContainerError(f"unknown kind {head['kind']!r}")
 
 

@@ -18,13 +18,18 @@ Consequently supp Psi_z = (lam_z/1.01, 2 lam_z), inside the coarser bound
 Mode 0 is excluded from every projection (homogeneous convention); the mean
 must be tracked separately, which reconstruction helpers do.
 
+Symbols are even in xi and act on the stored bins 0 .. N/2 - 1 of a real
+field (grid.py), so there is no mirror to fill: a band's energy is
+L sum_m w_m Psi_z(xi_m)^2 |c_m|^2 with the Parseval bin weights w, and as
+no band reaches mode 0 that weight is 2 on every bin a band covers.
+
 Band symbols live in one store of rows per frequency set (L, N). A psi or
-leq row covers only its nonzero span of positive bins, evaluated there and
-nowhere else; negative bins mirror it (xi_{N-m} = -xi_m). Expanded to N
-bins a row is bitwise the symbol on the grid frequencies with Nyquist (and
-mode 0 for leq) zeroed. Rows are built on first use and kept for the
-_BANKS_KEPT most recently used frequency sets. Reductions read the span
-(band_row, band_energies); multipliers take the expansion (symbol_array).
+leq row covers only its nonzero span of bins 1 .. N/2 - 1, evaluated there
+and nowhere else. Spread on the N/2 stored bins a row is bitwise the symbol
+on the grid frequencies (with mode 0 zeroed for leq). Rows are built on
+first use and kept for the _BANKS_KEPT most recently used frequency sets.
+Reductions read the span (band_row, band_energies); multipliers take the
+spread table (symbol_array).
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     key = (int(z), kind)
     entry = bank.get(key)
     if entry is None:
-        pos = grid.frequencies[:grid.nyquist_index]
+        pos = grid.frequencies
         # psi vanishes for xi <= lam_{z-1}, both kinds for xi >= 2 lam_z
         lo = 1 if kind == "leq" else int(np.searchsorted(pos, scale_value(z - 1), "right"))
         hi = max(lo, int(np.searchsorted(pos, 2.0 * scale_value(z))))
@@ -159,33 +164,22 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
-def _expand(grid: GridSpec, rows: Iterable[Tuple[int, np.ndarray]]) -> np.ndarray:
-    """Sum of (first bin, row) spans on all N bins: each row on its positive
-    bins and mirrored onto bin N - m, zero at mode 0 and Nyquist."""
-    out = np.zeros(grid.num_points)
+def _spread(grid: GridSpec, rows: Iterable[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """Sum of (first bin, row) spans on the N/2 stored bins."""
+    out = np.zeros(grid.num_points // 2)
     for start, row in rows:
         out[start:start + row.size] += row
-    half = grid.nyquist_index
-    out[half + 1:] = out[1:half][::-1]
     return out
 
 
 def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
-    """The symbol on all N grid frequencies, expanded from its stored row."""
-    return _expand(grid, [band_row(grid, z, kind)])
-
-
-def fold_bins(e: np.ndarray) -> np.ndarray:
-    """Add bin N - m onto bin m for 0 < m < N/2 along the last axis, in
-    place, so a stored row reads both signs of its frequencies. Returns e."""
-    half = e.shape[-1] // 2
-    e[..., 1:half] += e[..., :half:-1]
-    return e
+    """The symbol on the grid frequencies, spread from its stored row."""
+    return _spread(grid, [band_row(grid, z, kind)])
 
 
 def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
     """||P_z f||_{L2}^2 for each z in the band, summed over the stored spans."""
-    c2 = fold_bins(np.abs(f.coefficients) ** 2)
+    c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
     out = []
     for z in band:
         start, psi = band_row(f.grid, z)
@@ -212,11 +206,11 @@ def project(f: Field, sc: LPScale) -> Field:
             stacklevel=2,
         )
         return Field.zero(f.grid)
-    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "psi"), check=False)
+    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "psi"))
 
 
 def project_leq(f: Field, sc: LPScale) -> Field:
-    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "leq"), check=False)
+    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "leq"))
 
 
 def project_lt(f: Field, sc: LPScale) -> Field:
@@ -257,7 +251,7 @@ def default_band(grid: GridSpec) -> range:
 
 def partition_sum(grid: GridSpec, band: Iterable[int]) -> np.ndarray:
     """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly)."""
-    return _expand(grid, (band_row(grid, z) for z in band))
+    return _spread(grid, (band_row(grid, z) for z in band))
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:
@@ -273,21 +267,14 @@ def reconstruct(pieces: List[Tuple[LPScale, Field]], mean_field: Field) -> Field
 
 
 def mean_mode(f: Field) -> Field:
-    c = np.zeros(f.grid.num_points, dtype=np.complex128)
-    c[0] = f.coefficients[0]
-    return Field.from_coefficients(f.grid, c, check=False)
+    c = np.zeros_like(f.coefficients)
+    c[0] = f.coefficients[0].real
+    return Field.from_coefficients(f.grid, c)
 
 
 def coverage_rows(f: Field, band: Iterable[int]) -> List[Tuple[int, float, float]]:
     """(z, lam, fraction of ||f||^2 captured by band z) rows for reporting."""
     band = list(band)
-    total = float(f.grid.domain_length * np.sum(np.abs(f.coefficients) ** 2))
+    total = f.grid.domain_length * float(np.abs(f.coefficients) ** 2 @ f.grid.bin_weights)
     return [(z, scale_value(z), float(cap) / total if total > 0 else 0.0)
             for z, cap in zip(band, band_energies(f, band))]
-
-
-def coverage_csv(f: Field, band: Iterable[int]) -> str:
-    lines = ["z,lam,fraction"]
-    for z, lam, frac in coverage_rows(f, band):
-        lines.append(f"{z},{lam!r},{frac!r}")
-    return "\n".join(lines) + "\n"

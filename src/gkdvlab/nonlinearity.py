@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import littlewood_paley as lp
-from .grid import Field, GridSpec, NonFiniteFieldError
+from .grid import Field, GridSpec, NonFiniteFieldError, to_samples, to_spectrum
 
 
 class ExpansionBudgetError(Exception):
@@ -68,36 +68,14 @@ def expansion_constant(p: float) -> float:
     return PowerLaw(p).coefficients[4]
 
 
-def _padded_values(c: np.ndarray, m: int) -> np.ndarray:
-    """Samples on m >= N points of the real fields whose N-point spectra
-    are c along the last axis: zero-padded to m modes, then inverse
-    transformed."""
-    n = c.shape[-1]
-    pad = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
-    half = n // 2
-    pad[..., :half] = c[..., :half]
-    pad[..., m - half + 1:] = c[..., half + 1:]
-    return np.fft.ifft(pad).real * m
-
-
 def _padded_size(grid: GridSpec) -> int:
     return int(round(grid.dealias_factor * grid.num_points))
 
 
-def _truncate_spectrum(w: np.ndarray, n: int) -> np.ndarray:
-    m = w.shape[-1]
-    cc = np.fft.fft(w) / m
-    half = n // 2
-    out = np.zeros(w.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :half] = cc[..., :half]
-    out[..., half + 1:] = cc[..., m - half + 1:]
-    return out
-
-
 def _taper(grid: GridSpec) -> np.ndarray:
     # half-cosine rolloff on the top tenth of the resolvable band
-    r = np.abs(grid.frequencies) / grid.resolvable_max
-    t = np.ones(grid.num_points)
+    r = grid.frequencies / grid.resolvable_max
+    t = np.ones(r.size)
     hot = r > 0.9
     t[hot] = np.cos(0.5 * np.pi * np.minimum((r[hot] - 0.9) / 0.1, 1.0)) ** 2
     return t
@@ -109,23 +87,19 @@ def power_spectra(c: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
 
     Real powers alias; padding by the grid's dealias factor pushes the
     dominant aliases out, and the taper suppresses what re-enters near the
-    top of the band. Raises NonFiniteFieldError like Field.from_coefficients
-    and returns the spectra with the Nyquist column projected out.
+    top of the band. Raises NonFiniteFieldError like Field.from_coefficients.
     """
     law = PowerLaw(p)
-    out = _truncate_spectrum(law(_padded_values(c, _padded_size(grid))),
-                             grid.num_points)
+    out = to_spectrum(law(to_samples(c, _padded_size(grid))), grid.num_points)
     out *= _taper(grid)
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("coefficients contain NaN or inf")
-    out[..., grid.nyquist_index] = 0.0
     return out
 
 
 def evaluate_power(f: Field, p: float) -> Field:
     """|f|^{p-1} f on a zero-padded grid, truncated back and tapered."""
-    return Field.from_coefficients(f.grid, power_spectra(f.coefficients, f.grid, p),
-                                   check=False)
+    return Field.from_coefficients(f.grid, power_spectra(f.coefficients, f.grid, p))
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
@@ -133,10 +107,9 @@ def dealiased_product(f: Field, g: Field) -> Field:
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     m = _padded_size(f.grid)
-    a = _padded_values(f.coefficients, m)
-    b = _padded_values(g.coefficients, m)
-    out = _truncate_spectrum(a * b, f.grid.num_points)
-    return Field.from_coefficients(f.grid, out, check=False)
+    out = to_spectrum(to_samples(f.coefficients, m) * to_samples(g.coefficients, m),
+                      f.grid.num_points)
+    return Field.from_coefficients(f.grid, out)
 
 
 def truncation_operator(u: Field, sc: lp.LPScale, tau: float) -> Field:
@@ -162,10 +135,9 @@ def window_project(u: Field, band: range) -> Field:
     sums cannot reproduce u, so the identity checks pre-project."""
     lo = 2.0 * lp.scale_value(band.start - 1)
     hi = lp.scale_value(band.stop - 1)
-    axi = np.abs(u.grid.frequencies)
-    keep = (axi >= lo) & (axi <= hi)
-    return Field.from_coefficients(u.grid, np.where(keep, u.coefficients, 0.0),
-                                   check=False)
+    xi = u.grid.frequencies
+    keep = (xi >= lo) & (xi <= hi)
+    return Field.from_coefficients(u.grid, np.where(keep, u.coefficients, 0.0))
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -210,7 +182,7 @@ def telescoping_check(u: Field, p: float, band=None, nodes: int = 16) -> float:
         low = lp.symbol_array(grid, z - 1, "leq")
         rows = low[None, :] + tau[:, None] * psi[None, :]
         stack = np.vstack([rows * uh[None, :], piece_h[None, :]])
-        vals = np.fft.ifft(stack, axis=1).real * n
+        vals = to_samples(stack, n)
         blend = law.derivative(vals[:-1], 1)
         acc += (wts @ blend) * vals[-1]
     return _rel_l2(acc, target)
@@ -271,26 +243,26 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
 
     acc5 = np.zeros(n)
     for i5 in range(nb):
-        p5 = np.fft.ifft(q_live[i5] * uh).real * n
+        p5 = to_samples(q_live[i5] * uh, n)
         for a5 in range(nodes):
             m5 = blends[i5][a5]
             acc4 = np.zeros(n)
             for i4 in range(nb):
-                p4 = np.fft.ifft(q_live[i4] * m5 * uh).real * n
+                p4 = to_samples(q_live[i4] * m5 * uh, n)
                 for a4 in range(nodes):
                     m45 = blends[i4][a4] * m5
                     acc3 = np.zeros(n)
                     for i3 in range(nb):
-                        p3 = np.fft.ifft(q_live[i3] * m45 * uh).real * n
+                        p3 = to_samples(q_live[i3] * m45 * uh, n)
                         for a3 in range(nodes):
                             base = blends[i3][a3] * m45 * uh
-                            stack = np.empty((nb * nodes + nb, n),
+                            stack = np.empty((nb * nodes + nb, uh.size),
                                              dtype=np.complex128)
                             for i2 in range(nb):
                                 stack[i2 * nodes:(i2 + 1) * nodes] = \
                                     blends[i2] * base[None, :]
                                 stack[nb * nodes + i2] = q_live[i2] * base
-                            vals = np.fft.ifft(stack, axis=1).real * n
+                            vals = to_samples(stack, n)
                             v = vals[:nb * nodes]
                             pieces = vals[nb * nodes:]
                             av = np.maximum(np.abs(v), _ABS_FLOOR)
@@ -310,11 +282,3 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
             "%d inner evaluations exceeded the integrand magnitude limit"
             % hot_rows, IntegrandMagnitudeWarning)
     return _rel_l2(acc5, target)
-
-
-def residual_csv(entries: Sequence[Tuple[int, int, float]]) -> str:
-    """CSV rows (nodes per tau, band count, residual)."""
-    lines = ["nodes,band_count,residual"]
-    for nodes, count, res in entries:
-        lines.append("%d,%d,%s" % (nodes, count, repr(float(res))))
-    return "\n".join(lines) + "\n"

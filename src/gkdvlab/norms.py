@@ -78,7 +78,7 @@ def out_of_band_fraction(f: Field, band) -> float:
     a positive fraction.
     """
     band = _resolve_band(f.grid, band)
-    c2 = np.abs(f.coefficients) ** 2
+    c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
@@ -133,8 +133,8 @@ def sobolev_norm(f: Field, s: float, band=None) -> float:
 _ENGINE_BYTES = 1 << 23
 
 
-def _band_columns(e: np.ndarray, spans: list, L: float) -> np.ndarray:
-    """sqrt(L * e[:, span] . row^2) for each (first bin, row) span, one
+def _band_columns(e: np.ndarray, spans: list, L2: float) -> np.ndarray:
+    """sqrt(L2 * e[:, span] . row^2) for each (first bin, row) span, one
     column per band. Consecutive bands share one matmul over the window of
     bins their spans cover, as long as the weight block fits the budget."""
     out = np.empty((e.shape[0], len(spans)))
@@ -150,33 +150,28 @@ def _band_columns(e: np.ndarray, spans: list, L: float) -> np.ndarray:
             W[b, start - lo:start - lo + row.size] = row * row
         out[:, i:j] = e[:, lo:lo + W.shape[1]] @ W.T
         i = j
-    return np.sqrt(L * out)
+    return np.sqrt(L2 * out)
 
 
-def _folded_energy(x: np.ndarray) -> np.ndarray:
-    """|x|^2 with bin N - m folded onto bin m, along the last axis."""
-    return lp.fold_bins(x.real ** 2 + x.imag ** 2)
+def _energy(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise."""
+    return x.real ** 2 + x.imag ** 2
 
 
 def _band_values(cen: np.ndarray, energy: np.ndarray, bands: list,
-                 s: float, L: float) -> list:
+                 s: float, L2: float) -> list:
     """lam^s V2 of each (z, first bin, row) band, one batched DP for all:
-    the Gram matrix of a band is L (A1 A1^T + A2 A2^T), A1 and A2 the real
-    views of its span of the centred pullback and of the mirror span, each
-    weighted by the row; the norms come from the folded |g|^2."""
-    n = cen.shape[1]
+    the Gram matrix of a band is L2 A A^T, A the real view of its span of
+    the centred pullback weighted by the row; the norms come from |g|^2."""
     G = np.empty((len(bands), cen.shape[0], cen.shape[0]))
     nrm = np.empty((len(bands), cen.shape[0]))
     for b, (_, start, row) in enumerate(bands):
-        w = row.size
-        a = (cen[:, start:start + w] * row).view(np.float64)
-        r = (cen[:, n - start - w + 1:n - start + 1] * row[::-1]).view(np.float64)
+        a = (cen[:, start:start + row.size] * row).view(np.float64)
         np.matmul(a, a.T, out=G[b])
-        G[b] += r @ r.T
-        nrm[b] = energy[:, start:start + w] @ (row * row)
-    G *= L
+        nrm[b] = energy[:, start:start + row.size] @ (row * row)
+    G *= L2
     return [lp.scale_value(z) ** s * v for (z, _, _), v
-            in zip(bands, vp_batch(distances(G), np.sqrt(L * nrm), 2.0))]
+            in zip(bands, vp_batch(distances(G), np.sqrt(L2 * nrm), 2.0))]
 
 
 def xs_report(path: Path, s: float, band=None) -> NormReport:
@@ -202,25 +197,26 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
 
     The pullback is centred over time once: centring commutes with the band
     weights, so each band's Gram matrix is that of its own centred rows,
-    built from two contiguous slices (a span and its mirror at N - bin).
+    built from one contiguous slice. No band reaches mode 0, so every bin
+    it covers has Parseval weight 2 and all its sums carry the factor 2L.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
-    L = grid.domain_length
+    L2 = 2.0 * grid.domain_length
     g = path.spectral_matrix * phase_matrix(grid, -1)
     bands = [(z,) + lp.band_row(grid, z) for z in band]
     bands = [(z, start, row) for z, start, row in bands if row.size]
     spans = [(start, row) for _, start, row in bands]
-    energy = _folded_energy(g)
+    energy = _energy(g)
     # V1: the K increments plus the terminal jump g[-1]
     chain = _band_columns(
-        np.vstack([_folded_energy(np.diff(g, axis=0)), energy[-1:]]), spans, L)
+        np.vstack([_energy(np.diff(g, axis=0)), energy[-1:]]), spans, L2)
     steps = chain[:-1].sum(axis=0)
     entries = [(lp.scale_value(b[0]) ** s * float(v + t), float(t), float(v), b)
                for b, v, t in zip(bands, steps, chain[-1]) if v + t > 0.0]
     entries.sort(key=lambda e: -e[0])
     g -= g.mean(axis=0)  # centred from here on
-    spread = _folded_energy(g)
+    spread = _energy(g)
 
     def unbeatable(e) -> bool:
         # no partition's sum of squared steps exceeds its largest step (at
@@ -230,8 +226,8 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
         # DP's rounding, leaves near-ties to the DP.
         _, _, total, (z, start, row) = e
         span, w2 = slice(start, start + row.size), row * row
-        diam = min(total, 2.0 * np.sqrt(L * (spread[:, span] @ w2).max()))
-        top = diam * total + L * (energy[:, span] @ w2).max()
+        diam = min(total, 2.0 * np.sqrt(L2 * (spread[:, span] @ w2).max()))
+        top = diam * total + L2 * (energy[:, span] @ w2).max()
         return (1.0 + 1e-9) * lp.scale_value(z) ** s * np.sqrt(top) <= max(best, cut)
 
     m = g.shape[0]
@@ -242,7 +238,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     if entries:
         # the visit never reaches a band after x whose bound is at most x's value
         x = max(range(len(entries)), key=lambda k: entries[k][1])
-        vals[x] = cut = _band_values(g, energy, [entries[x][3]], s, L)[0]
+        vals[x] = cut = _band_values(g, energy, [entries[x][3]], s, L2)[0]
         del entries[next((k for k in range(x + 1, len(entries))
                           if entries[k][0] <= cut), len(entries)):]
     i = 0
@@ -252,7 +248,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
                  and not unbeatable(entries[k])]
         if solve:
             vals.update(zip(solve, _band_values(
-                g, energy, [entries[k][3] for k in solve], s, L)))
+                g, energy, [entries[k][3] for k in solve], s, L2)))
         i = todo.stop
         for k in todo:
             bound, _, _, (z, _, _) = entries[k]
@@ -290,8 +286,7 @@ def rescale(f: Field, m: int, p: float) -> Field:
     values scaled by c^{2/(p-1)}, shifted m slots up in frequency.
     """
     return Field.from_coefficients(rescaled_grid(f.grid, m),
-                                   _rescale_factor(m, p) * f.coefficients,
-                                   check=False)
+                                   _rescale_factor(m, p) * f.coefficients)
 
 
 def rescale_path(path: Path, m: int, p: float) -> Path:

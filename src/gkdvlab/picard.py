@@ -226,7 +226,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
     if T is not None and abs(T - grid.horizon) > 1e-12 * max(T, 1.0):
         grid = GridSpec(grid.domain_length, grid.num_points,
                         T / grid.num_steps, grid.num_steps, grid.dealias_factor)
-        phi = Field.from_coefficients(grid, phi.coefficients, check=False)
+        phi = Field.from_coefficients(grid, phi.coefficients)
     if substeps < 1:
         raise ValueError("need at least one substep")
     xi = grid.frequencies
@@ -240,7 +240,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
         # a non-finite c makes the power spectrum non-finite, which raises
         return -dxi * power_spectra(c, grid, p)
 
-    cmat = np.zeros((grid.num_steps + 1, grid.num_points), dtype=np.complex128)
+    cmat = np.zeros((grid.num_steps + 1, xi.size), dtype=np.complex128)
     cmat[0] = phi.coefficients
     c = phi.coefficients.copy()
     for k in range(grid.num_steps):
@@ -259,7 +259,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
                     c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         except NonFiniteFieldError:
             raise BlowUpError((k + 1) * grid.dt, math.inf) from None
-        snap = Field.from_coefficients(grid, c, check=False)
+        snap = Field.from_coefficients(grid, c)
         sup = float(np.abs(snap.values).max())
         if not math.isfinite(sup):
             raise BlowUpError((k + 1) * grid.dt, sup)

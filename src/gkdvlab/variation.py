@@ -29,8 +29,8 @@ class SampledPath:
 
     vectors: (num_times, dim) real or complex rows; the inner product is
     weight * Re sum(a * conj(b)), matching the spatial L2 pairing when rows
-    are spectral coefficient vectors (weight = L) or sample vectors
-    (weight = L/N).
+    are stored bins scaled by the square roots of their Parseval weights
+    (weight = L) or sample vectors (weight = L/N).
     """
 
     times: np.ndarray
@@ -54,16 +54,21 @@ class SampledPath:
         return self.times.size
 
 
+def _sampled(path: Path, rows: np.ndarray, terminal: bool) -> SampledPath:
+    """The spectral rows under the L2 pairing: each bin scaled by the
+    square root of its Parseval weight, one scalar weight L."""
+    return SampledPath(path.grid.times, rows * np.sqrt(path.grid.bin_weights),
+                       weight=path.grid.domain_length, terminal=terminal)
+
+
 def pullback_sampled(path: Path, terminal: bool = True) -> SampledPath:
     """Undo the free flow snapshotwise: rows are S(-t_k) u(t_k) in spectral form."""
-    pulled = path.spectral_matrix * phase_matrix(path.grid, -1)
-    return SampledPath(path.grid.times, pulled,
-                       weight=path.grid.domain_length, terminal=terminal)
+    return _sampled(path, path.spectral_matrix * phase_matrix(path.grid, -1),
+                    terminal)
 
 
 def sampled_from_path(path: Path, terminal: bool = True) -> SampledPath:
-    return SampledPath(path.grid.times, path.spectral_matrix,
-                       weight=path.grid.domain_length, terminal=terminal)
+    return _sampled(path, path.spectral_matrix, terminal)
 
 
 def increment_tables(sp: SampledPath):

@@ -22,7 +22,7 @@ def random_field(grid: GridSpec, rng: np.random.Generator, decay: float = 0.0) -
         xi = grid.frequencies
         damp = (1.0 + np.abs(xi)) ** (-decay)
         c = f.coefficients * damp
-        f = Field.from_coefficients(grid, c, check=False)
+        f = Field.from_coefficients(grid, c)
     return f
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from gkdvlab import littlewood_paley as lp
 from gkdvlab.airy import (
-    Propagator,
     duhamel,
     evolve,
     free_equation_residual,
     free_solution,
+    phase_matrix,
 )
 from gkdvlab.grid import Field, GridMismatchError, GridSpec, Path, l2_norm
 
@@ -45,11 +45,12 @@ class TestEvolve:
         np.testing.assert_allclose(g.values, expect, atol=1e-12)
 
     def test_propagator_table_unitary(self, small_grid):
-        prop = Propagator(small_grid, 0.9)
-        mags = np.abs(prop.table)
-        keep = np.ones(small_grid.num_points, bool)
-        keep[small_grid.nyquist_index] = False
-        np.testing.assert_allclose(mags[keep], 1.0, rtol=0, atol=1e-15)
+        # every stored bin of every phase row has modulus one
+        for sign in (+1, -1):
+            mags = np.abs(phase_matrix(small_grid, sign))
+            assert mags.shape == (small_grid.num_steps + 1,
+                                  small_grid.num_points // 2)
+            np.testing.assert_allclose(mags, 1.0, rtol=0, atol=1e-15)
 
     def test_commutes_with_projections(self, grid):
         rng = np.random.default_rng(3)
@@ -136,6 +137,25 @@ class TestDuhamel:
         other = GridSpec(60.0, 256, 0.05, 20)
         with pytest.raises(GridMismatchError):
             duhamel(Path.zero(small_grid), other)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 9, 64, 65])
+    def test_cumulative_rule_matches_stepwise_loop_bitwise(self, K):
+        # even rows: Simpson panels summed in order; odd rows: the even row
+        # below plus one trapezoid step
+        g = GridSpec(40.0, 64, 0.3 / K, K)
+        rng = np.random.default_rng(K)
+        forcing = Path(g, [random_field(g, rng) for _ in range(K + 1)])
+        p = forcing.spectral_matrix * phase_matrix(g, -1)
+        acc = np.zeros_like(p)
+        for k in range(1, K + 1):
+            if k % 2 == 0:
+                acc[k] = acc[k - 2] + (g.dt / 3.0) * (p[k - 2] + 4.0 * p[k - 1] + p[k])
+            else:
+                acc[k] = acc[k - 1] + (g.dt / 2.0) * (p[k - 1] + p[k])
+        want = Path.from_spectral_matrix(g, acc * phase_matrix(g, +1))
+        got = duhamel(forcing)
+        assert np.array_equal(got.spectral_matrix, want.spectral_matrix)
+        assert np.array_equal(got.values_matrix, want.values_matrix)
 
     def test_smooth_forcing_second_order(self):
         # forcing with genuine interaction-picture time dependence; compare

@@ -87,12 +87,12 @@ class TestDryRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_path_memory_counts_values_and_spectrum(self, tmp_path, capsys):
-        # (K+1) N samples at 8 B of values plus 16 B of spectrum each
+        # (K+1) N samples at 8 B of values plus 8 B of stored bins each
         rc = run(["picard", "--dry-run", "--points", "4096", "--steps", "256"],
                  tmp_path)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "path memory estimate: 25.3 MB" in out
+        assert "path memory estimate: 16.8 MB" in out
 
 
 class TestSolve:

@@ -45,7 +45,7 @@ class TestTrialFields:
         # aligned phases stack at x = 0
         e = est.TrialEnsemble(seed=5, num_trials=1)
         f = est.flat_field(small_grid, 40, e.rng(0))
-        l1 = float(np.sum(np.abs(f.coefficients)))
+        l1 = float(np.abs(f.coefficients) @ small_grid.bin_weights)
         assert np.max(f.values) == pytest.approx(l1, rel=1e-12)
 
 
@@ -171,6 +171,26 @@ class TestMultilinear:
         assert all(r["lhs"] == 0.0 for r in rep.records)
         assert rep.worst_ratio == 0.0
 
+    def test_pairing_integral_matches_mean_of_product(self):
+        # the sign-pattern convolution against the sample mean of the
+        # product, which is exact while the summed bandwidths stay below N
+        g = GridSpec(30.0, 512, 0.1, 1)
+        rng = np.random.default_rng(21)
+
+        def field(lo, hi):
+            c = np.zeros(g.num_points // 2, dtype=np.complex128)
+            c[lo:hi] = rng.standard_normal(hi - lo) \
+                + 1j * rng.standard_normal(hi - lo)
+            return Field.from_coefficients(g, c)
+
+        fields = [field(lo, hi) for lo, hi in ((3, 9), (5, 20), (1, 4), (12, 30))]
+        prod = np.prod([f.values for f in fields], axis=0)
+        got = est._pairing_integral([est._segment(f.coefficients) for f in fields])
+        assert abs(got - float(np.mean(prod))) <= 1e-12 * float(np.mean(np.abs(prod)))
+        # two factors below bin 4 cannot reach a third from bin 12 up
+        low = [field(1, 4), field(1, 4), field(12, 30)]
+        assert est._pairing_integral([est._segment(f.coefficients) for f in low]) == 0.0
+
     def test_zero_mode_requires_disjoint_supports(self):
         sch = ((-190, -170, -150, -120, 40),)
         e = est.TrialEnsemble(seed=2, num_trials=1, schedule=sch)
@@ -214,7 +234,7 @@ class TestSmallness:
         rep = est.l6_smallness_report(phi, T, 5.0, num_steps=24)
         ci = critical_index(5.0)
         g2 = GridSpec(50.0, 512, T / 24, 24)
-        f2 = Field.from_coefficients(g2, phi.coefficients, check=False)
+        f2 = Field.from_coefficients(g2, phi.coefficients)
         path = free_solution(f2)
         best = 0.0
         for z in lp.default_band(g2):

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,9 @@ from gkdvlab.grid import (
     Path,
     apply_multiplier,
     derivative,
-    forward_transform,
-    inverse_transform,
     l2_norm,
     lq_norm,
     mixed_norm,
-    parseval_spectral_sum,
     time_weights,
 )
 
@@ -37,15 +37,19 @@ class TestGridSpec:
             GridSpec(10.0, 64, 0.1, 0)
         with pytest.raises(GridError):
             GridSpec(10.0, 64, 0.1, 4, dealias_factor=0.5)
+        # N = 1 holds only the Nyquist bin, so it would store no bin at all
+        with pytest.raises(GridError, match="at least 2"):
+            GridSpec(10.0, 1, 0.1, 1)
 
     def test_frequency_layout(self):
         g = GridSpec(10.0, 8, 0.1, 2)
         dxi = 2 * np.pi / 10.0
+        assert g.frequencies.shape == (4,)
         assert g.frequencies[0] == 0.0
         assert g.frequencies[1] == pytest.approx(dxi, rel=1e-15)
-        assert g.frequencies[-1] == pytest.approx(-dxi, rel=1e-15)
+        assert g.frequencies[-1] == pytest.approx(3 * dxi, rel=1e-15)
         assert g.resolvable_max == pytest.approx(3 * dxi, rel=1e-15)
-        assert g.nyquist_index == 4
+        assert g.bin_weights.tolist() == [1.0, 2.0, 2.0, 2.0]
         assert g.horizon == pytest.approx(0.2)
 
     def test_aggregated_error_message(self):
@@ -58,25 +62,28 @@ class TestGridSpec:
 class TestTransform:
     def test_constant_field_single_mode(self, small_grid):
         f = Field.from_values(small_grid, np.full(small_grid.num_points, 3.5))
-        c = forward_transform(f)
+        c = f.coefficients
+        assert c.shape == (small_grid.num_points // 2,)
         assert c[0] == pytest.approx(3.5, rel=1e-14)
         assert np.abs(c[1:]).max() < 1e-14
 
     def test_single_harmonic_split(self, small_grid):
         L = small_grid.domain_length
         v = np.cos(2 * np.pi * small_grid.x / L)
-        c = forward_transform(Field.from_values(small_grid, v))
+        f = Field.from_values(small_grid, v)
+        c = f.coefficients
+        # bin 1 stands for both +xi and -xi, each carrying half the cosine
         assert c[1] == pytest.approx(0.5, abs=1e-14)
-        assert c[-1] == pytest.approx(0.5, abs=1e-14)
-        mask = np.ones(small_grid.num_points, bool)
-        mask[[1, -1]] = False
+        mask = np.ones(c.size, bool)
+        mask[1] = False
         assert np.abs(c[mask]).max() < 1e-13
+        assert l2_norm(f) ** 2 == pytest.approx(L / 2, rel=1e-14)
 
     def test_round_trip(self, grid):
         rng = np.random.default_rng(11)
         for _ in range(5):
             f = random_field(grid, rng)
-            g = inverse_transform(grid, forward_transform(f))
+            g = Field.from_coefficients(grid, f.coefficients)
             err = np.abs(g.values - f.values).max()
             assert err <= 1e-12 * np.abs(f.values).max()
 
@@ -97,8 +104,19 @@ class TestTransform:
         for _ in range(5):
             f = random_field(grid, rng)
             a = l2_norm(f) ** 2
-            b = parseval_spectral_sum(f)
+            b = grid.domain_length * float(np.abs(f.coefficients) ** 2
+                                           @ grid.bin_weights)
             assert abs(a - b) <= 1e-12 * a
+
+    def test_non_real_mean_rejected(self, small_grid):
+        c = np.zeros(small_grid.num_points // 2, dtype=np.complex128)
+        c[3] = 1.0 + 2.0j
+        Field.from_coefficients(small_grid, c)  # any phase above mode 0
+        c[0] = 1e-3j
+        with pytest.raises(MultiplierSymmetryError):
+            Field.from_coefficients(small_grid, c)
+        with pytest.raises(GridError):
+            Field.from_coefficients(small_grid, np.zeros(small_grid.num_points))
 
 
 class TestMultiplier:
@@ -126,10 +144,13 @@ class TestMultiplier:
         assert np.abs(once_twice.values - direct.values).max() <= 1e-12 * scale
 
     def test_symmetry_violation_rejected(self, small_grid):
+        # the only multiplier without a real output is one with m(0) not real
         rng = np.random.default_rng(3)
         f = random_field(small_grid, rng)
         with pytest.raises(MultiplierSymmetryError):
-            apply_multiplier(f, lambda xi: np.where(xi >= 0, 1.0 + 0j, 2.0 + 0j))
+            apply_multiplier(f, lambda xi: np.where(xi > 0, 1.0 + 0j, 1.0 + 1j))
+        with pytest.raises(GridError):
+            apply_multiplier(f, np.ones(small_grid.num_points))
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3), seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
@@ -238,6 +259,17 @@ class TestPath:
             assert np.array_equal(f.values, p.values_matrix[k])
             assert np.array_equal(f.coefficients, p.spectral_matrix[k])
 
+    def test_transform_built_path_costs_16_bytes_per_sample(self, small_grid):
+        from gkdvlab.airy import free_solution
+
+        rng = np.random.default_rng(14)
+        p = free_solution(random_field(small_grid, rng))
+        vm, cm = p.values_matrix, p.spectral_matrix
+        rows = small_grid.num_steps + 1
+        assert vm.shape == (rows, small_grid.num_points) and vm.base is None
+        assert cm.shape == (rows, small_grid.num_points // 2)
+        assert vm.nbytes + cm.nbytes == 16 * rows * small_grid.num_points
+
     def test_algebra_matches_snapshot_algebra_bitwise(self, small_grid):
         rng = np.random.default_rng(12)
         a = Path(small_grid, [random_field(small_grid, rng)
@@ -251,14 +283,15 @@ class TestPath:
                 assert np.array_equal(path[k].coefficients, expect(k).coefficients)
 
     def test_from_spectral_matrix_contract(self, small_grid):
-        shape = (small_grid.num_steps + 1, small_grid.num_points)
+        shape = (small_grid.num_steps + 1, small_grid.num_points // 2)
         c = np.zeros(shape, dtype=np.complex128)
-        c[:, 3] = 1.0
-        c[:, -3] = 1.0
-        c[:, small_grid.nyquist_index] = 2.0
+        c[:, 3] = 0.5
         p = Path.from_spectral_matrix(small_grid, c)
-        assert not np.any(p.spectral_matrix[:, small_grid.nyquist_index])
-        assert c[0, small_grid.nyquist_index] == 2.0  # the input is not touched
+        xi = 3 * small_grid.delta_xi
+        np.testing.assert_allclose(p.values_matrix[2], np.cos(xi * small_grid.x),
+                                   rtol=0, atol=1e-14)
+        c[0, 3] = 2.0
+        assert p.spectral_matrix[0, 3] == 0.5  # the input is copied
         c[4, 7] = np.nan
         with pytest.raises(NonFiniteFieldError):
             Path.from_spectral_matrix(small_grid, c)
@@ -267,19 +300,13 @@ class TestPath:
 
 
 class TestSerialization:
-    def test_field_round_trip(self, tmp_path, small_grid):
+    def test_field_container_is_an_unknown_kind(self, tmp_path, small_grid):
         from gkdvlab import io
 
-        rng = np.random.default_rng(8)
-        f = random_field(small_grid, rng)
         target = tmp_path / "f.gkdv"
-        io.save_field(f, target)
-        g = io.load(target)
-        assert g.grid == small_grid
-        # loading re-projects through the canonical constructor; samples agree
-        # to rounding (the payload bytes themselves are exact)
-        scale = np.abs(f.values).max()
-        np.testing.assert_allclose(g.values, f.values, rtol=0, atol=1e-14 * scale)
+        target.write_bytes(io._pack(small_grid, "field", np.zeros((1, small_grid.num_points))))
+        with pytest.raises(io.ContainerError, match="unknown kind"):
+            io.load(target)
 
     def test_path_round_trip(self, tmp_path, small_grid):
         from gkdvlab import io
@@ -329,3 +356,11 @@ class TestSerialization:
         io.atomic_write_text(target, "two")
         assert target.read_text() == "two"
         assert list(tmp_path.iterdir()) == [target]
+
+
+def test_only_grid_calls_numpy_fft():
+    # grid.py owns the stored-bin layout and its transforms
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gkdvlab"
+    callers = sorted(f.name for f in src.glob("*.py")
+                     if re.search(r"\bfft\.", f.read_text()))
+    assert callers == ["grid.py"]

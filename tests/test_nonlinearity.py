@@ -17,8 +17,7 @@ from conftest import gaussian_bump
 def lowpass(f: Field, frac: float) -> Field:
     cut = frac * f.grid.resolvable_max
     keep = np.abs(f.grid.frequencies) <= cut
-    return Field.from_coefficients(f.grid, np.where(keep, f.coefficients, 0.0),
-                                   check=False)
+    return Field.from_coefficients(f.grid, np.where(keep, f.coefficients, 0.0))
 
 
 def product_power5(f: Field) -> Field:
@@ -197,7 +196,7 @@ class TestTelescoping:
         rng = np.random.default_rng(11)
         u = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
         c = u.coefficients * ((1.0 + np.abs(small_grid.frequencies)) ** -2.0)
-        u = Field.from_coefficients(small_grid, c, check=False)
+        u = Field.from_coefficients(small_grid, c)
         assert nl.telescoping_check(u, 5.0, nodes=16) <= 1e-6
 
     @pytest.mark.parametrize("p", [5.0, 5.5, 7.0])
@@ -209,7 +208,7 @@ class TestTelescoping:
         rng = np.random.default_rng(11)
         u = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
         c = u.coefficients * ((1.0 + np.abs(small_grid.frequencies)) ** -2.0)
-        u = Field.from_coefficients(small_grid, c, check=False)
+        u = Field.from_coefficients(small_grid, c)
         r4 = nl.telescoping_check(u, p, nodes=4)
         r16 = nl.telescoping_check(u, p, nodes=16)
         assert r16 <= 1e-12
@@ -263,16 +262,3 @@ class TestQuinticExpansion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nl.quintic_expansion_check(u, 5.0, nodes=4)
-
-
-class TestResidualCsv:
-    def test_format(self):
-        text = nl.residual_csv([(4, 3, 1e-7), (8, 3, 2.5e-9)])
-        lines = text.splitlines()
-        assert lines[0] == "nodes,band_count,residual"
-        assert lines[1] == "4,3,1e-07"
-        assert lines[2].startswith("8,3,2.5")
-        assert text.endswith("\n")
-
-    def test_empty(self):
-        assert nl.residual_csv([]) == "nodes,band_count,residual\n"

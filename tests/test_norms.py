@@ -95,7 +95,7 @@ class TestSobolev:
         # overlap factor theta(xi) = sum_z Psi_z(xi)^2; compute theta on the
         # grid and bracket by its range over the present frequencies
         band = lp.default_band(small_grid)
-        theta = np.zeros(small_grid.num_points)
+        theta = np.zeros(small_grid.num_points // 2)
         for z in band:
             theta += lp.symbol_array(small_grid, z, "psi") ** 2
         rng = np.random.default_rng(5)
@@ -151,7 +151,8 @@ class TestXs:
     @staticmethod
     def _exhaustive(path, s):
         """(value, argmax scale) of every band's V2 by vp_norm, no pruning;
-        the argmax is the lowest z attaining the maximum."""
+        the argmax is the lowest z attaining the maximum. Bands never reach
+        mode 0, so every bin they cover has Parseval weight 2."""
         from gkdvlab.airy import phase_matrix
         from gkdvlab.variation import SampledPath, vp_norm
         grid = path.grid
@@ -159,7 +160,7 @@ class TestXs:
         best, arg = 0.0, None
         for z in lp.default_band(grid):
             psi = lp.symbol_array(grid, z, "psi")
-            sp = SampledPath(grid.times, g * psi, weight=grid.domain_length)
+            sp = SampledPath(grid.times, g * psi, weight=2.0 * grid.domain_length)
             v = lp.scale_value(z) ** s * vp_norm(sp, 2.0)
             if v > best:
                 best, arg = v, lp.scale_value(z)
@@ -214,17 +215,17 @@ class TestXs:
         path = Path.from_spectral_matrix(small_grid,
                                          pulled * phase_matrix(small_grid, +1))
         g = path.spectral_matrix * phase_matrix(small_grid, -1)
-        L = small_grid.domain_length
+        L2 = 2.0 * small_grid.domain_length  # bin weight 2 on every band
         s = 0.2
         best, arg = 0.0, None
         for z in lp.default_band(small_grid):
             x = g * lp.symbol_array(small_grid, z, "psi")
-            d2 = L * np.sum(np.abs(x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+            d2 = L2 * np.sum(np.abs(x[:, None, :] - x[None, :, :]) ** 2, axis=2)
             top = np.zeros(m)
             for k in range(1, m):
                 top[k] = np.max(top[:k] + d2[:k, k])
             v = lp.scale_value(z) ** s * np.sqrt(
-                np.max(top + L * np.sum(np.abs(x) ** 2, axis=1)))
+                np.max(top + L2 * np.sum(np.abs(x) ** 2, axis=1)))
             if v > best:
                 best, arg = v, lp.scale_value(z)
         rep = norms.xs_report(path, s)
