@@ -28,6 +28,10 @@ def evolve(f: Field, t: float) -> Field:
 
 @lru_cache(maxsize=8)
 def _phase_matrix_cached(grid: GridSpec, sign: int) -> np.ndarray:
+    if sign < 0:
+        m = np.conj(_phase_matrix_cached(grid, +1))
+        m.flags.writeable = False
+        return m
     return _phase_matrix_compute(grid, sign)
 
 
@@ -39,7 +43,8 @@ def _phase_matrix_compute(grid: GridSpec, sign: int) -> np.ndarray:
 
 
 def phase_matrix(grid: GridSpec, sign: int = +1) -> np.ndarray:
-    """exp(sign * i xi^3 t_k) for all sample times; cached for small grids."""
+    """exp(sign * i xi^3 t_k) for all sample times; cached for small grids,
+    with the -1 table as the conjugate of the +1 table."""
     if (grid.num_steps + 1) * grid.num_points <= _PHASE_CACHE_LIMIT:
         return _phase_matrix_cached(grid, sign)
     return _phase_matrix_compute(grid, sign)
@@ -65,15 +70,19 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     g = forcing.grid if grid is None else grid
     if g != forcing.grid:
         raise GridMismatchError("forcing path lives on a different grid")
-    dt = g.dt
-    p = forcing.spectral_matrix * phase_matrix(g, -1)
+    return Path.from_spectral_matrix(g, duhamel_spectra(g, forcing.spectral_matrix))
+
+
+def duhamel_spectra(g: GridSpec, forcing: np.ndarray) -> np.ndarray:
+    """The spectra of duhamel's output from the (K+1, N/2) forcing spectra."""
+    p, dt = forcing * phase_matrix(g, -1), g.dt
     acc = np.zeros_like(p)
     # even rows sum the Simpson panels; an odd row adds one trapezoid step
     np.cumsum((dt / 3.0) * (p[:-2:2] + 4.0 * p[1:-1:2] + p[2::2]), axis=0,
               out=acc[2::2])
     acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
-    out = acc * phase_matrix(g, +1)
-    return Path.from_spectral_matrix(g, out)
+    acc *= phase_matrix(g, +1)
+    return acc
 
 
 def equation_defects(path: Path, forcing=0.0) -> np.ndarray:

@@ -590,16 +590,13 @@ def l6_smallness_report(phi: Field, T: float, p: float,
     path = free_solution(f)
     band = lp.default_band(grid)
     L = grid.domain_length
+    # L6 <= T^{1/6} Linf^{2/3} L2^{1/3} and Linf <= sqrt(n/L) L2
     entries = []
     for z, dn in zip(band, np.sqrt(lp.band_energies(f, band))):
-        if dn == 0.0:
-            continue
-        nz = 2 * lp.band_row(grid, z)[1].size
-        lam = lp.scale_value(z)
-        # L6 <= T^{1/6} Linf^{2/3} L2^{1/3} and Linf <= sqrt(n/L) L2
-        bound = lam ** (1.0 / 6.0 + ci.s_p) * T ** (1.0 / 6.0) \
-            * (nz / L) ** (1.0 / 3.0) * dn
-        entries.append((bound, z, lam))
+        if dn != 0.0:
+            lam, nz = lp.scale_value(z), 2 * lp.band_row(grid, z)[1].size
+            entries.append((lam ** (1.0 / 6.0 + ci.s_p) * T ** (1.0 / 6.0)
+                            * (nz / L) ** (1.0 / 3.0) * dn, z, lam))
     entries.sort(key=lambda e: -e[0])
     best = 0.0
     arg = None

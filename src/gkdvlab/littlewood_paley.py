@@ -23,19 +23,22 @@ field (grid.py), so there is no mirror to fill: a band's energy is
 L sum_m w_m Psi_z(xi_m)^2 |c_m|^2 with the Parseval bin weights w, and as
 no band reaches mode 0 that weight is 2 on every bin a band covers.
 
-Band symbols live in one store of rows per frequency set (L, N). A psi or
-leq row covers only its nonzero span of bins 1 .. N/2 - 1, evaluated there
-and nowhere else. Spread on the N/2 stored bins a row is bitwise the symbol
-on the grid frequencies (with mode 0 zeroed for leq). Rows are built on
-first use and kept for the _BANKS_KEPT most recently used frequency sets.
-Reductions read the span (band_row, band_energies); multipliers take the
-spread table (symbol_array).
+Band symbols live in one store per frequency set (L, N), kept for the
+_BANKS_KEPT most recently used sets. psi rows are the rows of narrow dense
+blocks of consecutive bands over a shared window of bins (at most _SLACK
+times each row's span), zero outside each row's nonzero span; a block is
+built on first use, and band_row returns views trimmed to the span. leq
+rows are stored one by one over their spans. Spread on the N/2 stored bins
+a row is bitwise the symbol on the grid frequencies (mode 0 zeroed for
+leq). Band reductions run band_sums, one matmul per block against the
+block squared on the fly; multipliers take the spread table (symbol_array).
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Tuple
@@ -86,6 +89,14 @@ class LPScale:
             raise ValueError("lam must equal the shared table value for exponent")
 
 
+def scale_values(band) -> np.ndarray:
+    """scale_value(z) for each z of the band, read from the same table."""
+    z = np.asarray(band, dtype=np.int64)
+    scale_value(int(np.abs(z).max(initial=0)))  # the table now covers the band
+    v = np.array(_pos_powers)[np.abs(z)]
+    return np.where(z < 0, 1.0 / v, v)
+
+
 def scale(z: int) -> LPScale:
     return LPScale(int(z), scale_value(z))
 
@@ -129,12 +140,47 @@ def leq_symbol(sc: LPScale, xi):
 # ------------------------------------------------------------ band-row store
 
 _BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
+_SLACK = 1.2  # a psi block's window of bins is at most this times each of its spans
+
+
+class _Bank(dict):
+    """Symbols of one frequency set: bands z0 + edges[b] .. z0 + edges[b+1] - 1
+    form psi block b, and no psi row outside z0 .. z0 + len(lo) - 1 is
+    nonzero. The dict holds (z, "leq") -> (first bin, row) and partition sums."""
+
+    def __init__(self, grid: GridSpec):
+        band = default_band(grid)
+        self.z0, self.pos = band.start - 1, grid.frequencies
+        self.built, self.edges = {}, [0]
+        # cut[i] = lam_{z0 + i - 1}: band z0 + i lives on (cut[i], 2 cut[i + 1])
+        self.cut = scale_values(range(band.start - 2, band.stop + 1))
+        lo = self.lo = np.searchsorted(self.pos, self.cut[:-1], "right")
+        hi = self.hi = np.maximum(lo, np.searchsorted(self.pos, 2.0 * self.cut[1:]))
+        for i in range(1, lo.size):
+            if hi[i] - lo[self.edges[-1]] > _SLACK * (hi - lo)[self.edges[-1]:i + 1].min():
+                self.edges.append(i)
+        self.edges.append(lo.size)
+
+    def block(self, b: int) -> Tuple[int, np.ndarray, list]:
+        """(first bin, read-only block, (first bin, row view) per band), built
+        in one pass: each cutoff bump(xi / lam_z) serves bands z and z + 1."""
+        entry = self.built.get(b)
+        if entry is None:
+            i, j = self.edges[b], self.edges[b + 1]
+            lo = int(self.lo[i])
+            cut = bump(self.pos[lo:max(lo, self.hi[j - 1])] / self.cut[i:j + 1, None])
+            blk = cut[1:] - cut[:-1]
+            blk.flags.writeable = False
+            rows = [(lo + int(k[0]), blk[r, k[0]:k[-1] + 1]) if k.size else (lo, blk[r, :0])
+                    for r, k in enumerate(map(np.flatnonzero, blk != 0))]
+            entry = self.built.setdefault(b, (lo, blk, rows))
+        return entry
 
 
 @lru_cache(maxsize=_BANKS_KEPT)
-def _bank(length: float, num_points: int) -> dict:
-    """(z, kind) -> (first bin, row) for every grid with this frequency set."""
-    return {}
+def _bank(length: float, num_points: int) -> _Bank:
+    """The symbols of every grid with this frequency set."""
+    return _Bank(GridSpec(length, num_points, 1.0, 1))
 
 
 def _compute_symbol(xi: np.ndarray, z: int, kind: str) -> np.ndarray:
@@ -148,9 +194,12 @@ def _compute_symbol(xi: np.ndarray, z: int, kind: str) -> np.ndarray:
 
 def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray]:
     """(first bin, read-only row) of the symbol over its nonzero span of
-    bins 1 .. N/2 - 1; built on first use, then shared."""
-    bank = _bank(grid.domain_length, grid.num_points)
-    key = (int(z), kind)
+    bins 1 .. N/2 - 1, shared; a psi row is a view into its block."""
+    bank, z = _bank(grid.domain_length, grid.num_points), int(z)
+    if kind == "psi" and 0 <= z - bank.z0 < bank.lo.size:
+        b = bisect_right(bank.edges, z - bank.z0) - 1
+        return bank.block(b)[2][z - bank.z0 - bank.edges[b]]
+    key = (z, kind)
     entry = bank.get(key)
     if entry is None:
         pos = grid.frequencies
@@ -162,6 +211,22 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
         entry = bank.setdefault(key, (lo + int(nz[0]), row[nz[0]:nz[-1] + 1])
                                 if nz.size else (lo, row[:0]))
     return entry
+
+
+def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
+    """sum_m Psi_z(xi_m)^2 x[k, m] in row k, column i, for the i-th band z of
+    an ascending band and rows x[k] on the N/2 stored bins: one matmul per
+    block, against its rows squared on the fly. Empty rows give zeros."""
+    bank = _bank(grid.domain_length, grid.num_points)
+    idx = np.asarray(band, dtype=np.int64) - bank.z0
+    out = np.zeros((x.shape[0], idx.size))
+    at = np.searchsorted(idx, bank.edges)
+    for b in np.flatnonzero(at[1:] > at[:-1]):
+        lo, blk, _ = bank.block(b)
+        w = blk[idx[at[b]:at[b + 1]] - bank.edges[b]]
+        w *= w
+        out[:, at[b]:at[b + 1]] = x[:, lo:lo + w.shape[1]] @ w.T
+    return out
 
 
 def _spread(grid: GridSpec, rows: Iterable[Tuple[int, np.ndarray]]) -> np.ndarray:
@@ -178,14 +243,9 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
 
 
 def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
-    """||P_z f||_{L2}^2 for each z in the band, summed over the stored spans."""
+    """||P_z f||_{L2}^2 for each z of an ascending band, in one band_sums."""
     c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
-    out = []
-    for z in band:
-        start, psi = band_row(f.grid, z)
-        out.append(f.grid.domain_length
-                   * float((psi * psi * c2[start:start + psi.size]).sum()))
-    return np.array(out)
+    return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0]
 
 
 # ----------------------------------------------------------------- projections
@@ -250,8 +310,14 @@ def default_band(grid: GridSpec) -> range:
 
 
 def partition_sum(grid: GridSpec, band: Iterable[int]) -> np.ndarray:
-    """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly)."""
-    return _spread(grid, (band_row(grid, z) for z in band))
+    """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly),
+    accumulated in z order; built once per frequency set and band, read-only."""
+    bank, key = _bank(grid.domain_length, grid.num_points), ("sum", *band)
+    if key not in bank:
+        out = _spread(grid, (band_row(grid, z) for z in key[1:]))
+        out.flags.writeable = False
+        bank.setdefault(key, out)
+    return bank[key]
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:

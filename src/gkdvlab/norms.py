@@ -87,19 +87,20 @@ def out_of_band_fraction(f: Field, band) -> float:
     return resid / total
 
 
+def _band_terms(f: Field, s: float, band: range, q: float):
+    """(lam_z^s ||P_z f||_{L2})^q over the band; lam of the first top one if > 0."""
+    lam = lp.scale_values(band)
+    terms = (lam ** s * np.sqrt(lp.band_energies(f, band))) ** q
+    k = int(np.argmax(terms)) if terms.size else 0
+    return terms, float(lam[k]) if terms.size and terms[k] > 0 else None
+
+
 def besov_report(f: Field, s: float, band=None) -> NormReport:
     """sup over band scales of lam^s ||P_z f||_{L2}, with argmax."""
     band = _resolve_band(f.grid, band)
-    vals = np.sqrt(lp.band_energies(f, band))
-    best = 0.0
-    arg = None
-    for i, z in enumerate(band):
-        v = lp.scale_value(z) ** s * vals[i]
-        if v > best:
-            best = v
-            arg = lp.scale_value(z)
+    terms, arg = _band_terms(f, s, band, 1)
     return NormReport("besov", float(s), band.start, band.stop - 1,
-                      best, arg, out_of_band_fraction(f, band))
+                      float(terms.max(initial=0.0)), arg, out_of_band_fraction(f, band))
 
 
 def besov_norm(f: Field, s: float, band=None) -> float:
@@ -109,48 +110,18 @@ def besov_norm(f: Field, s: float, band=None) -> float:
 def sobolev_report(f: Field, s: float, band=None) -> NormReport:
     """l2 over band scales of lam^s ||P_z f||_{L2}; argmax is the top term."""
     band = _resolve_band(f.grid, band)
-    vals = np.sqrt(lp.band_energies(f, band))
-    total = 0.0
-    best = 0.0
-    arg = None
-    for i, z in enumerate(band):
-        term = (lp.scale_value(z) ** s * vals[i]) ** 2
-        total += term
-        if term > best:
-            best = term
-            arg = lp.scale_value(z)
+    terms, arg = _band_terms(f, s, band, 2)
     return NormReport("sobolev", float(s), band.start, band.stop - 1,
-                      float(np.sqrt(total)), arg, out_of_band_fraction(f, band))
+                      float(np.sqrt(terms.sum())), arg, out_of_band_fraction(f, band))
 
 
 def sobolev_norm(f: Field, s: float, band=None) -> float:
     return sobolev_report(f, s, band).value
 
 
-# bytes of working memory the V2 engine of xs_report may hold at once: the
-# weights of one screen block, or the Gram, distance and powered distance
-# tables (3 x m x m floats per band) of one chunk of bands
+# bytes the V2 engine of xs_report may hold at once: the Gram, distance and
+# powered distance tables (3 x m x m floats per band) of one chunk of bands
 _ENGINE_BYTES = 1 << 23
-
-
-def _band_columns(e: np.ndarray, spans: list, L2: float) -> np.ndarray:
-    """sqrt(L2 * e[:, span] . row^2) for each (first bin, row) span, one
-    column per band. Consecutive bands share one matmul over the window of
-    bins their spans cover, as long as the weight block fits the budget."""
-    out = np.empty((e.shape[0], len(spans)))
-    i = 0
-    while i < len(spans):
-        lo = spans[i][0]
-        j = i + 1
-        while j < len(spans) and (spans[j][0] + spans[j][1].size - lo) \
-                * (j + 1 - i) * 8 <= _ENGINE_BYTES:
-            j += 1
-        W = np.zeros((j - i, max(st + row.size for st, row in spans[i:j]) - lo))
-        for b, (start, row) in enumerate(spans[i:j]):
-            W[b, start - lo:start - lo + row.size] = row * row
-        out[:, i:j] = e[:, lo:lo + W.shape[1]] @ W.T
-        i = j
-    return np.sqrt(L2 * out)
 
 
 def _energy(x: np.ndarray) -> np.ndarray:
@@ -158,20 +129,18 @@ def _energy(x: np.ndarray) -> np.ndarray:
     return x.real ** 2 + x.imag ** 2
 
 
-def _band_values(cen: np.ndarray, energy: np.ndarray, bands: list,
-                 s: float, L2: float) -> list:
-    """lam^s V2 of each (z, first bin, row) band, one batched DP for all:
-    the Gram matrix of a band is L2 A A^T, A the real view of its span of
-    the centred pullback weighted by the row; the norms come from |g|^2."""
-    G = np.empty((len(bands), cen.shape[0], cen.shape[0]))
-    nrm = np.empty((len(bands), cen.shape[0]))
-    for b, (_, start, row) in enumerate(bands):
+def _band_values(grid: GridSpec, cen: np.ndarray, zs, nrm: np.ndarray,
+                 lam_s: np.ndarray, L2: float) -> np.ndarray:
+    """lam^s V2 of each band z of zs, one batched DP for all: the Gram
+    matrix of a band is L2 A A^T, A the real view of its span of the centred
+    pullback weighted by the row; nrm[:, b] holds sum psi^2 |g_k|^2."""
+    G = np.empty((len(zs), cen.shape[0], cen.shape[0]))
+    for b, z in enumerate(zs):
+        start, row = lp.band_row(grid, z)
         a = (cen[:, start:start + row.size] * row).view(np.float64)
         np.matmul(a, a.T, out=G[b])
-        nrm[b] = energy[:, start:start + row.size] @ (row * row)
     G *= L2
-    return [lp.scale_value(z) ** s * v for (z, _, _), v
-            in zip(bands, vp_batch(distances(G), np.sqrt(L2 * nrm), 2.0))]
+    return lam_s * np.array(vp_batch(distances(G), np.sqrt(L2 * nrm.T), 2.0))
 
 
 def xs_report(path: Path, s: float, band=None) -> NormReport:
@@ -195,69 +164,68 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     so bands solved past the sequential stop (values at most their bound,
     hence at most the best) never change the answer.
 
-    The pullback is centred over time once: centring commutes with the band
-    weights, so each band's Gram matrix is that of its own centred rows,
-    built from one contiguous slice. No band reaches mode 0, so every bin
-    it covers has Parseval weight 2 and all its sums carry the factor 2L.
+    Every band sum is one lp.band_sums call (a matmul per store block): the
+    V1 screen of all bands, then, for the bands the visit can still reach
+    once x is solved, max_k |g_k|^2, max_k |g_k - mean|^2 (the diameter)
+    and the DP norms |g_k|^2. The pullback is centred over time once:
+    centring commutes with the band weights, so each band's Gram matrix is
+    that of its own centred rows, built from one contiguous slice. Every bin
+    a band covers has Parseval weight 2, so its sums carry the factor 2L.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
     g = path.spectral_matrix * phase_matrix(grid, -1)
-    bands = [(z,) + lp.band_row(grid, z) for z in band]
-    bands = [(z, start, row) for z, start, row in bands if row.size]
-    spans = [(start, row) for _, start, row in bands]
+    m = g.shape[0]
     energy = _energy(g)
     # V1: the K increments plus the terminal jump g[-1]
-    chain = _band_columns(
-        np.vstack([_energy(np.diff(g, axis=0)), energy[-1:]]), spans, L2)
-    steps = chain[:-1].sum(axis=0)
-    entries = [(lp.scale_value(b[0]) ** s * float(v + t), float(t), float(v), b)
-               for b, v, t in zip(bands, steps, chain[-1]) if v + t > 0.0]
-    entries.sort(key=lambda e: -e[0])
+    chain = np.sqrt(L2 * lp.band_sums(
+        grid, band, np.vstack([_energy(np.diff(g, axis=0)), energy[-1:]])))
+    steps, jump, lam = chain[:-1].sum(axis=0), chain[-1], lp.scale_values(band)
+    lam_s = lam ** s
+    bound = lam_s * (steps + jump)
+    order = np.argsort(-bound, kind="stable")
+    order = order[steps[order] + jump[order] > 0.0]
+    # every per-band array from here on is in visiting order
+    zs, lam, lam_s, bound, steps, jump = (a[order] for a in (
+        np.arange(band.start, band.stop), lam, lam_s, bound, steps, jump))
     g -= g.mean(axis=0)  # centred from here on
-    spread = _energy(g)
-
-    def unbeatable(e) -> bool:
-        # no partition's sum of squared steps exceeds its largest step (at
-        # most the diameter, min(V1, 2 max_k |g_k - mean|)) times its total
-        # (at most V1), so V2^2 <= diam V1 + max_k |g_k|^2. A band below the
-        # value of x cannot be the argmax either. The margin, far above the
-        # DP's rounding, leaves near-ties to the DP.
-        _, _, total, (z, start, row) = e
-        span, w2 = slice(start, start + row.size), row * row
-        diam = min(total, 2.0 * np.sqrt(L2 * (spread[:, span] @ w2).max()))
-        top = diam * total + L2 * (energy[:, span] @ w2).max()
-        return (1.0 + 1e-9) * lp.scale_value(z) ** s * np.sqrt(top) <= max(best, cut)
-
-    m = g.shape[0]
-    chunk = max(1, _ENGINE_BYTES // (24 * m * m))
-    best = cut = 0.0
-    arg = None
-    vals = {}
-    if entries:
+    best, cut, arg, vals, n = 0.0, 0.0, None, {}, order.size
+    if n:
         # the visit never reaches a band after x whose bound is at most x's value
-        x = max(range(len(entries)), key=lambda k: entries[k][1])
-        vals[x] = cut = _band_values(g, energy, [entries[x][3]], s, L2)[0]
-        del entries[next((k for k in range(x + 1, len(entries))
-                          if entries[k][0] <= cut), len(entries)):]
+        x = int(np.argmax(jump))
+        z = zs[x:x + 1]
+        vals[x] = cut = float(_band_values(
+            grid, g, z, lp.band_sums(grid, z, energy), lam_s[x], L2)[0])
+        n = x + 1 + int(np.argmax(np.append(bound[x + 1:] <= cut, True)))
+    # no partition's sum of squared steps exceeds its largest step (at most
+    # the diameter, min(V1, 2 max_k |g_k - mean|)) times its total (at most
+    # V1), so V2^2 <= diam V1 + max_k |g_k|^2. A band below the value of x
+    # cannot be the argmax either. The margin, far above the DP's rounding,
+    # leaves near-ties to the DP.
+    rank = np.argsort(zs[:n])
+    sums = np.empty((2 * m, n))
+    sums[:, rank] = lp.band_sums(grid, zs[rank], np.vstack([energy, _energy(g)]))
+    nrm = sums[:m]
+    diam = np.minimum(steps[:n], 2.0 * np.sqrt(L2 * sums[m:].max(axis=0, initial=0.0)))
+    top = (1.0 + 1e-9) * lam_s[:n] * np.sqrt(
+        diam * steps[:n] + L2 * nrm.max(axis=0, initial=0.0))
+    chunk = max(1, _ENGINE_BYTES // (24 * m * m))
     i = 0
-    while i < len(entries):
-        todo = range(i, min(i + chunk, len(entries)))
-        solve = [k for k in todo if k not in vals and not entries[k][0] <= best
-                 and not unbeatable(entries[k])]
+    while i < n:
+        todo = range(i, min(i + chunk, n))
+        solve = [k for k in todo if k not in vals and not bound[k] <= best
+                 and not top[k] <= max(best, cut)]
         if solve:
             vals.update(zip(solve, _band_values(
-                g, energy, [entries[k][3] for k in solve], s, L2)))
+                grid, g, zs[solve], nrm[:, solve], lam_s[solve], L2).tolist()))
         i = todo.stop
         for k in todo:
-            bound, _, _, (z, _, _) = entries[k]
-            if bound <= best:
-                i = len(entries)
+            if bound[k] <= best:
+                i = n
                 break
             if vals.get(k, 0.0) > best:
-                best = vals[k]
-                arg = lp.scale_value(z)
+                best, arg = vals[k], float(lam[k])
     # row 0 of the pullback is u(0) itself (S(0) is the identity)
     return NormReport("xs", float(s), band.start, band.stop - 1,
                       best, arg, out_of_band_fraction(path[0], band))

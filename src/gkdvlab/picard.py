@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .airy import duhamel, equation_defects, free_solution
+from .airy import duhamel_spectra, equation_defects, free_solution
 from .estimates import verify_l6_smallness
 from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
                    Path, l2_norm, mixed_norm)
@@ -117,8 +117,8 @@ def picard_step(v: Path, w_prev: Path, p: float) -> Path:
 
 
 def _correction(g: GridSpec, power: np.ndarray) -> Path:
-    """-duhamel(d_x f) for the spectra f of the power on every row."""
-    return duhamel(Path.from_spectral_matrix(g, (1j * g.frequencies) * power)) * (-1.0)
+    """-duhamel(d_x f) for the power spectra f on every row, sign folded into d_x."""
+    return Path.from_spectral_matrix(g, duhamel_spectra(g, (-1j * g.frequencies) * power))
 
 
 def gkdv_residual(u: Path, p: float) -> float:
@@ -170,10 +170,10 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
                     w_next = picard_step(v, w, cfg.p)
                 else:
                     w_next = _correction(cfg.grid, power)
-                diff = w_next - w
+                diff = w_next - w if n > 1 else w_next  # w = 0: bit for bit
                 d_xs = xs_norm(diff, ci.s_p)
                 d_l2 = mixed_norm(diff, np.inf, 2.0)
-                w_norm = xs_norm(w_next, ci.s_p)
+                w_norm = xs_norm(w_next, ci.s_p) if n > 1 else d_xs
                 u = v + w_next
                 try:
                     power = power_spectra(u.spectral_matrix, cfg.grid, cfg.p)

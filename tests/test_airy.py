@@ -52,6 +52,19 @@ class TestEvolve:
                                   small_grid.num_points // 2)
             np.testing.assert_allclose(mags, 1.0, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("L,n,dt,k", [(400.0, 4096, 1 / 64, 64),
+                                          (400.0, 131072, 1e-3, 12),
+                                          (200.0, 1024, 1 / 32, 32),
+                                          (512.0, 2048, 33 / 128, 128)])
+    def test_backward_table_is_conjugate_bitwise(self, L, n, dt, k):
+        # the cached -1 table is the conjugate of the +1 table, and equal
+        # bit for bit to its own exponential on these grids
+        from gkdvlab.airy import _phase_matrix_compute
+        g = GridSpec(L, n, dt, k)
+        own = _phase_matrix_compute(g, -1)
+        for table in (np.conj(phase_matrix(g, +1)), phase_matrix(g, -1)):
+            assert np.array_equal(table.view(np.int64), own.view(np.int64))
+
     def test_commutes_with_projections(self, grid):
         rng = np.random.default_rng(3)
         f = random_field(grid, rng)
@@ -156,6 +169,21 @@ class TestDuhamel:
         got = duhamel(forcing)
         assert np.array_equal(got.spectral_matrix, want.spectral_matrix)
         assert np.array_equal(got.values_matrix, want.values_matrix)
+
+    def test_spectra_core_matches_duhamel(self, small_grid):
+        # the solver's correction calls the core with the sign folded into
+        # the derivative symbol: equal by value to minus duhamel
+        from gkdvlab.airy import duhamel_spectra
+        rng = np.random.default_rng(8)
+        forcing = Path(small_grid, [random_field(small_grid, rng)
+                                    for _ in range(small_grid.num_steps + 1)])
+        got = duhamel_spectra(small_grid, forcing.spectral_matrix)
+        assert np.array_equal(got, duhamel(forcing).spectral_matrix)
+        xi = small_grid.frequencies
+        folded = duhamel_spectra(small_grid, (-1j * xi) * forcing.spectral_matrix)
+        plain = duhamel(Path.from_spectral_matrix(
+            small_grid, (1j * xi) * forcing.spectral_matrix)) * (-1.0)
+        assert np.array_equal(folded, plain.spectral_matrix)
 
     def test_smooth_forcing_second_order(self):
         # forcing with genuine interaction-picture time dependence; compare

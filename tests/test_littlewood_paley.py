@@ -240,3 +240,49 @@ def test_default_band_empty_without_resolvable_modes(n):
     f = Field.from_values(g, np.array([1.0, -0.5]))
     np.testing.assert_array_equal(f.values, [0.25, 0.25])
     assert besov_norm(f, 0.5) == 0.0
+
+
+def _band_sums_by_loop(g, band, x):
+    # the per-band loop band_sums replaced: one matvec over each stored span
+    out = np.zeros((x.shape[0], len(band)))
+    for i, z in enumerate(band):
+        start, row = lp.band_row(g, z)
+        out[:, i] = x[:, start:start + row.size] @ (row * row)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 1024, 4096, 16384])
+def test_band_sums_match_per_band_loops(n):
+    g = GridSpec(200.0, n, 0.05, 20)
+    band = lp.default_band(g)
+    x = np.random.default_rng(n).random((3, n // 2))
+    wide = range(band.start - 5, band.stop + 5)  # runs past the grid both ways
+    rng = np.random.default_rng(n + 1)
+    subset = np.sort(rng.choice(np.arange(wide.start, wide.stop), 40, replace=False))
+    for zs in (band, wide, range(band.start + 3, band.start + 9), subset, []):
+        got = lp.band_sums(g, zs, x)
+        want = _band_sums_by_loop(g, zs, x)
+        assert got.shape == want.shape
+        # one gemm per block against one matvec per band: two summation
+        # orders of up to ~2000 positive terms, a few ulp apart
+        np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+    # bands with no nonzero row give zero columns
+    empty = [z for z in wide if lp.band_row(g, z)[1].size == 0]
+    assert empty and not lp.band_sums(g, empty, x).any()
+    if n == 8:
+        assert any(lp.band_row(g, z)[1].size == 1 for z in band)
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_band_rows_are_views_into_their_blocks(n):
+    g = GridSpec(200.0, n, 0.05, 20)
+    band = lp.default_band(g)
+    lp.band_sums(g, band, np.ones((1, n // 2)))
+    blocks = [blk for _, blk, _ in lp._bank(200.0, n).built.values()]
+    spans = 0
+    for z in band:
+        row = lp.band_row(g, z)[1]
+        spans += row.nbytes
+        assert sum(np.shares_memory(row, blk) for blk in blocks) == (1 if row.size else 0)
+    # zeros fill each block outside its rows' spans, within a bounded overhead
+    assert sum(blk.nbytes for blk in blocks) <= 1.3 * spans

@@ -77,6 +77,29 @@ class TestBesov:
         assert rep.out_of_band_fraction == pytest.approx(1.0)
 
 
+    def test_besov_and_sobolev_match_per_band_loop(self, small_grid):
+        # the loop both reports once ran over the stored spans: band_sums
+        # sums them in another order, so values agree to a few ulp and the
+        # argmax is the same band
+        rng = np.random.default_rng(41)
+        f = random_field(small_grid, rng, decay=1.0)
+        band = lp.default_band(small_grid)
+        c2 = small_grid.bin_weights * np.abs(f.coefficients) ** 2
+        for s in (0.0, 0.1, -0.3):
+            terms = []
+            for z in band:
+                start, row = lp.band_row(small_grid, z)
+                energy = float((row * row * c2[start:start + row.size]).sum())
+                terms.append(lp.scale_value(z) ** s
+                             * np.sqrt(small_grid.domain_length * energy))
+            sq = [t * t for t in terms]
+            b, so = norms.besov_report(f, s), norms.sobolev_report(f, s)
+            assert b.value == pytest.approx(max(terms), rel=4e-15, abs=0)
+            assert b.argmax_scale == lp.scale_value(band[int(np.argmax(terms))])
+            assert so.value == pytest.approx(np.sqrt(sum(sq)), rel=4e-15, abs=0)
+            assert so.argmax_scale == lp.scale_value(band[int(np.argmax(sq))])
+
+
 class TestSobolev:
     def test_zero_field(self, small_grid):
         assert norms.sobolev_norm(Field.zero(small_grid), 0.1) == 0.0
@@ -181,9 +204,9 @@ class TestXs:
     def test_screening_matches_exhaustive_over_chunks(self, small_grid, s,
                                                       monkeypatch):
         # a path whose rows are independent random fields leaves many bands
-        # in contention; with a budget of two bands per chunk (and small
-        # screen blocks) they are solved over many chunks, and the answer
-        # must still be the exhaustive one
+        # in contention; with a budget of two bands per chunk they are
+        # solved over many chunks, and the answer must still be the
+        # exhaustive one
         m = small_grid.num_steps + 1
         monkeypatch.setattr(norms, "_ENGINE_BYTES", 2 * 24 * m * m)
         chunks = []

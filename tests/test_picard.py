@@ -246,6 +246,28 @@ class TestBatchedPower:
                 for r in trace.rows] == want
         assert len(fallbacks) == (1 if amp == 3.0 else 0)
 
+    def test_first_iterate_reuses_its_norm(self, medium, monkeypatch):
+        # from w = 0 the first difference is w_1 itself: the solver takes
+        # its critical norm once, so n iterates cost 2n - 1 xs_norm calls,
+        # and the rows are those of a loop that makes both calls
+        from gkdvlab import norms, picard
+        grid, prof = medium
+        calls = []
+        monkeypatch.setattr(picard, "xs_norm",
+                            lambda path, s: calls.append(1) or norms.xs_norm(path, s))
+        _, trace = solve_picard(PicardConfig(5.0, grid.horizon, 8, 0.9,
+                                             prof * 0.1, grid))
+        n = len(trace.rows)
+        assert n >= 3 and trace.converged and len(calls) == 2 * n - 1
+        s_p = norms.critical_index(5.0).s_p
+        v, w = free_solution(prof * 0.1), Path.zero(grid)
+        for row in trace.rows:
+            w_next = picard_step(v, w, 5.0)
+            assert row["w_norm"] == norms.xs_norm(w_next, s_p)
+            assert row["diff_norm"] == norms.xs_norm(w_next - w, s_p)
+            w = w_next
+
+
 class TestDirectSolve:
     def test_zero_data(self, small_grid):
         path = direct_solve(Field.zero(small_grid), 5.0)
