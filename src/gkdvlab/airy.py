@@ -56,7 +56,7 @@ def free_solution(phi: Field, grid: GridSpec | None = None) -> Path:
     if g != phi.grid:
         raise GridMismatchError("initial data lives on a different grid")
     cmat = phase_matrix(g, +1) * phi.coefficients[None, :]
-    return Path.from_spectral_matrix(g, cmat)
+    return Path._adopt(g, cmat)
 
 
 def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
@@ -70,7 +70,7 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     g = forcing.grid if grid is None else grid
     if g != forcing.grid:
         raise GridMismatchError("forcing path lives on a different grid")
-    return Path.from_spectral_matrix(g, duhamel_spectra(g, forcing.spectral_matrix))
+    return Path._adopt(g, duhamel_spectra(g, forcing.spectral_matrix))
 
 
 def duhamel_spectra(g: GridSpec, forcing: np.ndarray) -> np.ndarray:

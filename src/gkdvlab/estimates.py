@@ -134,8 +134,7 @@ def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
 
 def _project_path(path: Path, z: int, kind: str) -> Path:
     sym = lp.symbol_array(path.grid, z, kind)
-    return Path.from_spectral_matrix(path.grid,
-                                     path.spectral_matrix * sym[None, :])
+    return Path._adopt(path.grid, path.spectral_matrix * sym[None, :])
 
 
 def _ratio(lhs: float, rhs: float) -> float:

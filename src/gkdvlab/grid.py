@@ -14,6 +14,10 @@ carries the bin weights w_0 = 1, w_m = 2 for m >= 1 (GridSpec.bin_weights):
 
     (L/N) sum_j |f_j|^2 = L sum_m w_m |c_m|^2.
 
+A Field keeps both representations. A Path's state is its spectra: most
+estimates are spectral, so its sample values are built on their first read
+and then kept.
+
 The unpaired Nyquist mode m = N/2 of an even-length real transform cannot be
 evolved unitarily by a complex multiplier (its sine partner is aliased away),
 so it is not stored: values come back from irfft with that bin zero.
@@ -147,13 +151,18 @@ def to_spectrum(v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.rfft(v, norm="forward")[..., :n // 2]
 
 
+def _finite(c: np.ndarray) -> np.ndarray:
+    """c itself; NaN/inf is refused."""
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteFieldError("coefficients contain NaN or inf")
+    return c
+
+
 def _real_spectra(grid: GridSpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(values, spectra) of the real fields whose spectra are c along the
     last axis: NaN/inf is refused, and the values come from one inverse
     transform."""
-    if not np.all(np.isfinite(c)):
-        raise NonFiniteFieldError("coefficients contain NaN or inf")
-    return to_samples(c, grid.num_points), c
+    return to_samples(_finite(c), grid.num_points), c
 
 
 def _check_mean(table: np.ndarray, tol: float, what: str) -> None:
@@ -286,13 +295,16 @@ def lq_norm(f: Field, q) -> float:
 class Path:
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
-    Holds two read-only matrices, the (K+1) x N sample values and the
-    (K+1) x N/2 stored bins, one row per snapshot; `path[k]` is a Field
-    view of row k.
-    Arithmetic acts on both matrices, row by row exactly as on the fields.
+    The state is the read-only (K+1) x N/2 matrix of stored bins, one row
+    per snapshot. The (K+1) x N matrix of sample values is built on its
+    first read and then kept, read-only: the inverse transform of the
+    spectra for a path built from them, and op(a.values_matrix,
+    b.values_matrix) for a path a + b, a - b or s * a, so every value is
+    bitwise what the same arithmetic on the snapshots gives. Arithmetic
+    acts on the spectra at once. `path[k]` is a Field view of row k.
     """
 
-    __slots__ = ("grid", "_vmat", "_cmat")
+    __slots__ = ("grid", "_cmat", "_vmat", "_recipe")
 
     def __init__(self, grid: GridSpec, snapshots: Sequence[Field]):
         snaps = tuple(snapshots)
@@ -303,36 +315,59 @@ class Path:
         for s in snaps:
             if s.grid != grid:
                 raise GridMismatchError("snapshot grid differs from path grid")
-        self._fill(grid, np.stack([s.values for s in snaps]),
-                   np.stack([s.coefficients for s in snaps]))
+        self._fill(grid, np.stack([s.coefficients for s in snaps]),
+                   np.stack, [s.values for s in snaps])
 
-    def _fill(self, grid: GridSpec, vmat: np.ndarray, cmat: np.ndarray) -> "Path":
-        vmat.flags.writeable = False
+    def _fill(self, grid: GridSpec, cmat: np.ndarray, *recipe) -> "Path":
+        """Path over cmat itself; its values are recipe[0](*recipe[1:]),
+        a Path among the arguments standing for its values."""
         cmat.flags.writeable = False
-        self.grid, self._vmat, self._cmat = grid, vmat, cmat
+        self.grid, self._cmat, self._vmat, self._recipe = grid, cmat, None, recipe
         return self
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, vmat: np.ndarray, cmat: np.ndarray) -> "Path":
-        return cls.__new__(cls)._fill(grid, vmat, cmat)
+    def _wrap(cls, grid: GridSpec, cmat: np.ndarray, *recipe) -> "Path":
+        return cls.__new__(cls)._fill(grid, cmat, *recipe)
+
+    @classmethod
+    def _adopt(cls, grid: GridSpec, cmat: np.ndarray) -> "Path":
+        """Path over the complex spectra cmat, taken over without a copy:
+        for arrays their maker hands on and never touches again."""
+        if cmat.shape != (grid.num_steps + 1, grid.num_points // 2):
+            raise GridError("spectral matrix shape mismatch")
+        return cls._wrap(grid, _finite(cmat), to_samples, cmat, grid.num_points)
 
     @classmethod
     def from_spectral_matrix(cls, grid: GridSpec, cmat) -> "Path":
         """Path whose row k has spectrum cmat[k], under the contract of
         Field.from_coefficients (without the mode-0 check)."""
-        cmat = np.array(cmat, dtype=np.complex128)
-        if cmat.shape != (grid.num_steps + 1, grid.num_points // 2):
-            raise GridError("spectral matrix shape mismatch")
-        return cls._wrap(grid, *_real_spectra(grid, cmat))
+        return cls._adopt(grid, np.array(cmat, dtype=np.complex128))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Path":
         rows = grid.num_steps + 1
-        return cls._wrap(grid, np.zeros((rows, grid.num_points)),
-                         np.zeros((rows, grid.num_points // 2), dtype=np.complex128))
+        return cls._wrap(grid, np.zeros((rows, grid.num_points // 2), dtype=np.complex128),
+                         np.zeros, (rows, grid.num_points))
 
     @property
     def values_matrix(self) -> np.ndarray:
+        # paths whose values wait on other paths' values are built operands
+        # first, with an explicit stack: a chain of sums may be long
+        todo = [self]
+        while todo:
+            path = todo[-1]
+            if path._vmat is not None:
+                todo.pop()
+                continue
+            fn, *args = path._recipe
+            waiting = [a for a in args if isinstance(a, Path) and a._vmat is None]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            vmat = fn(*(a._vmat if isinstance(a, Path) else a for a in args))
+            vmat.flags.writeable = False
+            path._vmat, path._recipe = vmat, None
         return self._vmat
 
     @property
@@ -340,11 +375,11 @@ class Path:
         return self._cmat
 
     def __len__(self):
-        return self._vmat.shape[0]
+        return self._cmat.shape[0]
 
     def __getitem__(self, k: int) -> Field:
         k = operator.index(k)
-        return Field(self.grid, self._vmat[k], self._cmat[k], _internal=True)
+        return Field(self.grid, self.values_matrix[k], self._cmat[k], _internal=True)
 
     def __iter__(self) -> Iterator[Field]:
         return (self[k] for k in range(len(self)))
@@ -354,8 +389,7 @@ class Path:
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatchError("paths live on different grids")
-        return Path._wrap(self.grid, op(self._vmat, other._vmat),
-                          op(self._cmat, other._cmat))
+        return Path._wrap(self.grid, op(self._cmat, other._cmat), op, self, other)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -367,7 +401,7 @@ class Path:
         if not np.isscalar(scalar):
             return NotImplemented
         s = float(scalar)
-        return Path._wrap(self.grid, self._vmat * s, self._cmat * s)
+        return Path._wrap(self.grid, self._cmat * s, np.multiply, self, s)
 
     __rmul__ = __mul__
 

@@ -92,7 +92,7 @@ def load(path):
     if head["kind"] == "path":
         if rows.shape[0] != grid.num_steps + 1:
             raise ContainerError("path snapshot count disagrees with grid")
-        return Path.from_spectral_matrix(grid, to_spectrum(rows, grid.num_points))
+        return Path._adopt(grid, to_spectrum(rows, grid.num_points))
     raise ContainerError(f"unknown kind {head['kind']!r}")
 
 

@@ -156,9 +156,14 @@ class _Bank(dict):
         self.cut = scale_values(range(band.start - 2, band.stop + 1))
         lo = self.lo = np.searchsorted(self.pos, self.cut[:-1], "right")
         hi = self.hi = np.maximum(lo, np.searchsorted(self.pos, 2.0 * self.cut[1:]))
-        for i in range(1, lo.size):
-            if hi[i] - lo[self.edges[-1]] > _SLACK * (hi - lo)[self.edges[-1]:i + 1].min():
+        # a block grows while its window stays within _SLACK of its least span
+        starts, stops = lo.tolist(), hi.tolist()
+        first, least = 0, stops[0] - starts[0]
+        for i in range(1, len(starts)):
+            least = min(least, stops[i] - starts[i])
+            if stops[i] - starts[first] > _SLACK * least:
                 self.edges.append(i)
+                first, least = i, stops[i] - starts[i]
         self.edges.append(lo.size)
 
     def block(self, b: int) -> Tuple[int, np.ndarray, list]:

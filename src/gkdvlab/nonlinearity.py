@@ -30,6 +30,22 @@ class IntegrandMagnitudeWarning(UserWarning):
 _ABS_FLOOR = 1e-300  # keeps 0**0 away from the power kernels
 
 
+def _power(a: np.ndarray, e: float) -> np.ndarray:
+    """a ** e as a new array, for a > 0 and e >= 0: by squarings of a in
+    place and products when e is a whole number (x^4 is (x^2)^2), by the
+    general float pow otherwise."""
+    if not float(e).is_integer():
+        return a ** e
+    n, out = int(e), np.ones_like(a)
+    while n:
+        if n & 1:
+            out *= a
+        n >>= 1
+        if n:
+            a *= a
+    return out
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """f(x) = |x|^{p-1} x with derivatives through order four.
@@ -53,10 +69,14 @@ class PowerLaw:
         if not (0 <= order <= 4):
             raise ValueError("derivative order must be in 0..4")
         x = np.asarray(x, dtype=np.float64)
-        ax = np.maximum(np.abs(x), _ABS_FLOOR)
-        if order % 2 == 0:
-            return self.coefficients[order] * ax ** (self.p - 1 - order) * x
-        return self.coefficients[order] * ax ** (self.p - order)
+        ax = np.abs(x, out=np.empty_like(x))
+        np.maximum(ax, _ABS_FLOOR, out=ax)
+        even = order % 2 == 0
+        out = _power(ax, self.p - order - even)
+        out *= self.coefficients[order]
+        if even:
+            out *= x
+        return out[()]  # a scalar for a scalar x
 
     def __call__(self, x):
         return self.derivative(x, 0)

@@ -77,12 +77,17 @@ def out_of_band_fraction(f: Field, band) -> float:
     The mean mode is never covered, so fields with nonzero mean always show
     a positive fraction.
     """
-    band = _resolve_band(f.grid, band)
-    c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
+    return _out_of_band(f.grid, f.coefficients, band)
+
+
+def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
+    """out_of_band_fraction of the field whose stored bins are coeffs."""
+    band = _resolve_band(grid, band)
+    c2 = grid.bin_weights * np.abs(coeffs) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    mask = lp.partition_sum(f.grid, band)
+    mask = lp.partition_sum(grid, band)
     resid = float(np.sum((1.0 - mask) ** 2 * c2))
     return resid / total
 
@@ -124,9 +129,11 @@ def sobolev_norm(f: Field, s: float, band=None) -> float:
 _ENGINE_BYTES = 1 << 23
 
 
-def _energy(x: np.ndarray) -> np.ndarray:
-    """|x|^2 elementwise."""
-    return x.real ** 2 + x.imag ** 2
+def _energy(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|x|^2 elementwise, written into out if given."""
+    out = np.square(x.real, out=out)
+    out += np.square(x.imag)
+    return out
 
 
 def _band_values(grid: GridSpec, cen: np.ndarray, zs, nrm: np.ndarray,
@@ -177,10 +184,15 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     L2 = 2.0 * grid.domain_length
     g = path.spectral_matrix * phase_matrix(grid, -1)
     m = g.shape[0]
-    energy = _energy(g)
-    # V1: the K increments plus the terminal jump g[-1]
-    chain = np.sqrt(L2 * lp.band_sums(
-        grid, band, np.vstack([_energy(np.diff(g, axis=0)), energy[-1:]])))
+    # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
+    stack = np.empty((2 * m, g.shape[1]))
+    energy = _energy(g, out=stack[:m])
+    # V1: the K increments |g_{k+1} - g_k|^2 plus the terminal jump |g_K|^2
+    screen, d_im = stack[m:], g.imag[1:] - g.imag[:-1]
+    np.square(np.subtract(g.real[1:], g.real[:-1], out=screen[:-1]), out=screen[:-1])
+    screen[:-1] += np.square(d_im, out=d_im)
+    screen[-1] = energy[-1]
+    chain = np.sqrt(L2 * lp.band_sums(grid, band, screen))
     steps, jump, lam = chain[:-1].sum(axis=0), chain[-1], lp.scale_values(band)
     lam_s = lam ** s
     bound = lam_s * (steps + jump)
@@ -190,6 +202,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     zs, lam, lam_s, bound, steps, jump = (a[order] for a in (
         np.arange(band.start, band.stop), lam, lam_s, bound, steps, jump))
     g -= g.mean(axis=0)  # centred from here on
+    _energy(g, out=stack[m:])
     best, cut, arg, vals, n = 0.0, 0.0, None, {}, order.size
     if n:
         # the visit never reaches a band after x whose bound is at most x's value
@@ -205,7 +218,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     # leaves near-ties to the DP.
     rank = np.argsort(zs[:n])
     sums = np.empty((2 * m, n))
-    sums[:, rank] = lp.band_sums(grid, zs[rank], np.vstack([energy, _energy(g)]))
+    sums[:, rank] = lp.band_sums(grid, zs[rank], stack)
     nrm = sums[:m]
     diam = np.minimum(steps[:n], 2.0 * np.sqrt(L2 * sums[m:].max(axis=0, initial=0.0)))
     top = (1.0 + 1e-9) * lam_s[:n] * np.sqrt(
@@ -226,9 +239,8 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
                 break
             if vals.get(k, 0.0) > best:
                 best, arg = vals[k], float(lam[k])
-    # row 0 of the pullback is u(0) itself (S(0) is the identity)
-    return NormReport("xs", float(s), band.start, band.stop - 1,
-                      best, arg, out_of_band_fraction(path[0], band))
+    return NormReport("xs", float(s), band.start, band.stop - 1, best, arg,
+                      _out_of_band(grid, path.spectral_matrix[0], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:
@@ -259,6 +271,5 @@ def rescale(f: Field, m: int, p: float) -> Field:
 
 def rescale_path(path: Path, m: int, p: float) -> Path:
     """Snapshotwise critical rescaling; the grid's dt absorbs c^{-3}."""
-    return Path.from_spectral_matrix(rescaled_grid(path.grid, m),
-                                     _rescale_factor(m, p)
-                                     * path.spectral_matrix)
+    return Path._adopt(rescaled_grid(path.grid, m),
+                       _rescale_factor(m, p) * path.spectral_matrix)

@@ -118,7 +118,7 @@ def picard_step(v: Path, w_prev: Path, p: float) -> Path:
 
 def _correction(g: GridSpec, power: np.ndarray) -> Path:
     """-duhamel(d_x f) for the power spectra f on every row, sign folded into d_x."""
-    return Path.from_spectral_matrix(g, duhamel_spectra(g, (-1j * g.frequencies) * power))
+    return Path._adopt(g, duhamel_spectra(g, (-1j * g.frequencies) * power))
 
 
 def gkdv_residual(u: Path, p: float) -> float:
@@ -266,7 +266,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
         if ceiling > 0 and sup > ceiling:
             raise BlowUpError((k + 1) * grid.dt, sup)
         cmat[k + 1] = c
-    return Path.from_spectral_matrix(grid, cmat)
+    return Path._adopt(grid, cmat)
 
 
 def lipschitz_probe(phi: Field, dphi: Field, cfg: PicardConfig) -> float:

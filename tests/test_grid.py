@@ -283,6 +283,8 @@ class TestPath:
                 assert np.array_equal(path[k].coefficients, expect(k).coefficients)
 
     def test_from_spectral_matrix_contract(self, small_grid):
+        from gkdvlab.airy import duhamel
+
         shape = (small_grid.num_steps + 1, small_grid.num_points // 2)
         c = np.zeros(shape, dtype=np.complex128)
         c[:, 3] = 0.5
@@ -295,8 +297,59 @@ class TestPath:
         c[4, 7] = np.nan
         with pytest.raises(NonFiniteFieldError):
             Path.from_spectral_matrix(small_grid, c)
+        # internal makers hand their spectra over uncopied, under the same check
+        with np.errstate(invalid="ignore"):
+            forcing = Path.zero(small_grid) * np.inf  # inf * 0: NaN in every bin
+        with pytest.raises(NonFiniteFieldError):
+            duhamel(forcing)
         with pytest.raises(GridError):
             Path.from_spectral_matrix(small_grid, c[:-1])
+
+    def test_lazy_values_equal_the_eager_formulas_bitwise(self, small_grid):
+        rng = np.random.default_rng(21)
+        shape = (small_grid.num_steps + 1, small_grid.num_points // 2)
+        ca, cb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for _ in range(2))
+        a = Path.from_spectral_matrix(small_grid, ca)
+        b = Path.from_spectral_matrix(small_grid, cb)
+        total, gap, twice = a + b, a - b, 2.0 * a
+        va = np.fft.irfft(ca, n=small_grid.num_points, norm="forward")
+        vb = np.fft.irfft(cb, n=small_grid.num_points, norm="forward")
+        assert np.array_equal(total.values_matrix, va + vb)
+        assert np.array_equal(gap.values_matrix, va - vb)
+        assert np.array_equal(twice.values_matrix, va * 2.0)
+        assert np.array_equal(a.values_matrix, va)
+        assert np.array_equal(b.values_matrix, vb)
+        assert total.values_matrix is total.values_matrix  # built once, kept
+
+    def test_spectral_reads_run_no_inverse_transform(self, monkeypatch):
+        from gkdvlab import grid as grid_mod
+        from gkdvlab.airy import free_solution
+        from gkdvlab.estimates import flat_field
+        from gkdvlab.norms import xs_norm
+
+        calls = []
+        real = grid_mod.to_samples
+        monkeypatch.setattr(grid_mod, "to_samples",
+                            lambda c, m: calls.append(c.shape) or real(c, m))
+        g = GridSpec(400.0, 131072, 1e-3, 12)  # verify_bernstein_linfty's grid
+        phi = flat_field(g, 580, np.random.default_rng(3))
+        calls.clear()  # the datum, a Field, has its values
+        path = free_solution(phi)
+        assert xs_norm(path, 0.0) > 0.0
+        assert calls == []
+        vm = path.values_matrix
+        assert calls == [path.spectral_matrix.shape]
+        assert np.array_equal(vm, real(path.spectral_matrix, g.num_points))
+
+    def test_long_chain_of_sums_reads_its_values(self):
+        g = GridSpec(1.0, 8, 0.5, 1)
+        one = Path.from_spectral_matrix(g, np.full((2, 4), 0.25 + 0j))
+        total = one
+        for _ in range(9999):
+            total = total + one
+        assert np.array_equal(total.values_matrix[:, 0],
+                              np.full(2, 10000 * one.values_matrix[0, 0]))
 
 
 class TestSerialization:

@@ -286,3 +286,28 @@ def test_band_rows_are_views_into_their_blocks(n):
         assert sum(np.shares_memory(row, blk) for blk in blocks) == (1 if row.size else 0)
     # zeros fill each block outside its rows' spans, within a bounded overhead
     assert sum(blk.nbytes for blk in blocks) <= 1.3 * spans
+
+
+def _edges_by_rescan(g):
+    # the block rule rescanning every span of the open block per band
+    band = lp.default_band(g)
+    cut = lp.scale_values(range(band.start - 2, band.stop + 1))
+    lo = np.searchsorted(g.frequencies, cut[:-1], "right")
+    hi = np.maximum(lo, np.searchsorted(g.frequencies, 2.0 * cut[1:]))
+    edges = [0]
+    for i in range(1, lo.size):
+        if hi[i] - lo[edges[-1]] > lp._SLACK * (hi - lo)[edges[-1]:i + 1].min():
+            edges.append(i)
+    return edges + [lo.size]
+
+
+# the frequency sets of the c13 CLI cases but verify-bilinear: the fixed
+# cells, and verify-strichartz's mother cell 512 rescaled by 1.01^(58 k)
+_C13_SETS = ([(200.0, n) for n in (512, 1024, 2048)] + [(512.0, 2048)]
+             + [(512.0 / lp.scale_value(58 * k), 2048) for k in range(1, 13)])
+
+
+@pytest.mark.parametrize("length, n", _C13_SETS + [(400.0, 131072)])
+def test_bank_block_edges_match_the_rescan(length, n):
+    g = GridSpec(length, n, 1.0, 1)
+    assert lp._Bank(g).edges == _edges_by_rescan(g)

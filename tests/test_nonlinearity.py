@@ -67,6 +67,28 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             law.derivative(1.0, -1)
 
+    @pytest.mark.parametrize("p", [5.0, 6.0, 7.0])
+    def test_whole_powers_match_pow(self, p):
+        # squarings and products against the general float pow
+        law = nl.PowerLaw(p)
+        x = np.random.default_rng(int(p)).standard_normal(4096) * 0.6
+        x[:3] = (0.0, 1e-310, -3e5)
+        ax = np.maximum(np.abs(x), 1e-300)
+        for k in range(5):
+            even = k % 2 == 0
+            want = law.coefficients[k] * ax ** (p - k - even) * (x if even else 1.0)
+            np.testing.assert_allclose(law.derivative(x, k), want, rtol=1e-15, atol=0)
+
+    def test_real_power_keeps_pow_bitwise(self):
+        law = nl.PowerLaw(5.5)
+        x = np.random.default_rng(55).standard_normal(4096)
+        ax = np.maximum(np.abs(x), 1e-300)
+        for k in range(5):
+            want = (law.coefficients[k] * ax ** (4.5 - k) * x if k % 2 == 0
+                    else law.coefficients[k] * ax ** (5.5 - k))
+            got = law.derivative(x, k)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_subcritical_power_rejected(self):
         with pytest.raises(ValueError):
             nl.PowerLaw(4.999)
