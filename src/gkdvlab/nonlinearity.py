@@ -32,14 +32,19 @@ _ABS_FLOOR = 1e-300  # keeps 0**0 away from the power kernels
 
 def _power(a: np.ndarray, e: float) -> np.ndarray:
     """a ** e as a new array, for a > 0 and e >= 0: by squarings of a in
-    place and products when e is a whole number (x^4 is (x^2)^2), by the
-    general float pow otherwise."""
+    place and products when e is a whole number (x^4 is (x^2)^2), starting
+    from a copy of the first factor, by the general float pow otherwise."""
     if not float(e).is_integer():
         return a ** e
-    n, out = int(e), np.ones_like(a)
+    n, out = int(e), None
+    if n == 0:
+        return np.ones_like(a)
     while n:
         if n & 1:
-            out *= a
+            if out is None:
+                out = a.copy()
+            else:
+                out *= a
         n >>= 1
         if n:
             a *= a

@@ -125,7 +125,9 @@ def sobolev_norm(f: Field, s: float, band=None) -> float:
 
 
 # bytes the V2 engine of xs_report may hold at once: the Gram, distance and
-# powered distance tables (3 x m x m floats per band) of one chunk of bands
+# powered distance tables (3 x m x m floats per band) of one chunk of bands.
+# The DP bound of a chunk, run before its solve, holds two such tables per
+# band (the bound table D' and its square) and fits the same budget
 _ENGINE_BYTES = 1 << 23
 
 
@@ -140,14 +142,34 @@ def _band_values(grid: GridSpec, cen: np.ndarray, zs, nrm: np.ndarray,
                  lam_s: np.ndarray, L2: float) -> np.ndarray:
     """lam^s V2 of each band z of zs, one batched DP for all: the Gram
     matrix of a band is L2 A A^T, A the real view of its span of the centred
-    pullback weighted by the row; nrm[:, b] holds sum psi^2 |g_k|^2."""
+    pullback weighted by the row; nrm[:, b] holds the norms ||psi g_k||."""
     G = np.empty((len(zs), cen.shape[0], cen.shape[0]))
     for b, z in enumerate(zs):
         start, row = lp.band_row(grid, z)
         a = (cen[:, start:start + row.size] * row).view(np.float64)
         np.matmul(a, a.T, out=G[b])
     G *= L2
-    return lam_s * np.array(vp_batch(distances(G), np.sqrt(L2 * nrm.T), 2.0))
+    return lam_s * np.array(vp_batch(distances(G), nrm.T, 2.0))
+
+
+def _dp_bounds(steps: np.ndarray, cen: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Upper bounds of the V2 values _band_values computes, one per column
+    of the band tables: steps[k] the norm of the step from row k to k+1
+    (m-1 rows), cen[k] that of the centred row k, nrm[k] that of row k.
+
+    Every distance is at most D'_jk = min(s_{j+1} + ... + s_k, c_j + c_k,
+    r_j + r_k), the path length and the triangle inequality through the
+    mean and through 0. The V2 dynamic program is monotone in its
+    distances, so the DP over D' with the same terminal norms bounds V2.
+    The margin, the second bound's, covers the rounding of both DPs.
+    """
+    # the tables are (j, k, band): every broadcast runs along contiguous bands
+    S = np.zeros((steps.shape[0] + 1, steps.shape[1]))
+    np.cumsum(steps, axis=0, out=S[1:])
+    D = np.abs(S[:, None] - S[None, :])
+    for v in (cen, nrm):
+        np.minimum(D, v[:, None] + v[None, :], out=D)
+    return (1.0 + 1e-9) * np.array(vp_batch(D.transpose(2, 0, 1), nrm.T, 2.0))
 
 
 def xs_report(path: Path, s: float, band=None) -> NormReport:
@@ -159,22 +181,32 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     bound is at most the best value so far. The argmax is the first visited
     band attaining the maximum.
 
-    Three things cut the work without changing that answer. The band with
+    Four things cut the work without changing that answer. The band with
     the largest terminal jump is solved first; once the visit has passed it
     the best is at least its value, so no band after the first later bound
     at most that value is visited. A visited band whose second bound,
     sqrt(diam V1 + max_k |g_k|^2), is below the best so far or below that
     first value cannot be the argmax and is not solved; skipping it only
     lowers the running best, which can lengthen the visit but not change
-    its maximum. The rest are solved in chunks, one batched DP per chunk,
-    and their values are taken in visiting order under the same stop rule,
-    so bands solved past the sequential stop (values at most their bound,
-    hence at most the best) never change the answer.
+    its maximum. A band that passes the second bound meets a third, the
+    DP over D'_jk = min(path length from j to k, c_j + c_k, r_j + r_k)
+    with c and r the norms of its centred and plain rows (_dp_bounds),
+    and is skipped on the same terms. D' is at least every distance, so
+    this bound is at least V2, and it is at most the second bound. Both
+    bounds carry the margin 1 + 1e-9. Either DP sums at most m squared
+    distances, each at most V2^2 and rounded by a few ulp of the span
+    length, so both values are exact to far less than the margin, and a
+    band within it of the best is left to the exact DP. The rest are
+    solved in chunks, one batched DP per chunk, and their values are taken
+    in visiting order under the same stop rule, so bands solved past the
+    sequential stop (values at most their bound, hence at most the best)
+    never change the answer.
 
     Every band sum is one lp.band_sums call (a matmul per store block): the
-    V1 screen of all bands, then, for the bands the visit can still reach
-    once x is solved, max_k |g_k|^2, max_k |g_k - mean|^2 (the diameter)
-    and the DP norms |g_k|^2. The pullback is centred over time once:
+    V1 screen of all bands (whose steps the DP bound reuses), then, for the
+    bands the visit can still reach once x is solved, |g_k - mean|^2 and
+    |g_k|^2 (the diameter, the norms of both bounds and the DP's terminal
+    norms). The pullback is centred over time once:
     centring commutes with the band weights, so each band's Gram matrix is
     that of its own centred rows, built from one contiguous slice. Every bin
     a band covers has Parseval weight 2, so its sums carry the factor 2L.
@@ -201,6 +233,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     # every per-band array from here on is in visiting order
     zs, lam, lam_s, bound, steps, jump = (a[order] for a in (
         np.arange(band.start, band.stop), lam, lam_s, bound, steps, jump))
+    chain = chain[:-1, order]
     g -= g.mean(axis=0)  # centred from here on
     _energy(g, out=stack[m:])
     best, cut, arg, vals, n = 0.0, 0.0, None, {}, order.size
@@ -209,7 +242,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
         x = int(np.argmax(jump))
         z = zs[x:x + 1]
         vals[x] = cut = float(_band_values(
-            grid, g, z, lp.band_sums(grid, z, energy), lam_s[x], L2)[0])
+            grid, g, z, np.sqrt(L2 * lp.band_sums(grid, z, energy)), lam_s[x], L2)[0])
         n = x + 1 + int(np.argmax(np.append(bound[x + 1:] <= cut, True)))
     # no partition's sum of squared steps exceeds its largest step (at most
     # the diameter, min(V1, 2 max_k |g_k - mean|)) times its total (at most
@@ -220,18 +253,24 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     sums = np.empty((2 * m, n))
     sums[:, rank] = lp.band_sums(grid, zs[rank], stack)
     nrm = sums[:m]
-    diam = np.minimum(steps[:n], 2.0 * np.sqrt(L2 * sums[m:].max(axis=0, initial=0.0)))
+    r_norm, c_norm = np.sqrt(L2 * nrm), np.sqrt(L2 * sums[m:])
+    diam = np.minimum(steps[:n], 2.0 * c_norm.max(axis=0, initial=0.0))
     top = (1.0 + 1e-9) * lam_s[:n] * np.sqrt(
         diam * steps[:n] + L2 * nrm.max(axis=0, initial=0.0))
     chunk = max(1, _ENGINE_BYTES // (24 * m * m))
     i = 0
     while i < n:
         todo = range(i, min(i + chunk, n))
+        floor = max(best, cut)
         solve = [k for k in todo if k not in vals and not bound[k] <= best
-                 and not top[k] <= max(best, cut)]
+                 and not top[k] <= floor]
+        if solve:
+            up = lam_s[solve] * _dp_bounds(
+                chain[:, solve], c_norm[:, solve], r_norm[:, solve])
+            solve = [k for k, u in zip(solve, up.tolist()) if not u <= floor]
         if solve:
             vals.update(zip(solve, _band_values(
-                grid, g, zs[solve], nrm[:, solve], lam_s[solve], L2).tolist()))
+                grid, g, zs[solve], r_norm[:, solve], lam_s[solve], L2).tolist()))
         i = todo.stop
         for k in todo:
             if bound[k] <= best:

@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gkdvlab import airy, norms
 from gkdvlab import littlewood_paley as lp
+from gkdvlab.airy import phase_matrix
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
+from gkdvlab.picard import picard_step
+from gkdvlab.variation import SampledPath, vp_norm
 
 from conftest import gaussian_bump, random_field
 
@@ -213,6 +217,10 @@ class TestXs:
         solve = norms.vp_batch
         monkeypatch.setattr(norms, "vp_batch",
                             lambda D, *a: chunks.append(len(D)) or solve(D, *a))
+        solved = []
+        values = norms._band_values
+        monkeypatch.setattr(norms, "_band_values",
+                            lambda *a: solved.append(len(a[2])) or values(*a))
         rng = np.random.default_rng(34)
         path = Path.from_spectral_matrix(small_grid, np.stack(
             [random_field(small_grid, rng, decay=1.0).coefficients
@@ -222,6 +230,100 @@ class TestXs:
         assert len(chunks) > 10 and max(chunks) == 2
         assert rep.value == pytest.approx(best, rel=1e-12)
         assert rep.argmax_scale == arg
+        # vp_batch also runs the DP bound; the exact solves alone still
+        # span several chunks
+        assert len(solved) > 3
+
+    @staticmethod
+    def _picard_difference(grid):
+        """w_2 - w_1 of the correction iteration for a packet on grid."""
+        v = airy.free_solution(gaussian_bump(grid, 0.6, 3.0, 2.0))
+        w1 = picard_step(v, Path.zero(grid), 5.0)
+        return picard_step(v, w1, 5.0) - w1
+
+    @pytest.mark.parametrize("s", [0.0, 0.25])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_dp_bound_matches_exhaustive_on_picard_difference(
+            self, small_grid, s, tiny, monkeypatch):
+        # a real Picard difference, with the default engine budget and with
+        # two bands per chunk: value and argmax are the exhaustive ones, and
+        # the DP bound keeps bands that pass the second bound from a solve
+        m = small_grid.num_steps + 1
+        if tiny:
+            monkeypatch.setattr(norms, "_ENGINE_BYTES", 2 * 24 * m * m)
+        bounded, solved = [], []
+        dp_bounds, values = norms._dp_bounds, norms._band_values
+        monkeypatch.setattr(norms, "_dp_bounds", lambda steps, *a: bounded.append(
+            steps.shape[1]) or dp_bounds(steps, *a))
+        monkeypatch.setattr(norms, "_band_values",
+                            lambda *a: solved.append(len(a[2])) or values(*a))
+        path = self._picard_difference(small_grid)
+        best, arg = self._exhaustive(path, s)
+        rep = norms.xs_report(path, s)
+        assert rep.value == pytest.approx(best, rel=1e-12)
+        assert rep.argmax_scale == arg
+        # every solved band but the first (x, solved before the visit) was
+        # bounded, and some bounded band was not solved
+        assert sum(solved) - 1 < sum(bounded)
+
+    @staticmethod
+    def _pulled_rows(grid, kind, seed):
+        """Pulled-back spectral rows of one of several path shapes; "line"
+        and "alternating" move along one direction through 0, where the DP
+        bound is exact."""
+        rng = np.random.default_rng(seed)
+        m = grid.num_steps + 1
+
+        def rand():
+            return random_field(grid, rng, decay=1.0).coefficients
+
+        if kind == "duhamel":
+            path = airy.duhamel(airy.free_solution(random_field(grid, rng, decay=1.0)))
+            return path.spectral_matrix * phase_matrix(grid, -1)
+        if kind == "nearly_constant":
+            steps = np.stack([rand() for _ in range(m)])
+            return rand() + 1e-9 * np.cumsum(steps, axis=0)
+        if kind in ("line", "alternating"):
+            k = np.arange(m, dtype=float)
+            t = k / (m - 1) if kind == "line" else (-1.0) ** k
+            return t[:, None] * rand()
+        rows = np.stack([rand() for _ in range(m)])
+        if kind == "zero_first_row":
+            rows[0] = 0.0
+        return rows
+
+    @given(kind=st.sampled_from(["random", "duhamel", "nearly_constant",
+                                 "zero_first_row", "line", "alternating"]),
+           scale=st.sampled_from([1.0, 1e150, 1e-150]),
+           seed=st.integers(0, 2 ** 16))
+    @example(kind="line", scale=1.0, seed=0)
+    @example(kind="alternating", scale=1e-150, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_dp_bound_above_every_band_value(self, kind, scale, seed):
+        # the DP bound of every band is at least its V2 (vp_norm over the
+        # localized rows) and at most the second bound; the tables are
+        # formed directly from the rows. Bands whose squared V2 is
+        # subnormal are left out: both sides are rounding there
+        grid = GridSpec(50.0, 128, 0.05, 12)
+        g = scale * self._pulled_rows(grid, kind, seed)
+        L2 = 2.0 * grid.domain_length
+        band = lp.default_band(grid)
+        tables = np.empty((3, grid.num_steps + 1, len(band)))
+        exact = np.empty(len(band))
+        for b, z in enumerate(band):
+            x = g * lp.symbol_array(grid, z, "psi")
+            for t, rows in zip(tables, (np.diff(x, axis=0), x - x.mean(axis=0), x)):
+                t[:rows.shape[0], b] = np.sqrt(L2 * np.sum(np.abs(rows) ** 2, axis=1))
+            exact[b] = vp_norm(SampledPath(grid.times, x, weight=L2), 2.0)
+        steps, cen, nrm = tables[0, :-1], tables[1], tables[2]
+        up = norms._dp_bounds(steps, cen, nrm)
+        v1 = steps.sum(axis=0)
+        top = (1.0 + 1e-9) * np.sqrt(np.minimum(v1, 2.0 * cen.max(axis=0)) * v1
+                                     + nrm.max(axis=0) ** 2)
+        normal = exact ** 2 >= np.finfo(float).tiny
+        assert np.all(np.isfinite(exact)) and normal.mean() > 0.5
+        assert np.all(up[normal] >= exact[normal])
+        assert np.all(up[normal] <= (1.0 + 1e-12) * top[normal])
 
     def test_nearly_constant_path_matches_direct_differences(self, small_grid):
         # a constant plus increments of 1e-9 of its size after the pullback;

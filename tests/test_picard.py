@@ -161,6 +161,35 @@ class TestSolvePicard:
         assert first[0] == "1" and first[3] == ""
         assert float(lines[2].split(",")[3]) == trace.ratios[0]
 
+    def test_solve_builds_no_sample_values(self, medium, monkeypatch):
+        # the stop test reads Parseval sums of the spectra: no inverse
+        # transform at N points runs during a solve (f(u) transforms on
+        # the padded grid)
+        from gkdvlab import grid as grid_mod, nonlinearity
+        grid, prof = medium
+        phi = prof * 0.1
+        sizes = []
+        for mod in (grid_mod, nonlinearity):
+            monkeypatch.setattr(mod, "to_samples", lambda c, m, f=mod.to_samples:
+                                sizes.append(m) or f(c, m))
+        _, trace = solve_picard(PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid))
+        assert trace.converged and sizes
+        assert sizes.count(grid.num_points) == 0
+
+    def test_dp_bound_halves_the_solved_bands(self, medium, monkeypatch):
+        # xs_report solves 13 bands exactly over this 3-iterate solve; with
+        # the second bound alone it solved 45
+        from gkdvlab import norms
+        grid, prof = medium
+        solved = []
+        values = norms._band_values
+        monkeypatch.setattr(norms, "_band_values",
+                            lambda *a: solved.append(len(a[2])) or values(*a))
+        _, trace = solve_picard(PicardConfig(5.0, grid.horizon, 8, 0.9,
+                                             prof * 0.1, grid))
+        assert trace.converged and len(trace.rows) == 3
+        assert sum(solved) <= 45 // 2
+
 
 class TestBatchedPower:
     def test_power_spectra_match_evaluate_power_bitwise(self, medium):
