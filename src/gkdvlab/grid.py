@@ -428,10 +428,9 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     for q in (q_time, q_space):
         if q != np.inf and not (float(q) >= 1):
             raise ValueError("exponents must lie in [1, inf]")
-    vm = path.values_matrix
-    grid = path.grid
+    vm, grid = path.values_matrix, path.grid
     if q_space == np.inf:
-        spatial = np.abs(vm).max(axis=1)
+        spatial = np.maximum(np.abs(vm.max(axis=1)), np.abs(vm.min(axis=1)))
     else:
         qs = float(q_space)
         spatial = (grid.weight * np.sum(np.abs(vm) ** qs, axis=1)) ** (1.0 / qs)

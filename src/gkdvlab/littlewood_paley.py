@@ -30,8 +30,8 @@ times each row's span), zero outside each row's nonzero span; a block is
 built on first use, and band_row returns views trimmed to the span. leq
 rows are stored one by one over their spans. Spread on the N/2 stored bins
 a row is bitwise the symbol on the grid frequencies (mode 0 zeroed for
-leq). Band reductions run band_sums, one matmul per block against the
-block squared on the fly; multipliers take the spread table (symbol_array).
+leq). Band reductions run band_sums, one matmul per block that meets the
+rows' support, squared on the fly; multipliers take symbol_array.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ _SLACK = 1.2  # a psi block's window of bins is at most this times each of its s
 
 class _Bank(dict):
     """Symbols of one frequency set: bands z0 + edges[b] .. z0 + edges[b+1] - 1
-    form psi block b, and no psi row outside z0 .. z0 + len(lo) - 1 is
+    form psi block b, and no psi row outside z0 .. z0 + edges[-1] - 1 is
     nonzero. The dict holds (z, "leq") -> (first bin, row) and partition sums."""
 
     def __init__(self, grid: GridSpec):
@@ -154,8 +154,8 @@ class _Bank(dict):
         self.built, self.edges = {}, [0]
         # cut[i] = lam_{z0 + i - 1}: band z0 + i lives on (cut[i], 2 cut[i + 1])
         self.cut = scale_values(range(band.start - 2, band.stop + 1))
-        lo = self.lo = np.searchsorted(self.pos, self.cut[:-1], "right")
-        hi = self.hi = np.maximum(lo, np.searchsorted(self.pos, 2.0 * self.cut[1:]))
+        lo = np.searchsorted(self.pos, self.cut[:-1], "right")
+        hi = np.maximum(lo, np.searchsorted(self.pos, 2.0 * self.cut[1:]))
         # a block grows while its window stays within _SLACK of its least span
         starts, stops = lo.tolist(), hi.tolist()
         first, least = 0, stops[0] - starts[0]
@@ -165,6 +165,8 @@ class _Bank(dict):
                 self.edges.append(i)
                 first, least = i, stops[i] - starts[i]
         self.edges.append(lo.size)
+        # block b's window of bins is start[b] .. stop[b] - 1; both ascend in b
+        self.start, self.stop = lo[self.edges[:-1]], hi[np.subtract(self.edges[1:], 1)]
 
     def block(self, b: int) -> Tuple[int, np.ndarray, list]:
         """(first bin, read-only block, (first bin, row view) per band), built
@@ -172,8 +174,8 @@ class _Bank(dict):
         entry = self.built.get(b)
         if entry is None:
             i, j = self.edges[b], self.edges[b + 1]
-            lo = int(self.lo[i])
-            cut = bump(self.pos[lo:max(lo, self.hi[j - 1])] / self.cut[i:j + 1, None])
+            lo = int(self.start[b])
+            cut = bump(self.pos[lo:self.stop[b]] / self.cut[i:j + 1, None])
             blk = cut[1:] - cut[:-1]
             blk.flags.writeable = False
             rows = [(lo + int(k[0]), blk[r, k[0]:k[-1] + 1]) if k.size else (lo, blk[r, :0])
@@ -201,7 +203,7 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     """(first bin, read-only row) of the symbol over its nonzero span of
     bins 1 .. N/2 - 1, shared; a psi row is a view into its block."""
     bank, z = _bank(grid.domain_length, grid.num_points), int(z)
-    if kind == "psi" and 0 <= z - bank.z0 < bank.lo.size:
+    if kind == "psi" and 0 <= z - bank.z0 < bank.edges[-1]:
         b = bisect_right(bank.edges, z - bank.z0) - 1
         return bank.block(b)[2][z - bank.z0 - bank.edges[b]]
     key = (z, kind)
@@ -218,15 +220,35 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
+def _support_end(x: np.ndarray) -> int:
+    """1 + the last nonzero column of x (0 if none); a nonzero top costs O(rows)."""
+    end, w = x.shape[1], 1
+    while end and not x[:, max(end - w, 0):end].any():
+        end, w = max(end - w, 0), 2 * w
+    nz = np.flatnonzero(x[:, max(end - w, 0):end].any(axis=0))
+    return max(end - w, 0) + int(nz[-1]) + 1 if nz.size else 0
+
+
+def reach(grid: GridSpec, x: np.ndarray) -> int:
+    """Bins of x band_sums reads: through each block window starting by x's last nonzero."""
+    bank, end = _bank(grid.domain_length, grid.num_points), _support_end(x)
+    return int(bank.stop[bank.start < end].max(initial=end))
+
+
 def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
     """sum_m Psi_z(xi_m)^2 x[k, m] in row k, column i, for the i-th band z of
-    an ascending band and rows x[k] on the N/2 stored bins: one matmul per
-    block, against its rows squared on the fly. Empty rows give zeros."""
+    an ascending band and rows x[k] on the stored bins: one matmul per block
+    whose window meets the span of nonzero columns of x, against its rows
+    squared on the fly. The other blocks would add exact zeros, so x may
+    stop at reach(grid, x) bins. Empty rows give zeros."""
     bank = _bank(grid.domain_length, grid.num_points)
     idx = np.asarray(band, dtype=np.int64) - bank.z0
     out = np.zeros((x.shape[0], idx.size))
+    first, end = x.shape[1] - _support_end(x[:, ::-1]), _support_end(x)
     at = np.searchsorted(idx, bank.edges)
-    for b in np.flatnonzero(at[1:] > at[:-1]):
+    touched = np.arange(np.searchsorted(bank.stop, first, "right"),
+                        np.searchsorted(bank.start, end))
+    for b in touched[at[touched + 1] > at[touched]]:
         lo, blk, _ = bank.block(b)
         w = blk[idx[at[b]:at[b + 1]] - bank.edges[b]]
         w *= w
@@ -248,7 +270,7 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
 
 
 def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
-    """||P_z f||_{L2}^2 for each z of an ascending band, in one band_sums."""
+    """||P_z f||_{L2}^2 for each z of an ascending band, in one band_sums over f's support."""
     c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
     return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0]
 

@@ -210,14 +210,23 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     centring commutes with the band weights, so each band's Gram matrix is
     that of its own centred rows, built from one contiguous slice. Every bin
     a band covers has Parseval weight 2, so its sums carry the factor 2L.
+    All of it runs over the first lp.reach bins of the path, which hold
+    every block window meeting its support, hence every band it can reach.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
-    g = path.spectral_matrix * phase_matrix(grid, -1)
-    m = g.shape[0]
+    width = lp.reach(grid, path.spectral_matrix)  # no band sum reads past it
+    g = path.spectral_matrix[:, :width] * phase_matrix(grid, -1)[:, :width]
+    m, gv = g.shape[0], g.view(np.float64)
+    # squares of parts this far from 1 lose bits to underflow or overflow:
+    # scale g by 2^e, its largest part then in [1/2, 1), and divide 2^e out
+    top = float(max(gv.max(initial=0.0), -gv.min(initial=0.0)))
+    e = 0 if 2.0 ** -256 <= top <= 2.0 ** 256 else -int(np.frexp(top)[1])
+    if e:
+        np.ldexp(gv, e, out=gv)
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
-    stack = np.empty((2 * m, g.shape[1]))
+    stack = np.empty((2 * m, width))
     energy = _energy(g, out=stack[:m])
     # V1: the K increments |g_{k+1} - g_k|^2 plus the terminal jump |g_K|^2
     screen, d_im = stack[m:], g.imag[1:] - g.imag[:-1]
@@ -278,8 +287,8 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
                 break
             if vals.get(k, 0.0) > best:
                 best, arg = vals[k], float(lam[k])
-    return NormReport("xs", float(s), band.start, band.stop - 1, best, arg,
-                      _out_of_band(grid, path.spectral_matrix[0], band))
+    return NormReport("xs", float(s), band.start, band.stop - 1, float(np.ldexp(best, -e)),
+                      arg, _out_of_band(grid, path.spectral_matrix[0], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:

@@ -220,6 +220,18 @@ class TestPath:
                        * np.abs(p.values_matrix) ** q)) ** (1 / q)
         assert mixed_norm(p, q, q) == pytest.approx(flat, rel=1e-12)
 
+    def test_mixed_norm_sup_in_space_is_max_abs(self, small_grid):
+        # the sup over space is max |u| of each snapshot bit for bit, also
+        # where troughs are deeper than crests, and +0.0 on the zero path
+        g = small_grid
+        rows = np.random.default_rng(5).standard_normal((g.num_steps + 1, g.num_points))
+        rows[:, 7] = -10.0 - np.arange(g.num_steps + 1)
+        w = time_weights(g)
+        for p in (Path(g, [Field.from_values(g, r) for r in rows]), Path.zero(g)):
+            sup = np.abs(p.values_matrix).max(axis=1)
+            assert repr(mixed_norm(p, np.inf, np.inf)) == repr(float(sup.max()))
+            assert mixed_norm(p, 2.0, np.inf) == float(np.sum(w * sup ** 2.0) ** 0.5)
+
     def test_mixed_norm_rejects_bad_exponent(self, small_grid):
         p = Path.zero(small_grid)
         with pytest.raises(ValueError):

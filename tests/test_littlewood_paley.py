@@ -273,6 +273,48 @@ def test_band_sums_match_per_band_loops(n):
         assert any(lp.band_row(g, z)[1].size == 1 for z in band)
 
 
+def _band_sums_every_block(g, band, x):
+    # band_sums without the support rule: every block the band reaches
+    bank = lp._bank(g.domain_length, g.num_points)
+    idx = np.asarray(band, dtype=np.int64) - bank.z0
+    out = np.zeros((x.shape[0], idx.size))
+    at = np.searchsorted(idx, bank.edges)
+    for b in np.flatnonzero(at[1:] > at[:-1]):
+        lo, blk, _ = bank.block(b)
+        w = blk[idx[at[b]:at[b + 1]] - bank.edges[b]] ** 2
+        out[:, at[b]:at[b + 1]] = x[:, lo:lo + w.shape[1]] @ w.T
+    return out
+
+
+@pytest.mark.parametrize("n", [1024, 16384, 131072])
+@pytest.mark.parametrize("support", ["inside", "bin1", "zero"])
+def test_band_sums_read_only_the_support(n, support, monkeypatch):
+    # rows zero outside bins a .. e - 1: the sums are those over every block
+    # bit for bit, no block whose window misses a .. e - 1 is read, and rows
+    # cut at reach() give the same sums
+    g = GridSpec(400.0, n, 0.05, 12)
+    band = lp.default_band(g)
+    bank = lp._bank(400.0, n)
+    k = bank.start.size // 2
+    a, e = {"inside": (bank.start[k // 2] + 1, (bank.start[k] + bank.stop[k]) // 2),
+            "bin1": (1, 2), "zero": (0, 0)}[support]
+    x = np.zeros((3, n // 2))
+    x[:, a:e] = np.random.default_rng(n).random((3, e - a))
+    subset = band[::7]
+    want = [_band_sums_every_block(g, zs, x) for zs in (band, subset)]
+    read = []
+    block = lp._Bank.block
+    monkeypatch.setattr(lp._Bank, "block", lambda self, b: read.append(b) or block(self, b))
+    for zs, w in zip((band, subset), want):
+        got = lp.band_sums(g, zs, x)
+        assert got.tobytes() == w.tobytes()
+        assert lp.band_sums(g, zs, x[:, :lp.reach(g, x)]).tobytes() == w.tobytes()
+    meets = (bank.stop > a) & (bank.start < e)
+    assert set(read) == set(np.flatnonzero(meets).tolist())
+    assert lp.reach(g, x) == max(e, bank.stop[bank.start < e].max(initial=0))
+    assert support != "inside" or e < lp.reach(g, x) < n // 2
+
+
 @pytest.mark.parametrize("n", [1024, 16384])
 def test_band_rows_are_views_into_their_blocks(n):
     g = GridSpec(200.0, n, 0.05, 20)

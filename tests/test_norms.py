@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gkdvlab import airy, norms
 from gkdvlab import littlewood_paley as lp
 from gkdvlab.airy import phase_matrix
+from gkdvlab.estimates import annulus_field, flat_field
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
 from gkdvlab.picard import picard_step
 from gkdvlab.variation import SampledPath, vp_norm
@@ -233,6 +234,36 @@ class TestXs:
         # vp_batch also runs the DP bound; the exact solves alone still
         # span several chunks
         assert len(solved) > 3
+
+    @pytest.mark.parametrize("kind", ["flat3", "flat25", "annulus", "zero"])
+    def test_band_limited_paths_match_exhaustive(self, kind):
+        # rows zero above a few bins: xs_report reads only the bins its band
+        # sums reach, and value and argmax are still the exhaustive ones, on
+        # a free path (constant pullback) and on its Duhamel integral (a line)
+        grid = GridSpec(100.0, 2048, 0.01, 12)
+        rng = np.random.default_rng(41)
+        phi = {"flat3": lambda: flat_field(grid, 3, rng),
+               "flat25": lambda: flat_field(grid, 25, rng),
+               "annulus": lambda: annulus_field(grid, 110, rng),
+               "zero": lambda: Field.zero(grid)}[kind]()
+        assert lp.reach(grid, phi.coefficients[None, :]) < grid.num_points // 4
+        for path in (airy.free_solution(phi), airy.duhamel(airy.free_solution(phi))):
+            best, arg = self._exhaustive(path, 0.1)
+            rep = norms.xs_report(path, 0.1)
+            assert rep.value == pytest.approx(best, rel=1e-12)
+            assert rep.argmax_scale == arg
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-170, 1e160])
+    def test_scaled_path_matches_unscaled(self, small_grid, c):
+        # band V2 values near 1e-160 come from subnormal squares and |g|^2
+        # overflows near 1e154 unless the pullback is scaled by a power of two
+        rng = np.random.default_rng(43)
+        path = airy.duhamel(airy.free_solution(random_field(small_grid, rng, decay=1.0)))
+        ref = norms.xs_report(path, 0.1)
+        rep = norms.xs_report(Path.from_spectral_matrix(
+            small_grid, c * path.spectral_matrix), 0.1)
+        assert rep.value / c == pytest.approx(ref.value, rel=1e-12)
+        assert rep.argmax_scale == ref.argmax_scale
 
     @staticmethod
     def _picard_difference(grid):
