@@ -590,8 +590,8 @@ def l6_smallness_report(phi: Field, T: float, p: float,
     band = lp.default_band(grid)
     L = grid.domain_length
     # L6 <= T^{1/6} Linf^{2/3} L2^{1/3} and Linf <= sqrt(n/L) L2
-    entries = []
-    for z, dn in zip(band, np.sqrt(lp.band_energies(f, band))):
+    entries, (energies, e) = [], lp.band_energies(f, band)
+    for z, dn in zip(band, np.ldexp(np.sqrt(energies), -e)):
         if dn != 0.0:
             lam, nz = lp.scale_value(z), 2 * lp.band_row(grid, z)[1].size
             entries.append((lam ** (1.0 / 6.0 + ci.s_p) * T ** (1.0 / 6.0)

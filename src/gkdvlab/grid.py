@@ -36,6 +36,10 @@ NORMALIZATION_TAG = "coeff=dft/N;parseval=L*sum|c|^2;nyquist=projected"
 
 _ROUNDTRIP_TOL = 1e-12
 
+# least length M of mixed_norm's short transforms, which cost per call: at N = 131072,
+# K = 12 a mean-only sup takes 26 ms at M = 2, 11 ms at M = 256, 21 ms by the full transform
+_SUP_MIN_POINTS = 256
+
 
 class GridError(ValueError):
     """Invalid grid parameters or mismatched grids."""
@@ -152,10 +156,30 @@ def to_spectrum(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite(c: np.ndarray) -> np.ndarray:
-    """c itself; NaN/inf is refused."""
-    if not np.all(np.isfinite(c)):
+    """c itself; NaN/inf is refused (a contiguous complex c on its float view, twice as fast)."""
+    v = c.view(np.float64) if c.dtype == np.complex128 and c.flags.c_contiguous else c
+    if not np.all(np.isfinite(v)):
         raise NonFiniteFieldError("coefficients contain NaN or inf")
     return c
+
+
+def _support_end(x: np.ndarray) -> int:
+    """1 + the last nonzero column of x (0 if none); a nonzero top costs O(rows)."""
+    end, w = x.shape[1], 1
+    while end and not x[:, max(end - w, 0):end].any():
+        end, w = max(end - w, 0), 2 * w
+    nz = np.flatnonzero(x[:, max(end - w, 0):end].any(axis=0))
+    return max(end - w, 0) + int(nz[-1]) + 1 if nz.size else 0
+
+
+def _unit_scaled(c: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(c 2^e, e): e = 0 (c itself) while the largest real or imaginary part
+    of complex c lies in [2^-256, 2^256], else that part of c 2^e lies in
+    [1/2, 1), where its squares neither under- nor overflow."""
+    v = np.ascontiguousarray(c).view(np.float64)
+    top = float(max(v.max(initial=0.0), -v.min(initial=0.0)))
+    e = 0 if 2.0 ** -256 <= top <= 2.0 ** 256 else -int(np.frexp(top)[1])
+    return (np.ldexp(v, e).view(np.complex128), e) if e else (c, 0)
 
 
 def _real_spectra(grid: GridSpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -423,17 +447,28 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     """L^{q_time}_t L^{q_space}_x norm over [0, T] x the cell.
 
     Inner spatial norm per snapshot (rectangle weight L/N), outer temporal
-    norm with trapezoid weights; q = inf takes sups.
+    norm with trapezoid weights; q = inf takes sups. With e the end of the
+    spectra (1 + their last nonzero bin) and M the least power of two, at
+    least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i} (r = N/M)
+    are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N):
+    the sup in space runs them in one batch if r >= 2, else reads the values.
     """
     for q in (q_time, q_space):
         if q != np.inf and not (float(q) >= 1):
             raise ValueError("exponents must lie in [1, inf]")
-    vm, grid = path.values_matrix, path.grid
+    grid, c, n = path.grid, path.spectral_matrix, path.grid.num_points
     if q_space == np.inf:
+        e = max(_support_end(c), 1)
+        m = max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
+        if n // m >= 2:  # k a reduced mod N in integers: the angles are exact
+            ka = np.outer(np.arange(n // m), np.arange(e)) % n
+            vm = to_samples(c[:, None, :e] * np.exp(ka * (2j * np.pi / n)), m).reshape(len(c), -1)
+        else:
+            vm = path.values_matrix
         spatial = np.maximum(np.abs(vm.max(axis=1)), np.abs(vm.min(axis=1)))
     else:
         qs = float(q_space)
-        spatial = (grid.weight * np.sum(np.abs(vm) ** qs, axis=1)) ** (1.0 / qs)
+        spatial = (grid.weight * np.sum(np.abs(path.values_matrix) ** qs, axis=1)) ** (1.0 / qs)
     if q_time == np.inf:
         return float(spatial.max())
     qt = float(q_time)

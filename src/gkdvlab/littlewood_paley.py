@@ -45,7 +45,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .grid import Field, GridSpec, apply_multiplier
+from .grid import Field, GridSpec, _support_end, _unit_scaled, apply_multiplier
 
 BASE = 1.01
 
@@ -220,15 +220,6 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
-def _support_end(x: np.ndarray) -> int:
-    """1 + the last nonzero column of x (0 if none); a nonzero top costs O(rows)."""
-    end, w = x.shape[1], 1
-    while end and not x[:, max(end - w, 0):end].any():
-        end, w = max(end - w, 0), 2 * w
-    nz = np.flatnonzero(x[:, max(end - w, 0):end].any(axis=0))
-    return max(end - w, 0) + int(nz[-1]) + 1 if nz.size else 0
-
-
 def reach(grid: GridSpec, x: np.ndarray) -> int:
     """Bins of x band_sums reads: through each block window starting by x's last nonzero."""
     bank, end = _bank(grid.domain_length, grid.num_points), _support_end(x)
@@ -269,10 +260,12 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
     return _spread(grid, [band_row(grid, z, kind)])
 
 
-def band_energies(f: Field, band: Iterable[int]) -> np.ndarray:
-    """||P_z f||_{L2}^2 for each z of an ascending band, in one band_sums over f's support."""
-    c2 = f.grid.bin_weights * np.abs(f.coefficients) ** 2
-    return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0]
+def band_energies(f: Field, band: Iterable[int]) -> Tuple[np.ndarray, int]:
+    """(||P_z 2^e f||_{L2}^2 for each z of an ascending band, e), in one
+    band_sums over f's support; 2^e as grid._unit_scaled sets it."""
+    c, e = _unit_scaled(f.coefficients)
+    c2 = f.grid.bin_weights * np.abs(c) ** 2
+    return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0], e
 
 
 # ----------------------------------------------------------------- projections
@@ -368,6 +361,8 @@ def mean_mode(f: Field) -> Field:
 def coverage_rows(f: Field, band: Iterable[int]) -> List[Tuple[int, float, float]]:
     """(z, lam, fraction of ||f||^2 captured by band z) rows for reporting."""
     band = list(band)
-    total = f.grid.domain_length * float(np.abs(f.coefficients) ** 2 @ f.grid.bin_weights)
+    caps, e = band_energies(f, band)
+    c2 = np.ldexp(np.abs(f.coefficients), e) ** 2
+    total = f.grid.domain_length * float(c2 @ f.grid.bin_weights)
     return [(z, scale_value(z), float(cap) / total if total > 0 else 0.0)
-            for z, cap in zip(band, band_energies(f, band))]
+            for z, cap in zip(band, caps)]

@@ -31,9 +31,9 @@ _ABS_FLOOR = 1e-300  # keeps 0**0 away from the power kernels
 
 
 def _power(a: np.ndarray, e: float) -> np.ndarray:
-    """a ** e as a new array, for a > 0 and e >= 0: by squarings of a in
-    place and products when e is a whole number (x^4 is (x^2)^2), starting
-    from a copy of the first factor, by the general float pow otherwise."""
+    """a ** e for a > 0 and e >= 0, in a itself or a new array: by squarings
+    of a in place and products when e is a whole number (x^4 is (x^2)^2), from
+    a copy of the first factor unless it is the only one; by float pow otherwise."""
     if not float(e).is_integer():
         return a ** e
     n, out = int(e), None
@@ -42,7 +42,7 @@ def _power(a: np.ndarray, e: float) -> np.ndarray:
     while n:
         if n & 1:
             if out is None:
-                out = a.copy()
+                out = a if n == 1 else a.copy()
             else:
                 out *= a
         n >>= 1
@@ -78,7 +78,8 @@ class PowerLaw:
         np.maximum(ax, _ABS_FLOOR, out=ax)
         even = order % 2 == 0
         out = _power(ax, self.p - order - even)
-        out *= self.coefficients[order]
+        if self.coefficients[order] != 1.0:
+            out *= self.coefficients[order]
         if even:
             out *= x
         return out[()]  # a scalar for a scalar x

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from .airy import phase_matrix
-from .grid import Field, GridSpec, Path
+from .grid import Field, GridSpec, Path, _unit_scaled
 from .io import canonical_json
 from .variation import distances, vp_batch
 
@@ -83,7 +83,7 @@ def out_of_band_fraction(f: Field, band) -> float:
 def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
     """out_of_band_fraction of the field whose stored bins are coeffs."""
     band = _resolve_band(grid, band)
-    c2 = grid.bin_weights * np.abs(coeffs) ** 2
+    c2 = grid.bin_weights * np.abs(_unit_scaled(coeffs)[0]) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
@@ -92,20 +92,23 @@ def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
     return resid / total
 
 
-def _band_terms(f: Field, s: float, band: range, q: float):
-    """(lam_z^s ||P_z f||_{L2})^q over the band; lam of the first top one if > 0."""
+def _band_report(name: str, f: Field, s: float, band, q: float) -> NormReport:
+    """lam_z^s ||P_z f||_{L2} over the band: their sup if q = 1, their l2 sum
+    if q = 2; the argmax is the lam of the first top term, if it is > 0."""
+    band = _resolve_band(f.grid, band)
     lam = lp.scale_values(band)
-    terms = (lam ** s * np.sqrt(lp.band_energies(f, band))) ** q
+    energies, e = lp.band_energies(f, band)  # of 2^e f
+    terms = (lam ** s * np.sqrt(energies)) ** q
     k = int(np.argmax(terms)) if terms.size else 0
-    return terms, float(lam[k]) if terms.size and terms[k] > 0 else None
+    value = terms.max(initial=0.0) if q == 1 else np.sqrt(terms.sum())
+    return NormReport(name, float(s), band.start, band.stop - 1, float(np.ldexp(value, -e)),
+                      float(lam[k]) if terms.size and terms[k] > 0 else None,
+                      out_of_band_fraction(f, band))
 
 
 def besov_report(f: Field, s: float, band=None) -> NormReport:
     """sup over band scales of lam^s ||P_z f||_{L2}, with argmax."""
-    band = _resolve_band(f.grid, band)
-    terms, arg = _band_terms(f, s, band, 1)
-    return NormReport("besov", float(s), band.start, band.stop - 1,
-                      float(terms.max(initial=0.0)), arg, out_of_band_fraction(f, band))
+    return _band_report("besov", f, s, band, 1)
 
 
 def besov_norm(f: Field, s: float, band=None) -> float:
@@ -114,10 +117,7 @@ def besov_norm(f: Field, s: float, band=None) -> float:
 
 def sobolev_report(f: Field, s: float, band=None) -> NormReport:
     """l2 over band scales of lam^s ||P_z f||_{L2}; argmax is the top term."""
-    band = _resolve_band(f.grid, band)
-    terms, arg = _band_terms(f, s, band, 2)
-    return NormReport("sobolev", float(s), band.start, band.stop - 1,
-                      float(np.sqrt(terms.sum())), arg, out_of_band_fraction(f, band))
+    return _band_report("sobolev", f, s, band, 2)
 
 
 def sobolev_norm(f: Field, s: float, band=None) -> float:
@@ -217,14 +217,8 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
     width = lp.reach(grid, path.spectral_matrix)  # no band sum reads past it
-    g = path.spectral_matrix[:, :width] * phase_matrix(grid, -1)[:, :width]
-    m, gv = g.shape[0], g.view(np.float64)
-    # squares of parts this far from 1 lose bits to underflow or overflow:
-    # scale g by 2^e, its largest part then in [1/2, 1), and divide 2^e out
-    top = float(max(gv.max(initial=0.0), -gv.min(initial=0.0)))
-    e = 0 if 2.0 ** -256 <= top <= 2.0 ** 256 else -int(np.frexp(top)[1])
-    if e:
-        np.ldexp(gv, e, out=gv)
+    g, e = _unit_scaled(path.spectral_matrix[:, :width] * phase_matrix(grid, -1)[:, :width])
+    m = g.shape[0]
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
     stack = np.empty((2 * m, width))
     energy = _energy(g, out=stack[:m])

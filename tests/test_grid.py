@@ -93,6 +93,18 @@ class TestTransform:
         with pytest.raises(NonFiniteFieldError):
             Field.from_values(small_grid, v)
 
+    def test_finite_check_reads_every_part_in_any_layout(self):
+        from gkdvlab.grid import _finite
+        # a contiguous complex array is tested on its float view, others as is
+        c = np.zeros((3, 8), dtype=np.complex128)
+        views = (c, c[:, ::2], c.T)
+        assert all(_finite(v) is v for v in views)
+        for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+            c[2, 6] = bad
+            for v in views:
+                with pytest.raises(NonFiniteFieldError):
+                    _finite(v)
+
     def test_nyquist_mode_projected_out(self, small_grid):
         v = np.cos(np.pi * np.arange(small_grid.num_points))  # pure Nyquist
         f = Field.from_values(small_grid, v)
@@ -231,6 +243,66 @@ class TestPath:
             sup = np.abs(p.values_matrix).max(axis=1)
             assert repr(mixed_norm(p, np.inf, np.inf)) == repr(float(sup.max()))
             assert mixed_norm(p, 2.0, np.inf) == float(np.sum(w * sup ** 2.0) ** 0.5)
+
+    @pytest.mark.parametrize("min_points", [None, 2])
+    @pytest.mark.parametrize("n", [8, 1024, 131072])
+    def test_mixed_norm_sup_in_space_from_the_support(self, n, min_points, monkeypatch):
+        # narrow spectra take the sup from short twisted transforms, at the
+        # default floor on their length and at none; it agrees with max |u|
+        # to 5.7e-16 relative (the largest drift seen), troughs deeper than crests
+        from gkdvlab import grid as grid_mod
+        if min_points:
+            monkeypatch.setattr(grid_mod, "_SUP_MIN_POINTS", min_points)
+        g = GridSpec(10.0, n, 0.1, 3)
+        w = time_weights(g)
+        rng = np.random.default_rng(n)
+        for e in sorted({0, 1, 2, n // 8, n // 4, n // 4 + 1}):
+            c = np.zeros((g.num_steps + 1, n // 2), dtype=np.complex128)
+            c[:, :e] = rng.standard_normal((4, e)) + 1j * rng.standard_normal((4, e))
+            c[:, :e] -= 3.0 * np.sqrt(e)  # a trough at x = 0
+            c[:, 0] = c[:, 0].real
+            p = Path.from_spectral_matrix(g, c)
+            vm = grid_mod.to_samples(c, n)
+            sup = np.abs(vm).max(axis=1)
+            if e == 0:
+                assert repr(mixed_norm(p, np.inf, np.inf)) == "0.0"
+                assert repr(mixed_norm(p, 2.0, np.inf)) == "0.0"
+                continue
+            assert -vm.min() > vm.max()
+            assert mixed_norm(p, np.inf, np.inf) == pytest.approx(sup.max(), rel=1e-14)
+            assert mixed_norm(p, 2.0, np.inf) == pytest.approx(
+                float(np.sum(w * sup ** 2.0) ** 0.5), rel=1e-14)
+            m = max(grid_mod._SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
+            assert (p._vmat is None) == (n // m >= 2)  # no values built if r >= 2
+
+    def test_mixed_norm_sup_does_not_depend_on_read_values(self):
+        g = GridSpec(50.0, 1024, 0.05, 8)  # 20 bins: r = 4 short transforms
+        c = np.zeros((g.num_steps + 1, g.num_points // 2), dtype=np.complex128)
+        c[:, :20] = np.random.default_rng(8).standard_normal((g.num_steps + 1, 20))
+        a, b = (Path.from_spectral_matrix(g, c) for _ in range(2))
+        for p, q in ((a, b), (a + a * 0.5, b + b * 0.5)):
+            q.values_matrix  # q's values are built, p's are not
+            assert repr(mixed_norm(p, np.inf, np.inf)) == repr(mixed_norm(q, np.inf, np.inf))
+            assert repr(mixed_norm(p, 3.0, np.inf)) == repr(mixed_norm(q, 3.0, np.inf))
+
+    def test_mixed_norm_sup_of_low_pass_runs_no_full_transform(self, monkeypatch):
+        # the bernstein low-pass path at bin 580: nonzero on 581 bins of 65536
+        from gkdvlab import grid as grid_mod
+        from gkdvlab.airy import free_solution
+        from gkdvlab.estimates import _project_path, flat_field
+
+        lengths = []
+        real = grid_mod.to_samples
+        monkeypatch.setattr(grid_mod, "to_samples",
+                            lambda c, m: lengths.append(m) or real(c, m))
+        g = GridSpec(400.0, 131072, 1e-3, 12)  # verify_bernstein_linfty's grid
+        phi = flat_field(g, 580, np.random.default_rng(3))
+        low = _project_path(free_solution(phi), 222, "leq")  # the op's z at bin 580
+        lengths.clear()
+        sup = mixed_norm(low, np.inf, np.inf)
+        assert lengths == [2048] and low._vmat is None
+        want = np.abs(real(low.spectral_matrix, g.num_points)).max()
+        assert sup == pytest.approx(want, rel=1e-14)
 
     def test_mixed_norm_rejects_bad_exponent(self, small_grid):
         p = Path.zero(small_grid)

@@ -109,6 +109,24 @@ class TestSobolev:
     def test_zero_field(self, small_grid):
         assert norms.sobolev_norm(Field.zero(small_grid), 0.1) == 0.0
 
+    @pytest.mark.parametrize("c", [1e160, 1e-170])
+    def test_scaled_field_matches_unscaled(self, c):
+        # squared coefficients overflow near 1e160 and underflow near 1e-170
+        # unless the coefficients are first scaled by a power of two
+        g = GridSpec(50.0, 128, 0.05, 12)
+        f = random_field(g, np.random.default_rng(0), decay=1.0)
+        fc = Field.from_coefficients(g, c * f.coefficients)
+        for report in (norms.besov_report, norms.sobolev_report):
+            ref, rep = report(f, 0.1), report(fc, 0.1)
+            assert rep.value / c == pytest.approx(ref.value, rel=1e-13)
+            assert rep.argmax_scale == ref.argmax_scale
+            assert rep.out_of_band_fraction == pytest.approx(ref.out_of_band_fraction, rel=1e-13)
+        ref, rep = (norms.xs_report(airy.free_solution(h), 0.1) for h in (f, fc))
+        assert rep.out_of_band_fraction == pytest.approx(ref.out_of_band_fraction, rel=1e-13)
+        band = lp.default_band(g)
+        for got, want in zip(lp.coverage_rows(fc, band), lp.coverage_rows(f, band)):
+            assert got[2] == pytest.approx(want[2], rel=1e-13)
+
     def test_besov_below_sobolev(self, small_grid):
         rng = np.random.default_rng(100)
         for _ in range(100):
