@@ -361,8 +361,8 @@ def mean_mode(f: Field) -> Field:
 def coverage_rows(f: Field, band: Iterable[int]) -> List[Tuple[int, float, float]]:
     """(z, lam, fraction of ||f||^2 captured by band z) rows for reporting."""
     band = list(band)
-    caps, e = band_energies(f, band)
-    c2 = np.ldexp(np.abs(f.coefficients), e) ** 2
+    caps, _ = band_energies(f, band)
+    c2 = np.abs(_unit_scaled(f.coefficients)[0]) ** 2
     total = f.grid.domain_length * float(c2 @ f.grid.bin_weights)
     return [(z, scale_value(z), float(cap) / total if total > 0 else 0.0)
             for z, cap in zip(band, caps)]

@@ -5,15 +5,17 @@ and each source tree given, a fresh process runs one bernstein op at that
 bin (caches filled), then times in CPU seconds (time.process_time):
 
 - `mixed_norm(low, inf, inf)` of a new low-pass path per call, the median
-  of --calls calls (`low` is `_project_path(free_solution(phi), z, "leq")`
+  of CALLS calls (`low` is `_project_path(free_solution(phi), z, "leq")`
   for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op);
-- the whole op at that bin, the median of --ops ops;
+- the whole op at that bin, the median of OPS ops;
 
 and reports the process's peak RSS (ru_maxrss). Processes alternate
-between the trees; each list in a row holds the sorted values of --procs
+between the trees; each list in a row holds the sorted values of PROCS
 processes. OPENBLAS_NUM_THREADS is pinned to 1 in every child.
 
     python tools/layer_rows.py parent=/path/to/parent/checkout change=.
+
+takes the trees as LABEL=PATH and the bins from --bins (default: all ten).
 
 prints one JSON list of rows, one per (bin, tree), in BENCH_*.json form.
 """
@@ -30,6 +32,7 @@ import time
 
 BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
 GRID = (400.0, 131072, 1e-3, 12)
+PROCS, CALLS, OPS = 3, 7, 5
 
 
 def _median(xs):
@@ -37,7 +40,7 @@ def _median(xs):
     return xs[len(xs) // 2]
 
 
-def measure(top_bin: int, calls: int, ops: int) -> dict:
+def measure(top_bin: int) -> dict:
     """One bin's timings in this process (gkdvlab importable)."""
     import math
 
@@ -53,13 +56,13 @@ def measure(top_bin: int, calls: int, ops: int) -> dict:
     op()
     path = free_solution(estimates.flat_field(g, top_bin, np.random.default_rng(top_bin)))
     sup_s = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         low = estimates._project_path(path, z, "leq")
         t = time.process_time()
         grid.mixed_norm(low, np.inf, np.inf)
         sup_s.append(time.process_time() - t)
     op_s = []
-    for _ in range(ops):
+    for _ in range(OPS):
         t = time.process_time()
         op()
         op_s.append(time.process_time() - t)
@@ -69,31 +72,29 @@ def measure(top_bin: int, calls: int, ops: int) -> dict:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("trees", nargs="+", help="LABEL=PATH or PATH of a source checkout")
+    ap.add_argument("trees", nargs="+", help="LABEL=PATH of a source checkout")
     ap.add_argument("--bins", default=",".join(map(str, BINS)))
-    ap.add_argument("--procs", type=int, default=3)
-    ap.add_argument("--calls", type=int, default=7)
-    ap.add_argument("--ops", type=int, default=5)
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if not all("=" in t for t in args.trees):
+        ap.error("trees are given as LABEL=PATH")
+    trees = [t.split("=", 1) for t in args.trees]
     if args.child is not None:
         import gkdvlab
-        tree = os.path.join(os.path.abspath(args.trees[0]), "src")
+        tree = os.path.join(os.path.abspath(trees[0][1]), "src")
         if not os.path.abspath(gkdvlab.__file__).startswith(tree + os.sep):
             raise SystemExit(f"gkdvlab imported from {gkdvlab.__file__}, not {tree}")
-        print(json.dumps(measure(args.child, args.calls, args.ops)))
+        print(json.dumps(measure(args.child)))
         return
-    trees = [t.split("=", 1) if "=" in t else (os.path.basename(os.path.abspath(t)), t)
-             for t in args.trees]
     got = {}
-    for k in range(args.procs):
+    for k in range(PROCS):
         for top_bin in map(int, args.bins.split(",")):
             for label, path in (trees if k % 2 == 0 else trees[::-1]):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                            PYTHONPATH=os.path.join(os.path.abspath(path), "src"))
                 out = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), path, "--child", str(top_bin),
-                     "--calls", str(args.calls), "--ops", str(args.ops)],
+                    [sys.executable, os.path.abspath(__file__), f"{label}={path}",
+                     "--child", str(top_bin)],
                     env=env, check=True, capture_output=True, text=True).stdout
                 got.setdefault((top_bin, label), []).append(json.loads(out))
     rows = [{"grid": [GRID[0], GRID[1], GRID[3]], "cutoff_bin": b, "side": label,
