@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, GridSpec, Path, apply_multiplier
+from .grid import Field, GridMismatchError, GridSpec, Path, _support_end, apply_multiplier
 
 _PHASE_CACHE_LIMIT = 1 << 23  # do not retain phase tables with (K+1)*N above this
 
@@ -55,8 +55,14 @@ def free_solution(phi: Field, grid: GridSpec | None = None) -> Path:
     g = phi.grid if grid is None else grid
     if g != phi.grid:
         raise GridMismatchError("initial data lives on a different grid")
-    cmat = phase_matrix(g, +1) * phi.coefficients[None, :]
-    return Path._adopt(g, cmat)
+    return free_path(g, phi.coefficients[:_support_end(phi.coefficients[None, :])])
+
+
+def free_path(g: GridSpec, c: np.ndarray) -> Path:
+    """Path of S(t_k) phi for the real phi whose stored bins are c, zero from c.size on."""
+    cmat = np.zeros((g.num_steps + 1, g.num_points // 2), dtype=np.complex128)
+    np.multiply(phase_matrix(g, +1)[:, :c.size], c, out=cmat[:, :c.size])
+    return Path._adopt(g, cmat, c.size)
 
 
 def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:

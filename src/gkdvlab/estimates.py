@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import littlewood_paley as lp
-from .airy import free_solution
+from .airy import free_path, free_solution
 from .grid import (Field, GridSpec, Path, l2_norm, mixed_norm, time_weights,
                    to_samples)
 from .io import canonical_json
@@ -126,15 +126,23 @@ def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
     the extremal profile of the height-vs-bandwidth inequality; random
     phases would blur the scaling with a sqrt(log) drift.
     """
-    top_bin = int(min(top_bin, grid.num_points // 2 - 1))
-    coeffs = np.zeros(grid.num_points // 2, dtype=np.complex128)
-    coeffs[1:top_bin + 1] = np.abs(rng.standard_normal(top_bin))
-    return Field.from_coefficients(grid, coeffs)
+    c = _flat_bins(grid, top_bin, rng)
+    return Field.from_coefficients(grid, np.pad(c, (0, grid.num_points // 2 - c.size)))
+
+
+def _flat_bins(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> np.ndarray:
+    """flat_field's stored bins 0 .. top_bin (those above are zero)."""
+    c = np.zeros(int(min(top_bin, grid.num_points // 2 - 1)) + 1, dtype=np.complex128)
+    c[1:] = np.abs(rng.standard_normal(c.size - 1))
+    return c
 
 
 def _project_path(path: Path, z: int, kind: str) -> Path:
-    sym = lp.symbol_array(path.grid, z, kind)
-    return Path._adopt(path.grid, path.spectral_matrix * sym[None, :])
+    start, row = lp.band_row(path.grid, z, kind)
+    end = max(start, min(path.spectral_end, start + row.size))
+    cmat = np.zeros(path.spectral_matrix.shape, dtype=np.complex128)
+    np.multiply(path.spectral_matrix[:, start:end], row[:end - start], out=cmat[:, start:end])
+    return Path._adopt(path.grid, cmat, end if end > start else 0)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -237,8 +245,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             lam_target = top_bin * grid.delta_xi
             z = int(round(math.log(lam_target) / math.log(lp.BASE)))
             lam = lp.scale_value(z)
-            phi = flat_field(grid, top_bin, rng)
-            path = free_solution(phi)
+            path = free_path(grid, _flat_bins(grid, top_bin, rng))
             low = _project_path(path, z, "leq")
             lhs = mixed_norm(low, np.inf, np.inf)
             xs = xs_norm(path, ci.s_p)
@@ -527,17 +534,15 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             specs = [(z2, "leq"), (z2, "leq"),
                      (z2, "leq" if case == "far" else "psi"),
                      (z3, "psi"), (z4, "psi"), (z5, "psi")]
-            masks = [lp.symbol_array(grid, z, kind) for z, kind in specs]
-            mask_u = lp.symbol_array(grid, zmu, "psi")
             if exact_zero_mode:
                 reach = sum(_mask_bins(grid, z, kind)[1] for z, kind in specs[1:])
                 if reach >= _mask_bins(grid, zmu, "psi")[0]:
                     raise ValueError(
                         "five-factor frequency reach meets the pairing band; "
                         "not an exact-zero configuration")
-            paths = [free_solution(f).spectral_matrix * m[None, :]
-                     for f, m in zip(fields, masks)]
-            path_u = free_solution(fu).spectral_matrix * mask_u[None, :]
+            paths = [_project_path(free_solution(f), z, kind).spectral_matrix
+                     for f, (z, kind) in zip(fields, specs)]
+            path_u = _project_path(free_solution(fu), zmu, "psi").spectral_matrix
             total = 0.0
             if exact_zero_mode:
                 for k in range(grid.num_steps + 1):

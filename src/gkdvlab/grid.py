@@ -156,8 +156,8 @@ def to_spectrum(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite(c: np.ndarray) -> np.ndarray:
-    """c itself; NaN/inf is refused (a contiguous complex c on its float view, twice as fast)."""
-    v = c.view(np.float64) if c.dtype == np.complex128 and c.flags.c_contiguous else c
+    """c itself; NaN/inf is refused (complex c with a contiguous last axis on its float view)."""
+    v = c.view(np.float64) if c.dtype == np.complex128 and c.strides[-1:] == (16,) else c
     if not np.all(np.isfinite(v)):
         raise NonFiniteFieldError("coefficients contain NaN or inf")
     return c
@@ -320,15 +320,18 @@ class Path:
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
     The state is the read-only (K+1) x N/2 matrix of stored bins, one row
-    per snapshot. The (K+1) x N matrix of sample values is built on its
-    first read and then kept, read-only: the inverse transform of the
-    spectra for a path built from them, and op(a.values_matrix,
-    b.values_matrix) for a path a + b, a - b or s * a, so every value is
-    bitwise what the same arithmetic on the snapshots gives. Arithmetic
-    acts on the spectra at once. `path[k]` is a Field view of row k.
+    per snapshot, and `spectral_end`, a bin from which every row is zero
+    (1 + the last nonzero one unless spectra cancel): stated by its maker
+    (a sum, difference or multiple takes its operands' greatest), else
+    found by one _support_end scan on first read. The (K+1) x N matrix of
+    sample values is built on its first read and then kept, read-only: the
+    inverse transform of the spectra for a path built from them, and
+    op(a.values_matrix, b.values_matrix) for a path a + b, a - b or s * a,
+    so every value is bitwise what the same arithmetic on the snapshots
+    gives. Arithmetic acts on the spectra at once. `path[k]` is a Field view of row k.
     """
 
-    __slots__ = ("grid", "_cmat", "_vmat", "_recipe")
+    __slots__ = ("grid", "_cmat", "_end", "_vmat", "_recipe")
 
     def __init__(self, grid: GridSpec, snapshots: Sequence[Field]):
         snaps = tuple(snapshots)
@@ -339,27 +342,28 @@ class Path:
         for s in snaps:
             if s.grid != grid:
                 raise GridMismatchError("snapshot grid differs from path grid")
-        self._fill(grid, np.stack([s.coefficients for s in snaps]),
+        self._fill(grid, np.stack([s.coefficients for s in snaps]), None,
                    np.stack, [s.values for s in snaps])
 
-    def _fill(self, grid: GridSpec, cmat: np.ndarray, *recipe) -> "Path":
-        """Path over cmat itself; its values are recipe[0](*recipe[1:]),
-        a Path among the arguments standing for its values."""
+    def _fill(self, grid: GridSpec, cmat: np.ndarray, end, *recipe) -> "Path":
+        """Path over cmat, zero from bin end on (None: unknown); its values are
+        recipe[0](*recipe[1:]), a Path among the arguments standing for its values."""
         cmat.flags.writeable = False
-        self.grid, self._cmat, self._vmat, self._recipe = grid, cmat, None, recipe
+        self.grid, self._cmat, self._end, self._vmat, self._recipe = grid, cmat, end, None, recipe
         return self
 
     @classmethod
-    def _wrap(cls, grid: GridSpec, cmat: np.ndarray, *recipe) -> "Path":
-        return cls.__new__(cls)._fill(grid, cmat, *recipe)
+    def _wrap(cls, grid: GridSpec, cmat: np.ndarray, end, *recipe) -> "Path":
+        return cls.__new__(cls)._fill(grid, cmat, end, *recipe)
 
     @classmethod
-    def _adopt(cls, grid: GridSpec, cmat: np.ndarray) -> "Path":
-        """Path over the complex spectra cmat, taken over without a copy:
-        for arrays their maker hands on and never touches again."""
+    def _adopt(cls, grid: GridSpec, cmat: np.ndarray, end=None) -> "Path":
+        """Path over the complex spectra cmat (zero from bin end on, if given),
+        taken over without a copy: for arrays their maker hands on and never touches again."""
         if cmat.shape != (grid.num_steps + 1, grid.num_points // 2):
             raise GridError("spectral matrix shape mismatch")
-        return cls._wrap(grid, _finite(cmat), to_samples, cmat, grid.num_points)
+        _finite(cmat[:, :end])
+        return cls._wrap(grid, cmat, end, to_samples, cmat, grid.num_points)
 
     @classmethod
     def from_spectral_matrix(cls, grid: GridSpec, cmat) -> "Path":
@@ -371,7 +375,7 @@ class Path:
     def zero(cls, grid: GridSpec) -> "Path":
         rows = grid.num_steps + 1
         return cls._wrap(grid, np.zeros((rows, grid.num_points // 2), dtype=np.complex128),
-                         np.zeros, (rows, grid.num_points))
+                         0, np.zeros, (rows, grid.num_points))
 
     @property
     def values_matrix(self) -> np.ndarray:
@@ -398,6 +402,11 @@ class Path:
     def spectral_matrix(self) -> np.ndarray:
         return self._cmat
 
+    @property
+    def spectral_end(self) -> int:
+        self._end = _support_end(self._cmat) if self._end is None else self._end
+        return self._end
+
     def __len__(self):
         return self._cmat.shape[0]
 
@@ -413,7 +422,8 @@ class Path:
             return NotImplemented
         if other.grid != self.grid:
             raise GridMismatchError("paths live on different grids")
-        return Path._wrap(self.grid, op(self._cmat, other._cmat), op, self, other)
+        return Path._wrap(self.grid, op(self._cmat, other._cmat),
+                          max(self.spectral_end, other.spectral_end), op, self, other)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -425,7 +435,8 @@ class Path:
         if not np.isscalar(scalar):
             return NotImplemented
         s = float(scalar)
-        return Path._wrap(self.grid, self._cmat * s, np.multiply, self, s)
+        end = self.spectral_end if np.isfinite(s) else None  # 0 * inf is NaN
+        return Path._wrap(self.grid, self._cmat * s, end, np.multiply, self, s)
 
     __rmul__ = __mul__
 
@@ -447,8 +458,8 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     """L^{q_time}_t L^{q_space}_x norm over [0, T] x the cell.
 
     Inner spatial norm per snapshot (rectangle weight L/N), outer temporal
-    norm with trapezoid weights; q = inf takes sups. With e the end of the
-    spectra (1 + their last nonzero bin) and M the least power of two, at
+    norm with trapezoid weights; q = inf takes sups. With e the path's
+    spectral_end (no scan if its maker stated it) and M the least power of two, at
     least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i} (r = N/M)
     are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N):
     the sup in space runs them in one batch if r >= 2, else reads the values.
@@ -458,7 +469,7 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
             raise ValueError("exponents must lie in [1, inf]")
     grid, c, n = path.grid, path.spectral_matrix, path.grid.num_points
     if q_space == np.inf:
-        e = max(_support_end(c), 1)
+        e = max(path.spectral_end, 1)
         m = max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
         if n // m >= 2:  # k a reduced mod N in integers: the angles are exact
             ka = np.outer(np.arange(n // m), np.arange(e)) % n

@@ -220,9 +220,10 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
-def reach(grid: GridSpec, x: np.ndarray) -> int:
-    """Bins of x band_sums reads: through each block window starting by x's last nonzero."""
-    bank, end = _bank(grid.domain_length, grid.num_points), _support_end(x)
+def reach(grid: GridSpec, x) -> int:
+    """Bins of x band_sums reads: through each block window starting by x's
+    last nonzero; x may be the rows or the end of their support."""
+    bank, end = _bank(grid.domain_length, grid.num_points), x if np.isscalar(x) else _support_end(x)
     return int(bank.stop[bank.start < end].max(initial=end))
 
 

@@ -210,13 +210,13 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     centring commutes with the band weights, so each band's Gram matrix is
     that of its own centred rows, built from one contiguous slice. Every bin
     a band covers has Parseval weight 2, so its sums carry the factor 2L.
-    All of it runs over the first lp.reach bins of the path, which hold
+    All of it runs over the first lp.reach bins of the path's spectral_end:
     every block window meeting its support, hence every band it can reach.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
-    width = lp.reach(grid, path.spectral_matrix)  # no band sum reads past it
+    width = lp.reach(grid, path.spectral_end)  # no band sum reads past it
     g, e = _unit_scaled(path.spectral_matrix[:, :width] * phase_matrix(grid, -1)[:, :width])
     m = g.shape[0]
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
@@ -314,4 +314,4 @@ def rescale(f: Field, m: int, p: float) -> Field:
 def rescale_path(path: Path, m: int, p: float) -> Path:
     """Snapshotwise critical rescaling; the grid's dt absorbs c^{-3}."""
     return Path._adopt(rescaled_grid(path.grid, m),
-                       _rescale_factor(m, p) * path.spectral_matrix)
+                       _rescale_factor(m, p) * path.spectral_matrix, path.spectral_end)

@@ -19,7 +19,7 @@ import numpy as np
 from .airy import duhamel_spectra, equation_defects, free_solution
 from .estimates import verify_l6_smallness
 from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
-                   Path, l2_norm)
+                   Path, l2_norm, to_samples)
 from .nonlinearity import power_spectra
 from .norms import besov_norm, critical_index, xs_norm
 
@@ -265,11 +265,8 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
                     c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         except NonFiniteFieldError:
             raise BlowUpError((k + 1) * grid.dt, math.inf) from None
-        snap = Field.from_coefficients(grid, c)
-        sup = float(np.abs(snap.values).max())
-        if not math.isfinite(sup):
-            raise BlowUpError((k + 1) * grid.dt, sup)
-        if ceiling > 0 and sup > ceiling:
+        sup = float(np.abs(to_samples(c, grid.num_points)).max())
+        if not math.isfinite(sup) or (ceiling > 0 and sup > ceiling):
             raise BlowUpError((k + 1) * grid.dt, sup)
         cmat[k + 1] = c
     return Path._adopt(grid, cmat)

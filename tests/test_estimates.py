@@ -79,6 +79,25 @@ class TestBernstein:
         assert abs(rep.slope - 0.5) <= 0.07
         assert np.isfinite(rep.worst_ratio)
 
+    def test_op_reads_only_the_reach_of_its_support(self, monkeypatch):
+        # bin 25 of 65536 stored bins: no NaN/inf check and no support scan
+        # of one op reads an array wider than lp.reach of the support end 26
+        from gkdvlab import airy, grid as grid_mod
+
+        def spy(real, seen):
+            return lambda x: seen.append(x.shape[-1]) or real(x)
+
+        widths = {"_support_end": [], "_finite": []}
+        for name, seen in widths.items():
+            wrapped = spy(getattr(grid_mod, name), seen)
+            for mod in (grid_mod, lp, airy):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, wrapped)
+        rep = est.verify_bernstein_linfty(est.TrialEnsemble(7, 1, schedule=(25,)), 5.0)
+        g = GridSpec(*rep.config["grid"])
+        assert g.num_points == 131072 and all(widths.values())
+        assert max(max(w) for w in widths.values()) <= lp.reach(g, 26) < g.num_points // 64
+
 
 class TestBilinear:
     def test_separation_decay(self):

@@ -435,6 +435,50 @@ class TestPath:
         assert np.array_equal(total.values_matrix[:, 0],
                               np.full(2, 10000 * one.values_matrix[0, 0]))
 
+    @pytest.mark.parametrize("data", ["flat", "annulus", "packet", "zero"])
+    def test_stated_spectral_end_is_the_support_end(self, data, tmp_path):
+        # every maker states 1 + the last nonzero bin, or a path finds it by
+        # a scan; only cancelling spectra (a - a) leave the end above it
+        from gkdvlab import io
+        from gkdvlab.airy import duhamel, free_path, free_solution
+        from gkdvlab.estimates import _project_path, annulus_field, flat_field
+        from gkdvlab.grid import _support_end
+        from gkdvlab.norms import rescale_path
+
+        g = GridSpec(400.0, 4096, 1.0 / 64, 12)
+        rng = np.random.default_rng(14)
+        if data == "flat":
+            phi = flat_field(g, 300, rng)
+        elif data == "annulus":
+            phi = annulus_field(g, 100, rng)  # bins 171 .. 344
+        elif data == "packet":  # the picard workload's packet: every bin nonzero
+            x = g.x - 180.0
+            phi = Field.from_values(g, 0.25 * np.exp(-(x / 1.5) ** 2) * np.cos(2.5 * x))
+        else:
+            phi = Field.zero(g)
+        c = phi.coefficients
+        free = free_solution(phi)
+        assert free._end is not None  # stated, not scanned
+        paths = {"free_solution": free, "zero": Path.zero(g),
+                 "free_path": free_path(g, c[:_support_end(c[None, :])]),
+                 "rescale_path": rescale_path(free, 40, 5.0)}
+        for z in (50, 100, 200, 300):  # symbols ending below, inside and above the data
+            for kind in ("leq", "psi"):
+                paths[f"{kind}{z}"] = _project_path(free, z, kind)
+        low = paths["leq50"]
+        paths.update({"sum": free + low, "difference": low - free, "multiple": 0.5 * low,
+                      "duhamel": duhamel(low), "snapshots": Path(g, list(free))})
+        io.save_path(free, tmp_path / "free.path")
+        paths["io load"] = io.load(tmp_path / "free.path")
+        with np.errstate(invalid="ignore"):
+            paths["times inf"] = low * np.inf  # 0 * inf is NaN: every bin is nonzero
+        for name, p in paths.items():
+            assert p.spectral_end == _support_end(p.spectral_matrix), name
+        assert (free.spectral_end == g.num_points // 2) == (data == "packet")
+        none = free - free
+        assert none.spectral_end == free.spectral_end and not none.spectral_matrix.any()
+        assert repr(mixed_norm(none, np.inf, np.inf)) == "0.0"
+
 
 class TestSerialization:
     def test_field_container_is_an_unknown_kind(self, tmp_path, small_grid):

@@ -343,6 +343,17 @@ class TestDirectSolve:
         assert exc.value.time > 0.0
         assert not math.isfinite(exc.value.sup) or exc.value.sup > 1e3
 
+    def test_overflow_in_the_last_combination_is_a_blow_up(self, small_grid, monkeypatch):
+        # finite power spectra whose RK4 combination overflows: the step's
+        # height is not finite, which is a blow-up, not a NaN/inf error
+        import gkdvlab.picard as picard_mod
+        big = 1e308 / small_grid.resolvable_max
+        monkeypatch.setattr(picard_mod, "power_spectra",
+                            lambda c, grid, p: np.full(c.shape, big, dtype=np.complex128))
+        with pytest.raises(BlowUpError) as exc:
+            direct_solve(seeded_profile(small_grid, 4, amplitude=0.1), 5.0)
+        assert exc.value.time == small_grid.dt and not math.isfinite(exc.value.sup)
+
     def test_horizon_rebase(self):
         sg = GridSpec(50.0, 256, 0.02, 25)
         phi = seeded_profile(sg, 4, amplitude=0.1)

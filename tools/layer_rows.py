@@ -1,4 +1,4 @@
-"""Layer rows of the bernstein shape: the sup in space of the low-pass path.
+"""Layer rows of the bernstein shape: the path layers and the sup in space.
 
 For each cutoff bin of `verify_bernstein_linfty` (L=400, N=131072, K=12)
 and each source tree given, a fresh process runs one bernstein op at that
@@ -7,6 +7,8 @@ bin (caches filled), then times in CPU seconds (time.process_time):
 - `mixed_norm(low, inf, inf)` of a new low-pass path per call, the median
   of CALLS calls (`low` is `_project_path(free_solution(phi), z, "leq")`
   for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op);
+- the path layers of the op: `free_solution(phi)`, `_project_path` of it
+  and its `xs_report`, one call each, the median of CALLS rounds;
 - the whole op at that bin, the median of OPS ops;
 
 and reports the process's peak RSS (ru_maxrss). Processes alternate
@@ -46,7 +48,7 @@ def measure(top_bin: int) -> dict:
 
     import numpy as np
 
-    from gkdvlab import estimates, grid, littlewood_paley as lp
+    from gkdvlab import estimates, grid, littlewood_paley as lp, norms
     from gkdvlab.airy import free_solution
 
     g = grid.GridSpec(*GRID)
@@ -54,7 +56,15 @@ def measure(top_bin: int) -> dict:
     op = lambda: estimates.verify_bernstein_linfty(  # noqa: E731
         estimates.TrialEnsemble(top_bin, 1, schedule=(top_bin,)), 5.0)
     op()
-    path = free_solution(estimates.flat_field(g, top_bin, np.random.default_rng(top_bin)))
+    phi = estimates.flat_field(g, top_bin, np.random.default_rng(top_bin))
+    s_p = norms.critical_index(5.0).s_p
+    layers_s = []
+    for _ in range(CALLS):
+        t = time.process_time()
+        path = free_solution(phi)
+        estimates._project_path(path, z, "leq")
+        norms.xs_report(path, s_p)
+        layers_s.append(time.process_time() - t)
     sup_s = []
     for _ in range(CALLS):
         low = estimates._project_path(path, z, "leq")
@@ -66,7 +76,7 @@ def measure(top_bin: int) -> dict:
         t = time.process_time()
         op()
         op_s.append(time.process_time() - t)
-    return {"sup_s": _median(sup_s), "op_s": _median(op_s),
+    return {"sup_s": _median(sup_s), "layers_s": _median(layers_s), "op_s": _median(op_s),
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
@@ -100,6 +110,7 @@ def main(argv=None) -> None:
     rows = [{"grid": [GRID[0], GRID[1], GRID[3]], "cutoff_bin": b, "side": label,
              "layer": "grid.mixed_norm(low, inf, inf) warm",
              "mixed_norm_warm_p50_s": sorted(round(r["sup_s"], 4) for r in runs),
+             "free_project_xs_warm_p50_s": sorted(round(r["layers_s"], 4) for r in runs),
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
              "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
             for (b, label), runs in got.items()]
