@@ -81,13 +81,13 @@ def out_of_band_fraction(f: Field, band) -> float:
 
 
 def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
-    """out_of_band_fraction of the field whose stored bins are coeffs."""
-    band = _resolve_band(grid, band)
-    c2 = grid.bin_weights * np.abs(_unit_scaled(coeffs)[0]) ** 2
+    """out_of_band_fraction of the field whose stored bins begin with coeffs (the rest zero)."""
+    band, e = _resolve_band(grid, band), coeffs.size
+    c2 = grid.bin_weights[:e] * np.abs(_unit_scaled(coeffs)[0]) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    mask = lp.partition_sum(grid, band)
+    mask = lp.partition_sum(grid, band)[:e]
     resid = float(np.sum((1.0 - mask) ** 2 * c2))
     return resid / total
 
@@ -282,7 +282,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
             if vals.get(k, 0.0) > best:
                 best, arg = vals[k], float(lam[k])
     return NormReport("xs", float(s), band.start, band.stop - 1, float(np.ldexp(best, -e)),
-                      arg, _out_of_band(grid, path.spectral_matrix[0], band))
+                      arg, _out_of_band(grid, path.spectral_matrix[0, :path.spectral_end], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:

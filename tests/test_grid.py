@@ -304,6 +304,106 @@ class TestPath:
         want = np.abs(real(low.spectral_matrix, g.num_points)).max()
         assert sup == pytest.approx(want, rel=1e-14)
 
+    @staticmethod
+    def _shifted_sup(c, n):
+        # the sup over space and time by every twisted short transform, as it
+        # was computed before the coarse screen
+        from gkdvlab import grid as grid_mod
+        e = max(grid_mod._support_end(c), 1)
+        m = max(256, 1 << (2 * e - 1).bit_length())
+        ka = np.outer(np.arange(n // m), np.arange(e)) % n
+        vm = grid_mod.to_samples(c[:, None, :e] * np.exp(ka * (2j * np.pi / n)), m)
+        vm = vm.reshape(len(c), -1)
+        return float(np.maximum(np.abs(vm.max(axis=1)), np.abs(vm.min(axis=1))).max())
+
+    @pytest.mark.parametrize("top_bin", [25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600])
+    def test_mixed_norm_sup_of_bernstein_data_from_one_coarse_transform(self, top_bin, monkeypatch):
+        # the op's low-pass path: one transform of the nodes, every other cell
+        # screened out or summed directly; bitwise the shifted transforms' sup
+        import math
+
+        from gkdvlab import grid as grid_mod
+        from gkdvlab import littlewood_paley as lp
+        from gkdvlab.airy import free_solution
+        from gkdvlab.estimates import _project_path, flat_field
+
+        g = GridSpec(400.0, 131072, 1e-3, 12)  # verify_bernstein_linfty's grid
+        z = int(round(math.log(top_bin * g.delta_xi) / math.log(lp.BASE)))
+        phi = flat_field(g, top_bin, np.random.default_rng(top_bin))
+        low = _project_path(free_solution(phi), z, "leq")
+        shapes, real = [], grid_mod.to_samples
+        monkeypatch.setattr(grid_mod, "to_samples",
+                            lambda c, m: shapes.append(c.shape[:-1] + (m,)) or real(c, m))
+        sup = mixed_norm(low, np.inf, np.inf)
+        e = low.spectral_end
+        m = max(256, 1 << (2 * e - 1).bit_length())
+        assert shapes == [(13, m)] and low._vmat is None  # 13 x 256 at bin 25
+        c = low.spectral_matrix
+        assert repr(sup) == repr(self._shifted_sup(c, g.num_points))
+        assert sup == pytest.approx(np.abs(real(c, g.num_points)).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["off_node", "trough", "mid_cell", "random", "mean",
+                                      "one_bin", "zero", "wide"])
+    def test_mixed_norm_sup_screen_refines_or_falls_back(self, case, monkeypatch):
+        # off_node: an aligned peak one fine point past every node (c_k
+        # exp(-2 pi i k/N)), which only the direct sums reach; trough: a deeper
+        # trough one point before every node, in the cell that ends there;
+        # mid_cell: row 0 peaks on node 0, the others 10% higher midway between
+        # nodes that lie below row 0's peak, so only the bound delta keeps them;
+        # random: random phases keep every cell, so the rows run the shifted
+        # transforms; mean: delta is 0; wide: e > N/4 reads the values
+        from gkdvlab import grid as grid_mod
+        g = GridSpec(50.0, 8192, 0.01, 3)
+        n, rows = g.num_points, g.num_steps + 1
+        rng = np.random.default_rng(16)
+        e = {"wide": n // 4 + 1, "mean": 1, "one_bin": 41, "zero": 0}.get(case, 100)
+        c = np.zeros((rows, n // 2), dtype=np.complex128)
+        if case in ("off_node", "trough", "mid_cell"):
+            shift = {"off_node": 1, "trough": -1, "mid_cell": n // 512}[case]  # r / 2 = 16
+            c[:, :e] = np.abs(rng.standard_normal((rows, e))) * np.exp(-2j * np.pi * np.arange(e) * shift / n)
+            c[:, 0] = 0.5
+            if case == "trough":
+                c[:, 1:] *= -1.0
+            if case == "mid_cell":
+                c[0], c[1:] = np.abs(c[0]), 1.1 * c[0]
+        elif case == "one_bin":
+            c[:, e - 1] = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        elif case != "zero":
+            c[:, :e] = rng.standard_normal((rows, e)) + 1j * rng.standard_normal((rows, e))
+            c[:, 0] = c[:, 0].real
+        p = Path.from_spectral_matrix(g, c)
+        calls, real = [], grid_mod.to_samples
+        monkeypatch.setattr(grid_mod, "to_samples", lambda v, m: calls.append(v.ndim) or real(v, m))
+        sup, vm = mixed_norm(p, np.inf, np.inf), real(c, n)
+        monkeypatch.undo()
+        if case == "zero":
+            assert repr(sup) == "0.0" and calls == [2]
+            return
+        assert sup == pytest.approx(np.abs(vm).max(), rel=1e-14)
+        assert sup == pytest.approx(self._shifted_sup(c, n), rel=1e-15, abs=0.0)
+        if case in ("off_node", "trough", "mid_cell"):
+            assert calls == [2] and p._vmat is None
+            assert sup > np.abs(vm[:, ::n // 256]).max()  # not a node's value
+            assert (-vm.min() > vm.max()) == (case == "trough")
+        elif case == "wide":
+            assert p._vmat is not None and repr(sup) == repr(float(np.abs(vm).max()))
+        elif case != "one_bin":  # the nodes or the shifted transforms set the sup
+            assert calls == ([2, 3] if case == "random" else [2])
+            assert repr(sup) == repr(self._shifted_sup(c, n))
+
+    def test_mixed_norm_takes_inf_as_string(self):
+        # "inf", np.inf and float("inf") are one exponent, in either place
+        g = GridSpec(50.0, 256, 0.05, 4)
+        f = Field.from_values(g, 3.0 * np.cos(2 * np.pi * g.x / g.domain_length))
+        p = Path(g, [f] * (g.num_steps + 1))
+        infs, sup = ("inf", np.inf, float("inf")), mixed_norm(p, np.inf, np.inf)
+        assert sup == pytest.approx(3.0, rel=1e-14)
+        for q in infs:
+            assert {repr(mixed_norm(p, q, r)) for r in infs} == {repr(sup)}
+            assert repr(mixed_norm(p, 2.0, q)) == repr(mixed_norm(p, 2.0, np.inf))
+            assert repr(mixed_norm(p, q, 2.0)) == repr(mixed_norm(p, np.inf, 2.0))
+        assert mixed_norm(p, 2.0, "inf") == pytest.approx(3.0 * np.sqrt(g.horizon), rel=1e-14)
+
     def test_mixed_norm_rejects_bad_exponent(self, small_grid):
         p = Path.zero(small_grid)
         with pytest.raises(ValueError):

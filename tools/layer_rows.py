@@ -11,8 +11,10 @@ bin (caches filled), then times in CPU seconds (time.process_time):
   and its `xs_report`, one call each, the median of CALLS rounds;
 - the whole op at that bin, the median of OPS ops;
 
-and reports the process's peak RSS (ru_maxrss). Processes alternate
-between the trees; each list in a row holds the sorted values of PROCS
+and reports the process's peak RSS (ru_maxrss) and one deterministic count:
+the sample points (rows x transform length, summed over calls) that one
+`mixed_norm(low, inf, inf)` call passes through `grid.to_samples`. Processes
+alternate between the trees; each list in a row holds the sorted values of PROCS
 processes. OPENBLAS_NUM_THREADS is pinned to 1 in every child.
 
     python tools/layer_rows.py parent=/path/to/parent/checkout change=.
@@ -71,13 +73,20 @@ def measure(top_bin: int) -> dict:
         t = time.process_time()
         grid.mixed_norm(low, np.inf, np.inf)
         sup_s.append(time.process_time() - t)
+    real, points = grid.to_samples, []
+    grid.to_samples = lambda c, m: points.append(c[..., 0].size * m) or real(c, m)
+    try:
+        grid.mixed_norm(low, np.inf, np.inf)
+    finally:
+        grid.to_samples = real
     op_s = []
     for _ in range(OPS):
         t = time.process_time()
         op()
         op_s.append(time.process_time() - t)
     return {"sup_s": _median(sup_s), "layers_s": _median(layers_s), "op_s": _median(op_s),
-            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "sup_points": sum(points)}
 
 
 def main(argv=None) -> None:
@@ -110,6 +119,7 @@ def main(argv=None) -> None:
     rows = [{"grid": [GRID[0], GRID[1], GRID[3]], "cutoff_bin": b, "side": label,
              "layer": "grid.mixed_norm(low, inf, inf) warm",
              "mixed_norm_warm_p50_s": sorted(round(r["sup_s"], 4) for r in runs),
+             "mixed_norm_sample_points": runs[0]["sup_points"],
              "free_project_xs_warm_p50_s": sorted(round(r["layers_s"], 4) for r in runs),
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
              "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
