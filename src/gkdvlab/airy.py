@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, GridSpec, Path, _support_end, apply_multiplier
+from .grid import Field, GridMismatchError, GridSpec, Path, apply_multiplier
 
 _PHASE_CACHE_LIMIT = 1 << 23  # do not retain phase tables with (K+1)*N above this
 
@@ -51,18 +51,12 @@ def phase_matrix(grid: GridSpec, sign: int = +1) -> np.ndarray:
 
 
 def free_solution(phi: Field, grid: GridSpec | None = None) -> Path:
-    """Path of S(t_k) phi over the grid's sample times."""
+    """Path of S(t_k) phi over the grid's sample times, with phi's spectral end."""
     g = phi.grid if grid is None else grid
     if g != phi.grid:
         raise GridMismatchError("initial data lives on a different grid")
-    return free_path(g, phi.coefficients[:_support_end(phi.coefficients[None, :])])
-
-
-def free_path(g: GridSpec, c: np.ndarray) -> Path:
-    """Path of S(t_k) phi for the real phi whose stored bins are c, zero from c.size on."""
-    cmat = np.zeros((g.num_steps + 1, g.num_points // 2), dtype=np.complex128)
-    np.multiply(phase_matrix(g, +1)[:, :c.size], c, out=cmat[:, :c.size])
-    return Path._adopt(g, cmat, c.size)
+    e = phi.spectral_end
+    return Path._adopt(g, phase_matrix(g, +1)[:, :e] * phi.bins(e), e)
 
 
 def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
@@ -76,18 +70,20 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     g = forcing.grid if grid is None else grid
     if g != forcing.grid:
         raise GridMismatchError("forcing path lives on a different grid")
-    return Path._adopt(g, duhamel_spectra(g, forcing.spectral_matrix))
+    return Path._adopt(g, duhamel_spectra(g, forcing.bins(forcing.spectral_end)))
 
 
 def duhamel_spectra(g: GridSpec, forcing: np.ndarray) -> np.ndarray:
-    """The spectra of duhamel's output from the (K+1, N/2) forcing spectra."""
-    p, dt = forcing * phase_matrix(g, -1), g.dt
+    """The spectra of duhamel's output from the forcing spectra, (K+1, e) for
+    any e <= N/2: the bins below e, column by column."""
+    e, dt = forcing.shape[1], g.dt
+    p = forcing * phase_matrix(g, -1)[:, :e]
     acc = np.zeros_like(p)
     # even rows sum the Simpson panels; an odd row adds one trapezoid step
     np.cumsum((dt / 3.0) * (p[:-2:2] + 4.0 * p[1:-1:2] + p[2::2]), axis=0,
               out=acc[2::2])
     acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
-    acc *= phase_matrix(g, +1)
+    acc *= phase_matrix(g, +1)[:, :e]
     return acc
 
 

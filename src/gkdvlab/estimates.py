@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import littlewood_paley as lp
-from .airy import free_path, free_solution
+from .airy import free_solution
 from .grid import (Field, GridSpec, Path, l2_norm, mixed_norm, time_weights,
                    to_samples)
 from .io import canonical_json
@@ -126,23 +126,21 @@ def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
     the extremal profile of the height-vs-bandwidth inequality; random
     phases would blur the scaling with a sqrt(log) drift.
     """
-    c = _flat_bins(grid, top_bin, rng)
-    return Field.from_coefficients(grid, np.pad(c, (0, grid.num_points // 2 - c.size)))
-
-
-def _flat_bins(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> np.ndarray:
-    """flat_field's stored bins 0 .. top_bin (those above are zero)."""
     c = np.zeros(int(min(top_bin, grid.num_points // 2 - 1)) + 1, dtype=np.complex128)
     c[1:] = np.abs(rng.standard_normal(c.size - 1))
-    return c
+    return Field._adopt(grid, c, c.size)
 
 
 def _project_path(path: Path, z: int, kind: str) -> Path:
+    """The band z piece (kind "psi") or low-pass piece ("leq") of the path, up
+    to the lesser of its spectral end and the end of the symbol's span."""
     start, row = lp.band_row(path.grid, z, kind)
-    end = max(start, min(path.spectral_end, start + row.size))
-    cmat = np.zeros(path.spectral_matrix.shape, dtype=np.complex128)
-    np.multiply(path.spectral_matrix[:, start:end], row[:end - start], out=cmat[:, start:end])
-    return Path._adopt(path.grid, cmat, end if end > start else 0)
+    end = min(path.spectral_end, start + row.size)
+    if end <= start:
+        return Path.zero(path.grid)
+    cmat = np.zeros((len(path), end), dtype=np.complex128)
+    np.multiply(path.bins(end)[:, start:], row[:end - start], out=cmat[:, start:])
+    return Path._adopt(path.grid, cmat, end)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -245,7 +243,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             lam_target = top_bin * grid.delta_xi
             z = int(round(math.log(lam_target) / math.log(lp.BASE)))
             lam = lp.scale_value(z)
-            path = free_path(grid, _flat_bins(grid, top_bin, rng))
+            path = free_solution(flat_field(grid, top_bin, rng))
             low = _project_path(path, z, "leq")
             lhs = mixed_norm(low, np.inf, np.inf)
             xs = xs_norm(path, ci.s_p)

@@ -14,9 +14,14 @@ carries the bin weights w_0 = 1, w_m = 2 for m >= 1 (GridSpec.bin_weights):
 
     (L/N) sum_j |f_j|^2 = L sum_m w_m |c_m|^2.
 
-A Field keeps both representations. A Path's state is its spectra: most
-estimates are spectral, so its sample values are built on their first read
-and then kept.
+The state of a Field or a Path is its stored bins, and only those below its
+spectral end e, from which on every bin is zero: the data the estimates act
+on (Littlewood-Paley pieces, free waves of them) is band-limited. Makers
+that know e build only those columns; the others find it with one
+_support_end scan when they adopt their array. `bins(n)` reads the first n
+columns: a view up to e, a zero-padded copy past it. Sample values are always
+the inverse transform of the stored bins, built on their first read and then
+kept (irfft of a bin prefix is bitwise that of the zero-padded row).
 
 The unpaired Nyquist mode m = N/2 of an even-length real transform cannot be
 evolved unitarily by a complex multiplier (its sine partner is aliased away),
@@ -28,13 +33,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 NORMALIZATION_TAG = "coeff=dft/N;parseval=L*sum|c|^2;nyquist=projected"
-
-_ROUNDTRIP_TOL = 1e-12
 
 # least length M of mixed_norm's short transforms, which cost per call: at N = 131072,
 # K = 12 a mean-only sup takes 5.5 ms at M = 2, 1.2 ms at M = 256, 32 ms by the full transform
@@ -185,13 +188,6 @@ def _unit_scaled(c: np.ndarray) -> Tuple[np.ndarray, int]:
     return (np.ldexp(v, e).view(np.complex128), e) if e else (c, 0)
 
 
-def _real_spectra(grid: GridSpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, spectra) of the real fields whose spectra are c along the
-    last axis: NaN/inf is refused, and the values come from one inverse
-    transform."""
-    return to_samples(_finite(c), grid.num_points), c
-
-
 def _check_mean(table: np.ndarray, tol: float, what: str) -> None:
     """A real field needs a real mode 0; the other bins are unconstrained."""
     scale = max(np.abs(table).max(initial=0.0), 1e-300)
@@ -200,65 +196,54 @@ def _check_mean(table: np.ndarray, tol: float, what: str) -> None:
             f"{what} has a non-real mode 0 ({table[0]!r}, scale {scale:.3e})")
 
 
-class Field:
-    """Real spatial state with a consistent spectral view.
+class _Stored:
+    """What Field and Path share: the read-only stored bins, shape (e,) or
+    (K+1, e) for the spectral end e, and the values built from them."""
 
-    Immutable (both arrays are made read-only here). Both representations
-    are stored; linear operations act on both so that identities like
-    P_{<lam} = P_{<=lam} - P_lam hold bitwise.
-    """
-
-    __slots__ = ("grid", "_values", "_coeffs")
-
-    def __init__(self, grid: GridSpec, values: np.ndarray, coeffs: np.ndarray, _internal: bool = False):
-        if not _internal:
-            raise TypeError("use Field.from_values or Field.from_coefficients")
-        values.flags.writeable = False
-        coeffs.flags.writeable = False
-        self.grid = grid
-        self._values = values
-        self._coeffs = coeffs
+    __slots__ = ("grid", "_cmat", "_vmat")
 
     @classmethod
-    def from_values(cls, grid: GridSpec, values) -> "Field":
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (grid.num_points,):
-            raise GridError(f"values shape {v.shape} does not match grid N={grid.num_points}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteFieldError("field values contain NaN or inf")
-        return cls(grid, *_real_spectra(grid, to_spectrum(v, grid.num_points)),
-                   _internal=True)
+    def _make(cls, grid: GridSpec, cmat: np.ndarray, vmat=None):
+        self = cls.__new__(cls)
+        cmat.flags.writeable = False
+        self.grid, self._cmat, self._vmat = grid, cmat, vmat
+        return self
 
     @classmethod
-    def from_coefficients(cls, grid: GridSpec, coeffs) -> "Field":
-        """The real field with the stored bins coeffs (shape (N/2,))."""
-        c = np.array(coeffs, dtype=np.complex128)
-        if c.shape != (grid.num_points // 2,):
-            raise GridError(f"coefficient shape {c.shape} does not match grid N={grid.num_points}")
-        v, c = _real_spectra(grid, c)
-        _check_mean(c, 1e-10, "coefficient vector")
-        return cls(grid, v, c, _internal=True)
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros(grid.num_points),
-                   np.zeros(grid.num_points // 2, dtype=np.complex128), _internal=True)
+    def _adopt(cls, grid: GridSpec, cmat: np.ndarray, end=None):
+        """Over the columns of cmat below end (None: found by one scan), without
+        a copy: for arrays their maker never touches again. Refuses NaN/inf."""
+        end = _support_end(np.atleast_2d(cmat)) if end is None else end
+        return cls._make(grid, _finite(cmat[..., :end]))
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
+    def spectral_end(self) -> int:
+        return self._cmat.shape[-1]
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coeffs
+    def bins(self, n: int) -> np.ndarray:
+        """The first n stored bins (of every row), read-only: a view up to the
+        spectral end, a zero-padded copy past it."""
+        c = self._cmat
+        if n > c.shape[-1]:
+            c = np.pad(c, [(0, 0)] * (c.ndim - 1) + [(0, n - c.shape[-1])])
+            c.flags.writeable = False
+        return c[..., :n]
 
-    def _binary(self, other: "Field", op) -> "Field":
-        if not isinstance(other, Field):
+    def _samples(self) -> np.ndarray:
+        if self._vmat is None:
+            # numpy's irfft of zero bins returns unset memory: transform one zero bin
+            vmat = to_samples(self.bins(max(self.spectral_end, 1)), self.grid.num_points)
+            vmat.flags.writeable = False
+            self._vmat = vmat
+        return self._vmat
+
+    def _binary(self, other, op):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if other.grid != self.grid:
-            raise GridMismatchError("fields live on different grids")
-        return Field(self.grid, op(self._values, other._values),
-                     op(self._coeffs, other._coeffs), _internal=True)
+            raise GridMismatchError(f"{type(self).__name__.lower()}s live on different grids")
+        e = max(self.spectral_end, other.spectral_end)
+        return self._make(self.grid, op(self.bins(e), other.bins(e)))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -270,15 +255,56 @@ class Field:
         if not np.isscalar(scalar):
             return NotImplemented
         s = float(scalar)
-        return Field(self.grid, self._values * s, self._coeffs * s, _internal=True)
+        # 0 * inf is NaN: a non-finite multiple fills every bin
+        c = self._cmat if np.isfinite(s) else self.bins(self.grid.num_points // 2)
+        return self._make(self.grid, c * s)
 
     __rmul__ = __mul__
+
+
+class Field(_Stored):
+    """Real spatial state: its stored bins below its spectral end, and its
+    sample values, built from them on first read. Immutable; linear operations
+    act on the bins, so identities like P_{<lam} = P_{<=lam} - P_lam hold
+    bitwise on the coefficients."""
+
+    __slots__ = ()  # made by from_values, from_coefficients and zero
+
+    @classmethod
+    def from_values(cls, grid: GridSpec, values) -> "Field":
+        v = np.asarray(values, dtype=np.float64)
+        if v.shape != (grid.num_points,):
+            raise GridError(f"values shape {v.shape} does not match grid N={grid.num_points}")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteFieldError("field values contain NaN or inf")
+        return cls._adopt(grid, to_spectrum(v, grid.num_points))
+
+    @classmethod
+    def from_coefficients(cls, grid: GridSpec, coeffs) -> "Field":
+        """The real field with the stored bins coeffs (shape (N/2,))."""
+        c = np.array(coeffs, dtype=np.complex128)
+        if c.shape != (grid.num_points // 2,):
+            raise GridError(f"coefficient shape {c.shape} does not match grid N={grid.num_points}")
+        _check_mean(c, 1e-10, "coefficient vector")
+        return cls._adopt(grid, c)
+
+    @classmethod
+    def zero(cls, grid: GridSpec) -> "Field":
+        return cls._make(grid, np.zeros(0, dtype=np.complex128))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._samples()
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.bins(self.grid.num_points // 2)
 
     def __neg__(self):
         return self * (-1.0)
 
     def __repr__(self):
-        return f"Field(N={self.grid.num_points}, L={self.grid.domain_length:g}, max|f|={np.abs(self._values).max():.3e})"
+        return f"Field(N={self.grid.num_points}, L={self.grid.domain_length:g}, max|f|={np.abs(self.values).max():.3e})"
 
 
 def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> Field:
@@ -295,7 +321,7 @@ def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarra
     if table.shape != (grid.num_points // 2,):
         raise GridError("multiplier table has wrong shape")
     _check_mean(table, 1e-12, "multiplier")
-    return Field(grid, *_real_spectra(grid, table * f.coefficients), _internal=True)
+    return Field._adopt(grid, table * f.coefficients)
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -319,22 +345,22 @@ def lq_norm(f: Field, q) -> float:
     return float((f.grid.weight * np.sum(av ** q)) ** (1.0 / q))
 
 
-class Path:
+class Path(_Stored):
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
-    The state is the read-only (K+1) x N/2 matrix of stored bins, one row
-    per snapshot, and `spectral_end`, a bin from which every row is zero
-    (1 + the last nonzero one unless spectra cancel): stated by its maker
-    (a sum, difference or multiple takes its operands' greatest), else
-    found by one _support_end scan on first read. The (K+1) x N matrix of
-    sample values is built on its first read and then kept, read-only: the
-    inverse transform of the spectra for a path built from them, and
-    op(a.values_matrix, b.values_matrix) for a path a + b, a - b or s * a,
-    so every value is bitwise what the same arithmetic on the snapshots
-    gives. Arithmetic acts on the spectra at once. `path[k]` is a Field view of row k.
+    The state is the read-only (K+1) x e matrix of stored bins, one row per
+    snapshot, e being `spectral_end`: every bin from e on is zero (e is 1 +
+    the last nonzero bin unless spectra cancel, as in a - a). Makers that know
+    the end build only those columns (a sum or difference takes the wider
+    operand's, a multiple its operand's, N/2 for a non-finite scalar); the
+    others find it with one _support_end scan. The (K+1) x N matrix of sample
+    values is the inverse transform of the stored bins, built on its first
+    read and then kept, read-only; a batched transform is bitwise the per-row
+    one, so row k's values are bitwise those of the snapshot's own bins.
+    `path[k]` is a Field view of row k.
     """
 
-    __slots__ = ("grid", "_cmat", "_end", "_vmat", "_recipe")
+    __slots__ = ()
 
     def __init__(self, grid: GridSpec, snapshots: Sequence[Field]):
         snaps = tuple(snapshots)
@@ -345,103 +371,41 @@ class Path:
         for s in snaps:
             if s.grid != grid:
                 raise GridMismatchError("snapshot grid differs from path grid")
-        self._fill(grid, np.stack([s.coefficients for s in snaps]), None,
-                   np.stack, [s.values for s in snaps])
-
-    def _fill(self, grid: GridSpec, cmat: np.ndarray, end, *recipe) -> "Path":
-        """Path over cmat, zero from bin end on (None: unknown); its values are
-        recipe[0](*recipe[1:]), a Path among the arguments standing for its values."""
-        cmat.flags.writeable = False
-        self.grid, self._cmat, self._end, self._vmat, self._recipe = grid, cmat, end, None, recipe
-        return self
-
-    @classmethod
-    def _wrap(cls, grid: GridSpec, cmat: np.ndarray, end, *recipe) -> "Path":
-        return cls.__new__(cls)._fill(grid, cmat, end, *recipe)
-
-    @classmethod
-    def _adopt(cls, grid: GridSpec, cmat: np.ndarray, end=None) -> "Path":
-        """Path over the complex spectra cmat (zero from bin end on, if given),
-        taken over without a copy: for arrays their maker hands on and never touches again."""
-        if cmat.shape != (grid.num_steps + 1, grid.num_points // 2):
-            raise GridError("spectral matrix shape mismatch")
-        _finite(cmat[:, :end])
-        return cls._wrap(grid, cmat, end, to_samples, cmat, grid.num_points)
+        cmat = np.stack([s.coefficients for s in snaps])
+        self.grid, self._cmat, self._vmat = grid, cmat[:, :_support_end(cmat)], None
+        self._cmat.flags.writeable = False
 
     @classmethod
     def from_spectral_matrix(cls, grid: GridSpec, cmat) -> "Path":
         """Path whose row k has spectrum cmat[k], under the contract of
         Field.from_coefficients (without the mode-0 check)."""
-        return cls._adopt(grid, np.array(cmat, dtype=np.complex128))
+        c = np.array(cmat, dtype=np.complex128)
+        if c.shape != (grid.num_steps + 1, grid.num_points // 2):
+            raise GridError("spectral matrix shape mismatch")
+        return cls._adopt(grid, c)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "Path":
-        rows = grid.num_steps + 1
-        return cls._wrap(grid, np.zeros((rows, grid.num_points // 2), dtype=np.complex128),
-                         0, np.zeros, (rows, grid.num_points))
+        return cls._make(grid, np.zeros((grid.num_steps + 1, 0), dtype=np.complex128))
 
     @property
     def values_matrix(self) -> np.ndarray:
-        # paths whose values wait on other paths' values are built operands
-        # first, with an explicit stack: a chain of sums may be long
-        todo = [self]
-        while todo:
-            path = todo[-1]
-            if path._vmat is not None:
-                todo.pop()
-                continue
-            fn, *args = path._recipe
-            waiting = [a for a in args if isinstance(a, Path) and a._vmat is None]
-            if waiting:
-                todo += waiting
-                continue
-            todo.pop()
-            vmat = fn(*(a._vmat if isinstance(a, Path) else a for a in args))
-            vmat.flags.writeable = False
-            path._vmat, path._recipe = vmat, None
-        return self._vmat
+        return self._samples()
 
     @property
     def spectral_matrix(self) -> np.ndarray:
-        return self._cmat
-
-    @property
-    def spectral_end(self) -> int:
-        self._end = _support_end(self._cmat) if self._end is None else self._end
-        return self._end
+        return self.bins(self.grid.num_points // 2)
 
     def __len__(self):
         return self._cmat.shape[0]
 
     def __getitem__(self, k: int) -> Field:
         k = operator.index(k)
-        return Field(self.grid, self.values_matrix[k], self._cmat[k], _internal=True)
+        return Field._make(self.grid, self._cmat[k], self.values_matrix[k])
 
-    def __iter__(self) -> Iterator[Field]:
-        return (self[k] for k in range(len(self)))
-
-    def _binary(self, other: "Path", op) -> "Path":
-        if not isinstance(other, Path):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise GridMismatchError("paths live on different grids")
-        return Path._wrap(self.grid, op(self._cmat, other._cmat),
-                          max(self.spectral_end, other.spectral_end), op, self, other)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        s = float(scalar)
-        end = self.spectral_end if np.isfinite(s) else None  # 0 * inf is NaN
-        return Path._wrap(self.grid, self._cmat * s, end, np.multiply, self, s)
-
-    __rmul__ = __mul__
+    # the class's own attributes, which perfbench's tracer patches
+    __add__, __sub__, __mul__, __rmul__ = (
+        _Stored.__add__, _Stored.__sub__, _Stored.__mul__, _Stored.__rmul__)
 
 
 def time_weights(grid: GridSpec) -> np.ndarray:
@@ -489,7 +453,7 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
 
     Inner spatial norm per snapshot (rectangle weight L/N), outer temporal
     norm with trapezoid weights; q = inf (or "inf") takes sups. With e the path's
-    spectral_end (no scan if its maker stated it) and M the least power of two, at
+    spectral_end (its stored width) and M the least power of two, at
     least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i} (r = N/M)
     are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N).
     If r < 2 the sup in space reads the values; under a finite q_time it runs
@@ -508,16 +472,16 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     q_time, q_space = float(q_time), float(q_space)
     if not (q_time >= 1 and q_space >= 1):
         raise ValueError("exponents must lie in [1, inf]")
-    grid, c, n = path.grid, path.spectral_matrix, path.grid.num_points
+    grid, n = path.grid, path.grid.num_points
     if q_space == np.inf:
         e = max(path.spectral_end, 1)
-        m = max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
+        c, m = path.bins(e), max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
         if n // m < 2:
             vm = path.values_matrix
         elif q_time == np.inf:
-            return _sup(c[:, :e], n, m)
+            return _sup(c, n, m)
         else:
-            vm = to_samples(c[:, None, :e] * _twists(n, range(n // m), e), m).reshape(len(c), -1)
+            vm = to_samples(c[:, None] * _twists(n, range(n // m), e), m).reshape(len(c), -1)
         spatial = np.maximum(np.abs(vm.max(axis=1)), np.abs(vm.min(axis=1)))
     else:
         spatial = (grid.weight * np.sum(np.abs(path.values_matrix) ** q_space, axis=1)) ** (1.0 / q_space)

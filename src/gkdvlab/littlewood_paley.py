@@ -220,10 +220,10 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
-def reach(grid: GridSpec, x) -> int:
-    """Bins of x band_sums reads: through each block window starting by x's
-    last nonzero; x may be the rows or the end of their support."""
-    bank, end = _bank(grid.domain_length, grid.num_points), x if np.isscalar(x) else _support_end(x)
+def reach(grid: GridSpec, end: int) -> int:
+    """Bins band_sums reads of rows zero from bin end on: through each block
+    window starting below end."""
+    bank = _bank(grid.domain_length, grid.num_points)
     return int(bank.stop[bank.start < end].max(initial=end))
 
 
@@ -232,7 +232,7 @@ def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
     an ascending band and rows x[k] on the stored bins: one matmul per block
     whose window meets the span of nonzero columns of x, against its rows
     squared on the fly. The other blocks would add exact zeros, so x may
-    stop at reach(grid, x) bins. Empty rows give zeros."""
+    stop at reach(grid, end) bins, end that of their support. Empty rows give zeros."""
     bank = _bank(grid.domain_length, grid.num_points)
     idx = np.asarray(band, dtype=np.int64) - bank.z0
     out = np.zeros((x.shape[0], idx.size))

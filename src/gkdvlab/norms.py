@@ -16,7 +16,7 @@ from . import littlewood_paley as lp
 from .airy import phase_matrix
 from .grid import Field, GridSpec, Path, _unit_scaled
 from .io import canonical_json
-from .variation import distances, vp_batch
+from .variation import gram_distances, vp_batch
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,12 @@ def _energy(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 def _band_values(grid: GridSpec, cen: np.ndarray, zs, nrm: np.ndarray,
                  lam_s: np.ndarray, L2: float) -> np.ndarray:
-    """lam^s V2 of each band z of zs, one batched DP for all: the Gram
-    matrix of a band is L2 A A^T, A the real view of its span of the centred
-    pullback weighted by the row; nrm[:, b] holds the norms ||psi g_k||."""
-    G = np.empty((len(zs), cen.shape[0], cen.shape[0]))
-    for b, z in enumerate(zs):
-        start, row = lp.band_row(grid, z)
-        a = (cen[:, start:start + row.size] * row).view(np.float64)
-        np.matmul(a, a.T, out=G[b])
-    G *= L2
-    return lam_s * np.array(vp_batch(distances(G), nrm.T, 2.0))
+    """lam^s V2 of each band z of zs, one batched DP for all: the distances
+    of a band are those of its span of the centred pullback weighted by the
+    row, under the weight L2; nrm[:, b] holds the norms ||psi g_k||."""
+    D = np.stack([gram_distances(cen[:, start:start + row.size] * row, L2)
+                  for start, row in (lp.band_row(grid, z) for z in zs)])
+    return lam_s * np.array(vp_batch(D, nrm.T, 2.0))
 
 
 def _dp_bounds(steps: np.ndarray, cen: np.ndarray, nrm: np.ndarray) -> np.ndarray:
@@ -217,7 +213,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
     width = lp.reach(grid, path.spectral_end)  # no band sum reads past it
-    g, e = _unit_scaled(path.spectral_matrix[:, :width] * phase_matrix(grid, -1)[:, :width])
+    g, e = _unit_scaled(path.bins(width) * phase_matrix(grid, -1)[:, :width])
     m = g.shape[0]
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
     stack = np.empty((2 * m, width))
@@ -282,7 +278,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
             if vals.get(k, 0.0) > best:
                 best, arg = vals[k], float(lam[k])
     return NormReport("xs", float(s), band.start, band.stop - 1, float(np.ldexp(best, -e)),
-                      arg, _out_of_band(grid, path.spectral_matrix[0, :path.spectral_end], band))
+                      arg, _out_of_band(grid, path.bins(path.spectral_end)[0], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:
@@ -313,5 +309,5 @@ def rescale(f: Field, m: int, p: float) -> Field:
 
 def rescale_path(path: Path, m: int, p: float) -> Path:
     """Snapshotwise critical rescaling; the grid's dt absorbs c^{-3}."""
-    return Path._adopt(rescaled_grid(path.grid, m),
-                       _rescale_factor(m, p) * path.spectral_matrix, path.spectral_end)
+    e = path.spectral_end
+    return Path._adopt(rescaled_grid(path.grid, m), _rescale_factor(m, p) * path.bins(e), e)

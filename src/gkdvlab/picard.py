@@ -109,17 +109,16 @@ def picard_step(v: Path, w_prev: Path, p: float) -> Path:
     """
     if v.grid != w_prev.grid:
         raise GridMismatchError("free part and correction live on different grids")
-    l2 = _l2_rows(w_prev)
+    l2 = _l2_rows(w_prev.grid, w_prev.spectral_matrix)
     if l2[0] > 1e-9 * max(l2.max(), 1.0):
         raise ValueError("correction path must vanish at t = 0")
     return _correction(v.grid, power_spectra((v + w_prev).spectral_matrix, v.grid, p))
 
 
-def _l2_rows(path: Path) -> np.ndarray:
-    """The L2 norm of every snapshot, by Parseval over its stored bins, so
-    no sample value is built."""
-    g = path.grid
-    return np.sqrt(g.domain_length * (np.abs(path.spectral_matrix) ** 2 @ g.bin_weights))
+def _l2_rows(g: GridSpec, c: np.ndarray) -> np.ndarray:
+    """The L2 norm of each field whose stored bins are c along the last axis,
+    by Parseval, so no sample value is built."""
+    return np.sqrt(g.domain_length * (np.abs(c) ** 2 @ g.bin_weights))
 
 
 def _correction(g: GridSpec, power: np.ndarray) -> Path:
@@ -159,7 +158,7 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
     w = Path.zero(cfg.grid)
     trace = IterationTrace()
     phi_besov = besov_norm(phi, ci.s_p)
-    phi_l2 = l2_norm(phi)
+    phi_l2 = float(_l2_rows(cfg.grid, phi.coefficients))
     thr_xs = cfg.stop_tolerance * (phi_besov if phi_besov > 0 else 1.0)
     thr_l2 = cfg.stop_tolerance * (phi_l2 if phi_l2 > 0 else 1.0)
     prev_diff = None
@@ -178,7 +177,7 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
                     w_next = _correction(cfg.grid, power)
                 diff = w_next - w if n > 1 else w_next  # w = 0: bit for bit
                 d_xs = xs_norm(diff, ci.s_p)
-                d_l2 = float(_l2_rows(diff).max())
+                d_l2 = float(_l2_rows(cfg.grid, diff.spectral_matrix).max())
                 w_norm = xs_norm(w_next, ci.s_p) if n > 1 else d_xs
                 u = v + w_next
                 try:

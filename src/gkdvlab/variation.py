@@ -74,27 +74,30 @@ def sampled_from_path(path: Path, terminal: bool = True) -> SampledPath:
 def increment_tables(sp: SampledPath):
     """(D, nrm): pairwise increment sizes and vector norms.
 
-    Complex rows are read as real vectors (real and imaginary parts side by
-    side), whose dot products are the real parts of the complex ones.
-    Distances come from one Gram matrix G of the rows centred on their
-    mean, as d_j + d_k - 2 G_jk. Centring leaves every difference unchanged
-    and shrinks the rows to the size of the path's own variation, so the
-    small increments of a nearly constant path are not lost to cancellation
-    against ||v||^2. Norms are summed from the uncentred rows directly.
+    Complex rows are read as real vectors, and distances are those of the
+    rows centred on their mean (gram_distances). Centring leaves every
+    difference unchanged and shrinks the rows to the size of the path's own
+    variation, so the small increments of a nearly constant path are not
+    lost to cancellation against ||v||^2. Norms are summed from the
+    uncentred rows directly.
     """
     R = np.ascontiguousarray(sp.vectors)
     if np.iscomplexobj(R):
         R = R.view(R.real.dtype)
-    C = R - R.mean(axis=0)
-    G = sp.weight * (C @ C.T)
-    return distances(G), np.sqrt(sp.weight * np.einsum("ij,ij->i", R, R))
+    return (gram_distances(R - R.mean(axis=0), sp.weight),
+            np.sqrt(sp.weight * np.einsum("ij,ij->i", R, R)))
 
 
-def distances(G: np.ndarray) -> np.ndarray:
-    """sqrt(max(d_j + d_k - 2 G_jk, 0)) for Gram matrices G of centred rows,
-    stacked along any leading axes; d is the diagonal."""
-    d = np.diagonal(G, axis1=-2, axis2=-1)
-    D2 = d[..., :, None] + d[..., None, :] - 2.0 * G
+def gram_distances(rows: np.ndarray, weight: float) -> np.ndarray:
+    """sqrt(max(d_j + d_k - 2 G_jk, 0)) for centred rows, G = weight A A^T
+    their Gram matrix and d its diagonal. A is the rows' real view: complex
+    rows (with a contiguous last axis) are read as real vectors, real and
+    imaginary parts side by side, whose dot products are the real parts of
+    the complex ones."""
+    a = rows.view(np.float64) if rows.dtype == np.complex128 else rows
+    G = weight * (a @ a.T)
+    d = np.diagonal(G)
+    D2 = d[:, None] + d[None, :] - 2.0 * G
     np.maximum(D2, 0.0, out=D2)
     return np.sqrt(D2, out=D2)
 

@@ -82,7 +82,7 @@ class TestBernstein:
     def test_op_reads_only_the_reach_of_its_support(self, monkeypatch):
         # bin 25 of 65536 stored bins: no NaN/inf check and no support scan
         # of one op reads an array wider than lp.reach of the support end 26
-        from gkdvlab import airy, grid as grid_mod
+        from gkdvlab import grid as grid_mod
 
         def spy(real, seen):
             return lambda x: seen.append(x.shape[-1]) or real(x)
@@ -90,13 +90,29 @@ class TestBernstein:
         widths = {"_support_end": [], "_finite": []}
         for name, seen in widths.items():
             wrapped = spy(getattr(grid_mod, name), seen)
-            for mod in (grid_mod, lp, airy):
+            for mod in (grid_mod, lp):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, wrapped)
         rep = est.verify_bernstein_linfty(est.TrialEnsemble(7, 1, schedule=(25,)), 5.0)
         g = GridSpec(*rep.config["grid"])
         assert g.num_points == 131072 and all(widths.values())
         assert max(max(w) for w in widths.values()) <= lp.reach(g, 26) < g.num_points // 64
+
+    def test_warm_op_allocates_less_than_one_full_spectral_matrix(self):
+        # bin 25 of 65536 stored bins: with the caches filled, one op's peak
+        # traced allocation stays below one (K+1) x N/2 complex matrix (13.6 MB)
+        import tracemalloc
+
+        ens = est.TrialEnsemble(7, 1, schedule=(25,))
+        est.verify_bernstein_linfty(ens, 5.0)
+        tracemalloc.start()
+        try:
+            rep = est.verify_bernstein_linfty(ens, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = GridSpec(*rep.config["grid"])
+        assert peak < 16 * (g.num_steps + 1) * (g.num_points // 2)
 
 
 class TestBilinear:

@@ -494,16 +494,21 @@ class TestPath:
         shape = (small_grid.num_steps + 1, small_grid.num_points // 2)
         ca, cb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                   for _ in range(2))
+        cb[:, 5:] = 0.0  # b stores 5 bins, a all 128
         a = Path.from_spectral_matrix(small_grid, ca)
         b = Path.from_spectral_matrix(small_grid, cb)
+        assert (a.spectral_end, b.spectral_end) == (128, 5)
         total, gap, twice = a + b, a - b, 2.0 * a
-        va = np.fft.irfft(ca, n=small_grid.num_points, norm="forward")
-        vb = np.fft.irfft(cb, n=small_grid.num_points, norm="forward")
-        assert np.array_equal(total.values_matrix, va + vb)
-        assert np.array_equal(gap.values_matrix, va - vb)
-        assert np.array_equal(twice.values_matrix, va * 2.0)
-        assert np.array_equal(a.values_matrix, va)
-        assert np.array_equal(b.values_matrix, vb)
+
+        def values(c):  # of the combined spectra: the values are their transform
+            return np.fft.irfft(c, n=small_grid.num_points, norm="forward")
+
+        assert np.array_equal(total.values_matrix, values(ca + cb))
+        assert np.array_equal(gap.values_matrix, values(ca - cb))
+        assert np.array_equal(twice.values_matrix, values(ca * 2.0))
+        assert np.array_equal(a.values_matrix, values(ca))
+        assert np.array_equal(b.values_matrix, values(cb))
+        assert np.array_equal((b + b).values_matrix, values(cb + cb))
         assert total.values_matrix is total.values_matrix  # built once, kept
 
     def test_spectral_reads_run_no_inverse_transform(self, monkeypatch):
@@ -523,7 +528,7 @@ class TestPath:
         assert xs_norm(path, 0.0) > 0.0
         assert calls == []
         vm = path.values_matrix
-        assert calls == [path.spectral_matrix.shape]
+        assert calls == [(len(path), path.spectral_end)]  # the stored bins only
         assert np.array_equal(vm, real(path.spectral_matrix, g.num_points))
 
     def test_long_chain_of_sums_reads_its_values(self):
@@ -537,10 +542,10 @@ class TestPath:
 
     @pytest.mark.parametrize("data", ["flat", "annulus", "packet", "zero"])
     def test_stated_spectral_end_is_the_support_end(self, data, tmp_path):
-        # every maker states 1 + the last nonzero bin, or a path finds it by
-        # a scan; only cancelling spectra (a - a) leave the end above it
+        # every maker stores its bins up to 1 + the last nonzero one, or finds
+        # it by a scan; only cancelling spectra (a - a) leave the end above it
         from gkdvlab import io
-        from gkdvlab.airy import duhamel, free_path, free_solution
+        from gkdvlab.airy import duhamel, free_solution
         from gkdvlab.estimates import _project_path, annulus_field, flat_field
         from gkdvlab.grid import _support_end
         from gkdvlab.norms import rescale_path
@@ -556,11 +561,8 @@ class TestPath:
             phi = Field.from_values(g, 0.25 * np.exp(-(x / 1.5) ** 2) * np.cos(2.5 * x))
         else:
             phi = Field.zero(g)
-        c = phi.coefficients
         free = free_solution(phi)
-        assert free._end is not None  # stated, not scanned
         paths = {"free_solution": free, "zero": Path.zero(g),
-                 "free_path": free_path(g, c[:_support_end(c[None, :])]),
                  "rescale_path": rescale_path(free, 40, 5.0)}
         for z in (50, 100, 200, 300):  # symbols ending below, inside and above the data
             for kind in ("leq", "psi"):

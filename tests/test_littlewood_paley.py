@@ -308,11 +308,11 @@ def test_band_sums_read_only_the_support(n, support, monkeypatch):
     for zs, w in zip((band, subset), want):
         got = lp.band_sums(g, zs, x)
         assert got.tobytes() == w.tobytes()
-        assert lp.band_sums(g, zs, x[:, :lp.reach(g, x)]).tobytes() == w.tobytes()
+        assert lp.band_sums(g, zs, x[:, :lp.reach(g, e)]).tobytes() == w.tobytes()
     meets = (bank.stop > a) & (bank.start < e)
     assert set(read) == set(np.flatnonzero(meets).tolist())
-    assert lp.reach(g, x) == max(e, bank.stop[bank.start < e].max(initial=0))
-    assert support != "inside" or e < lp.reach(g, x) < n // 2
+    assert lp.reach(g, e) == max(e, bank.stop[bank.start < e].max(initial=0))
+    assert support != "inside" or e < lp.reach(g, e) < n // 2
 
 
 @pytest.mark.parametrize("n", [1024, 16384])

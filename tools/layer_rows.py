@@ -11,7 +11,8 @@ bin (caches filled), then times in CPU seconds (time.process_time):
   and its `xs_report`, one call each, the median of CALLS rounds;
 - the whole op at that bin, the median of OPS ops;
 
-and reports the process's peak RSS (ru_maxrss) and one deterministic count:
+and reports the peak traced allocation of one more warm op (tracemalloc),
+the process's peak RSS (ru_maxrss) and one deterministic count:
 the sample points (rows x transform length, summed over calls) that one
 `mixed_norm(low, inf, inf)` call passes through `grid.to_samples`. Processes
 alternate between the trees; each list in a row holds the sorted values of PROCS
@@ -33,6 +34,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
 GRID = (400.0, 131072, 1e-3, 12)
@@ -79,12 +81,17 @@ def measure(top_bin: int) -> dict:
         grid.mixed_norm(low, np.inf, np.inf)
     finally:
         grid.to_samples = real
+    tracemalloc.start()
+    op()
+    op_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     op_s = []
     for _ in range(OPS):
         t = time.process_time()
         op()
         op_s.append(time.process_time() - t)
     return {"sup_s": _median(sup_s), "layers_s": _median(layers_s), "op_s": _median(op_s),
+            "op_peak_mb": op_peak / 2.0 ** 20,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "sup_points": sum(points)}
 
@@ -122,6 +129,7 @@ def main(argv=None) -> None:
              "mixed_norm_sample_points": runs[0]["sup_points"],
              "free_project_xs_warm_p50_s": sorted(round(r["layers_s"], 4) for r in runs),
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
+             "bernstein_op_tracemalloc_peak_mb": sorted(round(r["op_peak_mb"], 2) for r in runs),
              "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
             for (b, label), runs in got.items()]
     print(json.dumps(rows, indent=1))
