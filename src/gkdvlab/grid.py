@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -421,9 +421,18 @@ def time_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
+@cache
+def _roots(n: int) -> np.ndarray:
+    """exp(2 pi i j/N) for j < N, read-only: one table per N, built on first use."""
+    v = np.exp(np.arange(n) * (2j * np.pi / n))
+    v.flags.writeable = False
+    return v
+
+
 def _twists(n: int, shifts, e: int) -> np.ndarray:
-    """exp(2 pi i k a/N) for the shifts a (rows) and bins k < e; k a reduced mod N in integers."""
-    return np.exp((np.outer(shifts, np.arange(e)) % n) * (2j * np.pi / n))
+    """exp(2 pi i k a/N) for the shifts a (rows) and bins k < e, gathered from
+    _roots(N) at k a reduced mod N in integers."""
+    return _roots(n)[np.outer(shifts, np.arange(e)) % n]
 
 
 def _sup(c: np.ndarray, n: int, m: int) -> float:
@@ -455,7 +464,8 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     norm with trapezoid weights; q = inf (or "inf") takes sups. With e the path's
     spectral_end (its stored width) and M the least power of two, at
     least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i} (r = N/M)
-    are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N).
+    are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N),
+    gathered from one table of the N roots of unity (_roots, built on first use).
     If r < 2 the sup in space reads the values; under a finite q_time it runs
     every shift a < r in one batch.
 

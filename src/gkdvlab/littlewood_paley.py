@@ -26,7 +26,8 @@ no band reaches mode 0 that weight is 2 on every bin a band covers.
 Band symbols live in one store per frequency set (L, N), kept for the
 _BANKS_KEPT most recently used sets. psi rows are the rows of narrow dense
 blocks of consecutive bands over a shared window of bins (at most _SLACK
-times each row's span), zero outside each row's nonzero span; a block is
+times each row's span, or at most _FLOOR bins, so that the narrow low bands
+share a few blocks), zero outside each row's nonzero span; a block is
 built on first use, and band_row returns views trimmed to the span. leq
 rows are stored one by one over their spans. Spread on the N/2 stored bins
 a row is bitwise the symbol on the grid frequencies (mode 0 zeroed for
@@ -140,7 +141,10 @@ def leq_symbol(sc: LPScale, xi):
 # ------------------------------------------------------------ band-row store
 
 _BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
-_SLACK = 1.2  # a psi block's window of bins is at most this times each of its spans
+# a psi block's window of bins is at most _SLACK times each of its spans, or at most
+# _FLOOR bins: the narrow low bands share a few blocks (18 is the largest floor that
+# keeps the blocks within 1.3 times the spans at N = 1024)
+_SLACK, _FLOOR = 1.2, 18
 
 
 class _Bank(dict):
@@ -156,12 +160,13 @@ class _Bank(dict):
         self.cut = scale_values(range(band.start - 2, band.stop + 1))
         lo = np.searchsorted(self.pos, self.cut[:-1], "right")
         hi = np.maximum(lo, np.searchsorted(self.pos, 2.0 * self.cut[1:]))
-        # a block grows while its window stays within _SLACK of its least span
+        # a block grows while its window stays within _SLACK of its least span or _FLOOR bins
         starts, stops = lo.tolist(), hi.tolist()
         first, least = 0, stops[0] - starts[0]
         for i in range(1, len(starts)):
             least = min(least, stops[i] - starts[i])
-            if stops[i] - starts[first] > _SLACK * least:
+            window = stops[i] - starts[first]
+            if window > _FLOOR and window > _SLACK * least:
                 self.edges.append(i)
                 first, least = i, stops[i] - starts[i]
         self.edges.append(lo.size)

@@ -404,6 +404,24 @@ class TestPath:
             assert repr(mixed_norm(p, q, 2.0)) == repr(mixed_norm(p, np.inf, 2.0))
         assert mixed_norm(p, 2.0, "inf") == pytest.approx(3.0 * np.sqrt(g.horizon), rel=1e-14)
 
+    @pytest.mark.parametrize("n", [256, 4096, 131072])
+    def test_twists_gather_exp_of_their_angles_bitwise(self, n):
+        # the shift rows 1 .. r-1 of the sup's table and the cell starts i r,
+        # whose products k i r run past N, are np.exp of the angle they stood
+        # for, bit for bit; one read-only table of roots per N
+        from gkdvlab import grid as grid_mod
+        for m in {256, n // 4} - {n}:
+            r, e = n // m, m // 2
+            starts = np.r_[np.arange(0, m, max(1, m // 16)), m - 1] * r
+            for shifts, past in ((np.arange(1, r), False), (starts, True)):
+                ka = np.outer(shifts, np.arange(e))
+                assert (ka.max() >= n) == past
+                got = grid_mod._twists(n, shifts, e)
+                assert got.tobytes() == np.exp((ka % n) * (2j * np.pi / n)).tobytes()
+        roots = grid_mod._roots(n)
+        assert roots.shape == (n,) and not roots.flags.writeable
+        assert grid_mod._roots(n) is roots and grid_mod._roots(n // 2) is not roots
+
     def test_mixed_norm_rejects_bad_exponent(self, small_grid):
         p = Path.zero(small_grid)
         with pytest.raises(ValueError):

@@ -295,9 +295,8 @@ def test_band_sums_read_only_the_support(n, support, monkeypatch):
     g = GridSpec(400.0, n, 0.05, 12)
     band = lp.default_band(g)
     bank = lp._bank(400.0, n)
-    k = bank.start.size // 2
-    a, e = {"inside": (bank.start[k // 2] + 1, (bank.start[k] + bank.stop[k]) // 2),
-            "bin1": (1, 2), "zero": (0, 0)}[support]
+    # "inside" is set by bins, not by block index: the blocks move with the rule
+    a, e = {"inside": (n // 64 + 1, n // 16 + 3), "bin1": (1, 2), "zero": (0, 0)}[support]
     x = np.zeros((3, n // 2))
     x[:, a:e] = np.random.default_rng(n).random((3, e - a))
     subset = band[::7]
@@ -330,15 +329,17 @@ def test_band_rows_are_views_into_their_blocks(n):
     assert sum(blk.nbytes for blk in blocks) <= 1.3 * spans
 
 
-def _edges_by_rescan(g):
-    # the block rule rescanning every span of the open block per band
+def _edges_by_rescan(g, floor=lp._FLOOR):
+    # the block rule rescanning every span of the open block per band: a block
+    # closes once its window exceeds both _SLACK times its least span and floor bins
     band = lp.default_band(g)
     cut = lp.scale_values(range(band.start - 2, band.stop + 1))
     lo = np.searchsorted(g.frequencies, cut[:-1], "right")
     hi = np.maximum(lo, np.searchsorted(g.frequencies, 2.0 * cut[1:]))
     edges = [0]
     for i in range(1, lo.size):
-        if hi[i] - lo[edges[-1]] > lp._SLACK * (hi - lo)[edges[-1]:i + 1].min():
+        window = hi[i] - lo[edges[-1]]
+        if window > lp._SLACK * (hi - lo)[edges[-1]:i + 1].min() and window > floor:
             edges.append(i)
     return edges + [lo.size]
 
@@ -353,3 +354,32 @@ _C13_SETS = ([(200.0, n) for n in (512, 1024, 2048)] + [(512.0, 2048)]
 def test_bank_block_edges_match_the_rescan(length, n):
     g = GridSpec(length, n, 1.0, 1)
     assert lp._Bank(g).edges == _edges_by_rescan(g)
+
+
+def test_low_bands_share_blocks(monkeypatch):
+    # the op at bin 580 of verify_bernstein_linfty's grid band-sums rows that
+    # reach bin 1244: the floor merges the narrow low bands, so it reads fewer
+    # blocks than the rule without a floor would (66)
+    g = GridSpec(400.0, 131072, 1e-3, 12)
+    x = np.zeros((1, g.num_points // 2))
+    x[:, 1:1244] = 1.0
+    read, block = [], lp._Bank.block
+    monkeypatch.setattr(lp._Bank, "block", lambda self, b: read.append(b) or block(self, b))
+    lp.band_sums(g, lp.default_band(g), x)
+    monkeypatch.setattr(lp, "_FLOOR", 0)
+    unmerged = lp._Bank(g)
+    assert np.count_nonzero((unmerged.start < 1244) & (unmerged.stop > 1)) == 66
+    assert len(read) < 66
+
+
+@pytest.mark.parametrize("length, n", [(400.0, 4096), (400.0, 131072)])
+def test_band_rows_are_the_computed_symbols_on_their_spans(length, n):
+    # on the picard and bernstein frequency sets, each psi row read from a
+    # merged block is bitwise _compute_symbol, trimmed to its nonzero span
+    g = GridSpec(length, n, 1.0, 1)
+    for z in lp.default_band(g):
+        start, row = lp.band_row(g, z)
+        ref = lp._compute_symbol(g.frequencies, z, "psi")
+        nz = np.flatnonzero(ref)
+        lo, hi = (nz[0], nz[-1] + 1) if nz.size else (start, start)
+        assert start == lo and row.tobytes() == ref[lo:hi].tobytes()

@@ -1,4 +1,5 @@
-"""Layer rows of the bernstein shape: the path layers and the sup in space.
+"""Layer rows of the bernstein shape (the path layers and the sup in space),
+or of Picard solves on given grids.
 
 For each cutoff bin of `verify_bernstein_linfty` (L=400, N=131072, K=12)
 and each source tree given, a fresh process runs one bernstein op at that
@@ -12,15 +13,25 @@ bin (caches filled), then times in CPU seconds (time.process_time):
 - the whole op at that bin, the median of OPS ops;
 
 and reports the peak traced allocation of one more warm op (tracemalloc),
-the process's peak RSS (ru_maxrss) and one deterministic count:
-the sample points (rows x transform length, summed over calls) that one
-`mixed_norm(low, inf, inf)` call passes through `grid.to_samples`. Processes
+the process's peak RSS (ru_maxrss) and two deterministic counts: the sample
+points (rows x transform length, summed over calls) that one
+`mixed_norm(low, inf, inf)` call passes through `grid.to_samples`, and the
+band blocks (`_Bank.block` reads) of one `xs_report(path, s_p)`. Processes
 alternate between the trees; each list in a row holds the sorted values of PROCS
 processes. OPENBLAS_NUM_THREADS is pinned to 1 in every child.
 
     python tools/layer_rows.py parent=/path/to/parent/checkout change=.
 
 takes the trees as LABEL=PATH and the bins from --bins (default: all ten).
+
+With --picard "L,N,K,T ..." it times `solve_picard` instead, on each grid
+(L, N, K, T) for the picard workload's packet of seed 303
+(perfbench/workloads.py; dt = T/K): a fresh process solves once (caches
+filled), then reports the median of SOLVES warm solves, the CPU seconds spent
+in `norms.xs_report` and in `power_spectra` during that solve, and the band
+blocks read in one warm solve (deterministic).
+
+    python tools/layer_rows.py parent=... change=. --picard "400,4096,64,1 400,4096,256,4"
 
 prints one JSON list of rows, one per (bin, tree), in BENCH_*.json form.
 """
@@ -38,12 +49,24 @@ import tracemalloc
 
 BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
 GRID = (400.0, 131072, 1e-3, 12)
-PROCS, CALLS, OPS = 3, 7, 5
+PROCS, CALLS, OPS, SOLVES = 3, 7, 5, 5
+PICARD_SEED = 303
 
 
 def _median(xs):
     xs = sorted(xs)
     return xs[len(xs) // 2]
+
+
+def _count_blocks(lp, run):
+    """_Bank.block reads while run() runs."""
+    read, block = [], lp._Bank.block
+    lp._Bank.block = lambda self, b: read.append(b) or block(self, b)
+    try:
+        run()
+    finally:
+        lp._Bank.block = block
+    return len(read)
 
 
 def measure(top_bin: int) -> dict:
@@ -81,6 +104,7 @@ def measure(top_bin: int) -> dict:
         grid.mixed_norm(low, np.inf, np.inf)
     finally:
         grid.to_samples = real
+    blocks = _count_blocks(lp, lambda: norms.xs_report(path, s_p))
     tracemalloc.start()
     op()
     op_peak = tracemalloc.get_traced_memory()[1]
@@ -93,14 +117,60 @@ def measure(top_bin: int) -> dict:
     return {"sup_s": _median(sup_s), "layers_s": _median(layers_s), "op_s": _median(op_s),
             "op_peak_mb": op_peak / 2.0 ** 20,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "sup_points": sum(points)}
+            "sup_points": sum(points), "blocks": blocks}
+
+
+def _picard_grid(arg: str):
+    """(L, N, K, T) from "L,N,K,T"."""
+    length, n, k, horizon = arg.split(",")
+    return float(length), int(n), int(k), float(horizon)
+
+
+def measure_picard(grid_arg: str, tree: str) -> dict:
+    """One Picard grid's timings in this process (gkdvlab importable)."""
+    sys.path.insert(0, os.path.join(tree, "perfbench"))
+    from workloads import Picard
+
+    from gkdvlab import grid, littlewood_paley as lp, norms, picard
+
+    length, n, k, horizon = _picard_grid(grid_arg)
+    wl = Picard()
+    wl.T, wl.grid = horizon, grid.GridSpec(length, n, horizon / k, k)
+    phi = wl.inputs(PICARD_SEED, 1)[0]
+    spent = {"xs": 0.0, "power": 0.0}
+
+    def timed(key, fn):
+        def wrapper(*args, **kwargs):
+            t = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] += time.process_time() - t
+        return wrapper
+
+    wl.op(phi)
+    blocks = _count_blocks(lp, lambda: wl.op(phi))
+    real_xs, real_power = norms.xs_report, picard.power_spectra
+    norms.xs_report, picard.power_spectra = timed("xs", real_xs), timed("power", real_power)
+    rounds = []
+    for _ in range(SOLVES):
+        spent.update(xs=0.0, power=0.0)
+        t = time.process_time()
+        wl.op(phi)
+        rounds.append((time.process_time() - t, spent["xs"], spent["power"]))
+    norms.xs_report, picard.power_spectra = real_xs, real_power
+    solve_s, xs_s, power_s = _median(rounds)
+    return {"solve_s": solve_s, "xs_s": xs_s, "power_s": power_s, "blocks": blocks,
+            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", help="LABEL=PATH of a source checkout")
     ap.add_argument("--bins", default=",".join(map(str, BINS)))
-    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--picard", metavar="GRIDS",
+                    help='Picard rows on the grids "L,N,K,T L,N,K,T ..." instead')
+    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not all("=" in t for t in args.trees):
         ap.error("trees are given as LABEL=PATH")
@@ -110,23 +180,38 @@ def main(argv=None) -> None:
         tree = os.path.join(os.path.abspath(trees[0][1]), "src")
         if not os.path.abspath(gkdvlab.__file__).startswith(tree + os.sep):
             raise SystemExit(f"gkdvlab imported from {gkdvlab.__file__}, not {tree}")
-        print(json.dumps(measure(args.child)))
+        print(json.dumps(measure_picard(args.child, os.path.abspath(trees[0][1]))
+                         if args.picard else measure(int(args.child))))
         return
     got = {}
+    cases = args.picard.split() if args.picard else args.bins.split(",")
     for k in range(PROCS):
-        for top_bin in map(int, args.bins.split(",")):
+        for case in cases:
             for label, path in (trees if k % 2 == 0 else trees[::-1]):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                            PYTHONPATH=os.path.join(os.path.abspath(path), "src"))
+                mode = ["--picard", args.picard] if args.picard else []
                 out = subprocess.run(
                     [sys.executable, os.path.abspath(__file__), f"{label}={path}",
-                     "--child", str(top_bin)],
+                     *mode, "--child", case],
                     env=env, check=True, capture_output=True, text=True).stdout
-                got.setdefault((top_bin, label), []).append(json.loads(out))
-    rows = [{"grid": [GRID[0], GRID[1], GRID[3]], "cutoff_bin": b, "side": label,
+                got.setdefault((case, label), []).append(json.loads(out))
+    if args.picard:
+        rows = [{"grid": list(_picard_grid(g)), "side": label,
+                 "layer": f"picard.solve_picard warm, picard workload packet of seed {PICARD_SEED}",
+                 "solve_warm_p50_s": sorted(round(r["solve_s"], 4) for r in runs),
+                 "xs_report_in_solve_s": sorted(round(r["xs_s"], 4) for r in runs),
+                 "power_spectra_in_solve_s": sorted(round(r["power_s"], 4) for r in runs),
+                 "band_blocks_read_per_solve": runs[0]["blocks"],
+                 "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
+                for (g, label), runs in got.items()]
+        print(json.dumps(rows, indent=1))
+        return
+    rows = [{"grid": [GRID[0], GRID[1], GRID[3]], "cutoff_bin": int(b), "side": label,
              "layer": "grid.mixed_norm(low, inf, inf) warm",
              "mixed_norm_warm_p50_s": sorted(round(r["sup_s"], 4) for r in runs),
              "mixed_norm_sample_points": runs[0]["sup_points"],
+             "band_sums_blocks_read": runs[0]["blocks"],
              "free_project_xs_warm_p50_s": sorted(round(r["layers_s"], 4) for r in runs),
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
              "bernstein_op_tracemalloc_peak_mb": sorted(round(r["op_peak_mb"], 2) for r in runs),
