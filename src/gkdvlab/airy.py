@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, GridSpec, Path, apply_multiplier
+from .grid import Field, GridSpec, Path, apply_multiplier
 
 _PHASE_CACHE_LIMIT = 1 << 23  # do not retain phase tables with (K+1)*N above this
 
@@ -50,16 +50,13 @@ def phase_matrix(grid: GridSpec, sign: int = +1) -> np.ndarray:
     return _phase_matrix_compute(grid, sign)
 
 
-def free_solution(phi: Field, grid: GridSpec | None = None) -> Path:
+def free_solution(phi: Field) -> Path:
     """Path of S(t_k) phi over the grid's sample times, with phi's spectral end."""
-    g = phi.grid if grid is None else grid
-    if g != phi.grid:
-        raise GridMismatchError("initial data lives on a different grid")
     e = phi.spectral_end
-    return Path._adopt(g, phase_matrix(g, +1)[:, :e] * phi.bins(e), e)
+    return Path._adopt(phi.grid, phase_matrix(phi.grid, +1)[:, :e] * phi.bins(e), e)
 
 
-def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
+def duhamel(forcing: Path) -> Path:
     """t -> integral_0^t S(t-s) f(s) ds by interaction-picture quadrature.
 
     The integrand is pulled back to g(s) = S(-s) f(s), integrated by a
@@ -67,9 +64,7 @@ def duhamel(forcing: Path, grid: GridSpec | None = None) -> Path:
     and pushed forward again. Exact for forcing of the form S(s) phi, linear
     in the forcing, and identically zero at t = 0.
     """
-    g = forcing.grid if grid is None else grid
-    if g != forcing.grid:
-        raise GridMismatchError("forcing path lives on a different grid")
+    g = forcing.grid
     return Path._adopt(g, duhamel_spectra(g, forcing.bins(forcing.spectral_end)))
 
 

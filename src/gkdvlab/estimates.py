@@ -22,8 +22,7 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from .airy import free_solution
-from .grid import (Field, GridSpec, Path, l2_norm, mixed_norm, time_weights,
-                   to_samples)
+from .grid import Field, GridSpec, l2_norm, mixed_norm, time_weights, to_samples
 from .io import canonical_json
 from .norms import besov_norm, critical_index, rescaled_grid, xs_norm
 
@@ -104,18 +103,13 @@ def _regress(logx: Sequence[float], logy: Sequence[float]) -> Optional[float]:
     return float(sol[0])
 
 
-def annulus_field(grid: GridSpec, z: int, rng: np.random.Generator,
-                  aligned: bool = False) -> Field:
+def annulus_field(grid: GridSpec, z: int, rng: np.random.Generator) -> Field:
     """Random real data supported where the band mask lives."""
     start, row = lp.band_row(grid, z)
     coeffs = np.zeros(grid.num_points // 2, dtype=np.complex128)
     if row.size:
-        if aligned:
-            vals = np.abs(rng.standard_normal(row.size)) + 0.0j
-        else:
-            vals = rng.standard_normal(row.size) \
-                + 1j * rng.standard_normal(row.size)
-        coeffs[start:start + row.size] = vals
+        coeffs[start:start + row.size] = rng.standard_normal(row.size) \
+            + 1j * rng.standard_normal(row.size)
     return Field.from_coefficients(grid, coeffs)
 
 
@@ -129,18 +123,6 @@ def flat_field(grid: GridSpec, top_bin: int, rng: np.random.Generator) -> Field:
     c = np.zeros(int(min(top_bin, grid.num_points // 2 - 1)) + 1, dtype=np.complex128)
     c[1:] = np.abs(rng.standard_normal(c.size - 1))
     return Field._adopt(grid, c, c.size)
-
-
-def _project_path(path: Path, z: int, kind: str) -> Path:
-    """The band z piece (kind "psi") or low-pass piece ("leq") of the path, up
-    to the lesser of its spectral end and the end of the symbol's span."""
-    start, row = lp.band_row(path.grid, z, kind)
-    end = min(path.spectral_end, start + row.size)
-    if end <= start:
-        return Path.zero(path.grid)
-    cmat = np.zeros((len(path), end), dtype=np.complex128)
-    np.multiply(path.bins(end)[:, start:], row[:end - start], out=cmat[:, start:])
-    return Path._adopt(path.grid, cmat, end)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -194,7 +176,7 @@ def _linear_sweep(ensemble: TrialEnsemble, q: float, r: float,
             phi = Field.from_coefficients(rescaled_grid(mother, z), coeffs)
             lam = lp.scale_value(z)
             dnorm = l2_norm(lp.project(phi, lp.scale(z)))
-            lhs = mixed_norm(_project_path(free_solution(phi), z, "psi"), q, r)
+            lhs = mixed_norm(lp.band_piece(free_solution(phi), z, "psi"), q, r)
             rhs = lam ** exponent * dnorm
             sweep.add({"trial": trial, "lam": lam, "lhs": lhs, "rhs": rhs,
                        "ratio": _ratio(lhs, rhs)}, lam, dnorm)
@@ -244,7 +226,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             z = int(round(math.log(lam_target) / math.log(lp.BASE)))
             lam = lp.scale_value(z)
             path = free_solution(flat_field(grid, top_bin, rng))
-            low = _project_path(path, z, "leq")
+            low = lp.band_piece(path, z, "leq")
             lhs = mixed_norm(low, np.inf, np.inf)
             xs = xs_norm(path, ci.s_p)
             rhs = lam ** (0.5 - ci.s_p) * xs
@@ -538,9 +520,9 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
                     raise ValueError(
                         "five-factor frequency reach meets the pairing band; "
                         "not an exact-zero configuration")
-            paths = [_project_path(free_solution(f), z, kind).spectral_matrix
+            paths = [lp.band_piece(free_solution(f), z, kind).spectral_matrix
                      for f, (z, kind) in zip(fields, specs)]
-            path_u = _project_path(free_solution(fu), zmu, "psi").spectral_matrix
+            path_u = lp.band_piece(free_solution(fu), zmu, "psi").spectral_matrix
             total = 0.0
             if exact_zero_mode:
                 for k in range(grid.num_steps + 1):
@@ -605,7 +587,7 @@ def l6_smallness_report(phi: Field, T: float, p: float,
     for bound, z, lam in entries:
         if bound <= best:
             break
-        piece = _project_path(path, z, "psi")
+        piece = lp.band_piece(path, z, "psi")
         val = lam ** (1.0 / 6.0 + ci.s_p) * mixed_norm(piece, 6.0, 6.0)
         if val > best:
             best = val

@@ -461,13 +461,13 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     """L^{q_time}_t L^{q_space}_x norm over [0, T] x the cell.
 
     Inner spatial norm per snapshot (rectangle weight L/N), outer temporal
-    norm with trapezoid weights; q = inf (or "inf") takes sups. With e the path's
-    spectral_end (its stored width) and M the least power of two, at
-    least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i} (r = N/M)
-    are length-M inverse transforms of the bins k < e times exp(2 pi i k a/N),
-    gathered from one table of the N roots of unity (_roots, built on first use).
-    If r < 2 the sup in space reads the values; under a finite q_time it runs
-    every shift a < r in one batch.
+    norm with trapezoid weights; q = inf (or "inf") takes sups. The sup in
+    space reads the values, except in the sup over space and time when r >= 2.
+    With e the path's spectral_end (its stored width) and M the least power of
+    two, at least _SUP_MIN_POINTS, with M >= 2e, the samples x_{a + r i}
+    (r = N/M) are length-M inverse transforms of the bins k < e times
+    exp(2 pi i k a/N), gathered from one table of the N roots of unity (_roots,
+    built on first use).
 
     The sup over space and time transforms the shift a = 0 only: the nodes
     x_{r i}. As a function of a continuous j, f_j has |df/dj| <= (2 pi/N) sum_k
@@ -485,13 +485,10 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     grid, n = path.grid, path.grid.num_points
     if q_space == np.inf:
         e = max(path.spectral_end, 1)
-        c, m = path.bins(e), max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
-        if n // m < 2:
-            vm = path.values_matrix
-        elif q_time == np.inf:
-            return _sup(c, n, m)
-        else:
-            vm = to_samples(c[:, None] * _twists(n, range(n // m), e), m).reshape(len(c), -1)
+        m = max(_SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
+        if q_time == np.inf and n // m >= 2:
+            return _sup(path.bins(e), n, m)
+        vm = path.values_matrix
         spatial = np.maximum(np.abs(vm.max(axis=1)), np.abs(vm.min(axis=1)))
     else:
         spatial = (grid.weight * np.sum(np.abs(path.values_matrix) ** q_space, axis=1)) ** (1.0 / q_space)

@@ -96,17 +96,14 @@ def load(path):
     raise ContainerError(f"unknown kind {head['kind']!r}")
 
 
-def path_to_csv(p: Path, fileobj=None) -> str:
+def path_to_csv(p: Path) -> str:
     """Plot-ready CSV with one (t, x, value) row per sample."""
     lines = ["t,x,value"]
     x = p.grid.x
     for t, vals in zip(p.grid.times, p.values_matrix):
         for j in range(p.grid.num_points):
             lines.append(f"{t!r},{x[j]!r},{vals[j]!r}")
-    text = "\n".join(lines) + "\n"
-    if fileobj is not None:
-        fileobj.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def canonical_json(obj) -> str:

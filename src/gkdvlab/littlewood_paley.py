@@ -32,7 +32,8 @@ built on first use, and band_row returns views trimmed to the span. leq
 rows are stored one by one over their spans. Spread on the N/2 stored bins
 a row is bitwise the symbol on the grid frequencies (mode 0 zeroed for
 leq). Band reductions run band_sums, one matmul per block that meets the
-rows' support, squared on the fly; multipliers take symbol_array.
+rows' support, squared on the fly. A band piece (band_piece, of a Field
+or a Path) multiplies only the row's span, over the bins its input stores.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .grid import Field, GridSpec, _support_end, _unit_scaled, apply_multiplier
+from .grid import Field, GridSpec, _Stored, _support_end, _unit_scaled
 
 BASE = 1.01
 
@@ -281,6 +282,20 @@ def _band_is_resolvable(grid: GridSpec, sc: LPScale) -> bool:
     return (2.0 * sc.lam > grid.delta_xi) and (sc.lam / BASE < grid.resolvable_max)
 
 
+def band_piece(x: _Stored, z: int, kind: str) -> _Stored:
+    """The band z piece (kind "psi") or low-pass piece ("leq") of a Field or
+    a Path, of its type, up to the lesser of its spectral end and the end of
+    the symbol's span."""
+    start, row = band_row(x.grid, z, kind)
+    end = min(x.spectral_end, start + row.size)
+    if end <= start:
+        return type(x).zero(x.grid)
+    c = x.bins(end)
+    out = np.zeros(c.shape, dtype=np.complex128)
+    np.multiply(c[..., start:], row[:end - start], out=out[..., start:])
+    return type(x)._adopt(x.grid, out, end)
+
+
 def project(f: Field, sc: LPScale) -> Field:
     """P_lam f: multiply coefficients by Psi_lam. Out-of-band scales produce a
     zero field and a CoverageWarning."""
@@ -292,11 +307,11 @@ def project(f: Field, sc: LPScale) -> Field:
             stacklevel=2,
         )
         return Field.zero(f.grid)
-    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "psi"))
+    return band_piece(f, sc.exponent, "psi")
 
 
 def project_leq(f: Field, sc: LPScale) -> Field:
-    return apply_multiplier(f, symbol_array(f.grid, sc.exponent, "leq"))
+    return band_piece(f, sc.exponent, "leq")
 
 
 def project_lt(f: Field, sc: LPScale) -> Field:
@@ -335,12 +350,13 @@ def default_band(grid: GridSpec) -> range:
     return range(z_min, z_max + 1)
 
 
-def partition_sum(grid: GridSpec, band: Iterable[int]) -> np.ndarray:
+def partition_sum(grid: GridSpec, band: range) -> np.ndarray:
     """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly),
     accumulated in z order; built once per frequency set and band, read-only."""
-    bank, key = _bank(grid.domain_length, grid.num_points), ("sum", *band)
+    bank = _bank(grid.domain_length, grid.num_points)
+    key = ("sum", band.start, band.stop, band.step)
     if key not in bank:
-        out = _spread(grid, (band_row(grid, z) for z in key[1:]))
+        out = _spread(grid, (band_row(grid, z) for z in band))
         out.flags.writeable = False
         bank.setdefault(key, out)
     return bank[key]

@@ -225,7 +225,6 @@ def _chain_cutoffs(band: range, length: int) -> List[int]:
 
 
 def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
-                            chain_length: int = 3,
                             budget: int = 6_000_000,
                             integrand_limit: Optional[float] = None) -> float:
     """Relative L2 residual of the four-fold nested band decomposition.
@@ -247,7 +246,7 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
     if tnorm == 0.0:
         return 0.0
     tau, wts = _gl_nodes(nodes)
-    zs = _chain_cutoffs(band, chain_length)
+    zs = _chain_cutoffs(band, 3)
     n = grid.num_points
     uh = u.coefficients
     cum = [lp.symbol_array(grid, z, "leq") for z in zs]
@@ -267,44 +266,36 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
               for i in range(nb)]
     hot_rows = 0
 
-    acc5 = np.zeros(n)
-    for i5 in range(nb):
-        p5 = to_samples(q_live[i5] * uh, n)
-        for a5 in range(nodes):
-            m5 = blends[i5][a5]
-            acc4 = np.zeros(n)
-            for i4 in range(nb):
-                p4 = to_samples(q_live[i4] * m5 * uh, n)
-                for a4 in range(nodes):
-                    m45 = blends[i4][a4] * m5
-                    acc3 = np.zeros(n)
-                    for i3 in range(nb):
-                        p3 = to_samples(q_live[i3] * m45 * uh, n)
-                        for a3 in range(nodes):
-                            base = blends[i3][a3] * m45 * uh
-                            stack = np.empty((nb * nodes + nb, uh.size),
-                                             dtype=np.complex128)
-                            for i2 in range(nb):
-                                stack[i2 * nodes:(i2 + 1) * nodes] = \
-                                    blends[i2] * base[None, :]
-                                stack[nb * nodes + i2] = q_live[i2] * base
-                            vals = to_samples(stack, n)
-                            v = vals[:nb * nodes]
-                            pieces = vals[nb * nodes:]
-                            av = np.maximum(np.abs(v), _ABS_FLOOR)
-                            core = cexp * av ** (p - 5.0) * v
-                            if integrand_limit is not None:
-                                hot_rows += int(np.sum(
-                                    np.max(np.abs(core), axis=1)
-                                    > integrand_limit))
-                            core3 = core.reshape(nb, nodes, n)
-                            summed = np.einsum("a,ban->bn", wts, core3)
-                            inner = (summed * pieces).sum(axis=0)
-                            acc3 += wts[a3] * inner * p3
-                    acc4 += wts[a4] * acc3 * p4
-            acc5 += wts[a5] * acc4 * p5
+    def level(m: np.ndarray, depth: int) -> np.ndarray:
+        """Sum over live band i and node a of w_a P_i(m u) times the next level at
+        blends[i][a] m; at depth 1 that level, over the last two band indices, is one batch."""
+        nonlocal hot_rows
+        acc = np.zeros(n)
+        for i in range(nb):
+            piece = to_samples(q_live[i] * m * uh, n)
+            for a in range(nodes):
+                mm = blends[i][a] * m
+                if depth > 1:
+                    inner = level(mm, depth - 1)
+                else:
+                    base = mm * uh
+                    stack = np.empty((nb * nodes + nb, uh.size), dtype=np.complex128)
+                    for i2 in range(nb):
+                        stack[i2 * nodes:(i2 + 1) * nodes] = blends[i2] * base[None, :]
+                        stack[nb * nodes + i2] = q_live[i2] * base
+                    vals = to_samples(stack, n)
+                    v, pieces = vals[:nb * nodes], vals[nb * nodes:]
+                    core = cexp * np.maximum(np.abs(v), _ABS_FLOOR) ** (p - 5.0) * v
+                    if integrand_limit is not None:
+                        hot_rows += int(np.sum(np.max(np.abs(core), axis=1) > integrand_limit))
+                    summed = np.einsum("a,ban->bn", wts, core.reshape(nb, nodes, n))
+                    inner = (summed * pieces).sum(axis=0)
+                acc += wts[a] * inner * piece
+        return acc
+
+    acc = level(1.0, 3)
     if integrand_limit is not None and hot_rows:
         warnings.warn(
             "%d inner evaluations exceeded the integrand magnitude limit"
             % hot_rows, IntegrandMagnitudeWarning)
-    return _rel_l2(acc5, target)
+    return _rel_l2(acc, target)

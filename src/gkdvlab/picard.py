@@ -301,12 +301,11 @@ def _converges(profile: Field, amp: float, p: float, grid: GridSpec,
 def amplitude_threshold(profile: Field, p: float,
                         max_iters: int = 12,
                         stop_tolerance: float = 1e-9,
-                        rel_tol: float = 0.01,
-                        start: float = 1.0) -> float:
+                        rel_tol: float = 0.01) -> float:
     """Empirical smallness boundary: the amplitude separating converging
-    from non-converging runs on the profile's grid, located by doubling
-    scan plus log bisection to the requested relative width. Every probe
-    solve uses stop_tolerance as its PicardConfig.stop_tolerance.
+    from non-converging runs on the profile's grid, located by a doubling or
+    halving scan from amplitude 1 plus log bisection to the requested relative
+    width. Every probe solve uses stop_tolerance as its PicardConfig.stop_tolerance.
 
     Deterministic: same profile and settings give the same threshold.
     """
@@ -315,7 +314,7 @@ def amplitude_threshold(profile: Field, p: float,
     if not (0 < rel_tol < 1):
         raise ValueError("rel_tol must lie in (0, 1)")
     grid = profile.grid
-    amp = float(start)
+    amp = 1.0
     if _converges(profile, amp, p, grid, max_iters, stop_tolerance):
         lo = amp
         for _ in range(80):

@@ -9,7 +9,7 @@ from gkdvlab.airy import (
     free_solution,
     phase_matrix,
 )
-from gkdvlab.grid import Field, GridMismatchError, GridSpec, Path, l2_norm
+from gkdvlab.grid import Field, GridSpec, Path, l2_norm
 
 from conftest import gaussian_bump, random_field
 
@@ -145,11 +145,6 @@ class TestDuhamel:
         rhs = duhamel(f1) * a + duhamel(f2) * b
         scale = max(np.abs(rhs.values_matrix).max(), 1e-300)
         assert np.abs(lhs.values_matrix - rhs.values_matrix).max() <= 1e-12 * scale
-
-    def test_grid_mismatch_rejected(self, small_grid):
-        other = GridSpec(60.0, 256, 0.05, 20)
-        with pytest.raises(GridMismatchError):
-            duhamel(Path.zero(small_grid), other)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 8, 9, 64, 65])
     def test_cumulative_rule_matches_stepwise_loop_bitwise(self, K):

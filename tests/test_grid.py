@@ -270,10 +270,10 @@ class TestPath:
                 continue
             assert -vm.min() > vm.max()
             assert mixed_norm(p, np.inf, np.inf) == pytest.approx(sup.max(), rel=1e-14)
-            assert mixed_norm(p, 2.0, np.inf) == pytest.approx(
-                float(np.sum(w * sup ** 2.0) ** 0.5), rel=1e-14)
             m = max(grid_mod._SUP_MIN_POINTS, 1 << (2 * e - 1).bit_length())
             assert (p._vmat is None) == (n // m >= 2)  # no values built if r >= 2
+            assert mixed_norm(p, 2.0, np.inf) == pytest.approx(
+                float(np.sum(w * sup ** 2.0) ** 0.5), rel=1e-14)
 
     def test_mixed_norm_sup_does_not_depend_on_read_values(self):
         g = GridSpec(50.0, 1024, 0.05, 8)  # 20 bins: r = 4 short transforms
@@ -288,8 +288,9 @@ class TestPath:
     def test_mixed_norm_sup_of_low_pass_runs_no_full_transform(self, monkeypatch):
         # the bernstein low-pass path at bin 580: nonzero on 581 bins of 65536
         from gkdvlab import grid as grid_mod
+        from gkdvlab import littlewood_paley as lp
         from gkdvlab.airy import free_solution
-        from gkdvlab.estimates import _project_path, flat_field
+        from gkdvlab.estimates import flat_field
 
         lengths = []
         real = grid_mod.to_samples
@@ -297,7 +298,7 @@ class TestPath:
                             lambda c, m: lengths.append(m) or real(c, m))
         g = GridSpec(400.0, 131072, 1e-3, 12)  # verify_bernstein_linfty's grid
         phi = flat_field(g, 580, np.random.default_rng(3))
-        low = _project_path(free_solution(phi), 222, "leq")  # the op's z at bin 580
+        low = lp.band_piece(free_solution(phi), 222, "leq")  # the op's z at bin 580
         lengths.clear()
         sup = mixed_norm(low, np.inf, np.inf)
         assert lengths == [2048] and low._vmat is None
@@ -325,12 +326,12 @@ class TestPath:
         from gkdvlab import grid as grid_mod
         from gkdvlab import littlewood_paley as lp
         from gkdvlab.airy import free_solution
-        from gkdvlab.estimates import _project_path, flat_field
+        from gkdvlab.estimates import flat_field
 
         g = GridSpec(400.0, 131072, 1e-3, 12)  # verify_bernstein_linfty's grid
         z = int(round(math.log(top_bin * g.delta_xi) / math.log(lp.BASE)))
         phi = flat_field(g, top_bin, np.random.default_rng(top_bin))
-        low = _project_path(free_solution(phi), z, "leq")
+        low = lp.band_piece(free_solution(phi), z, "leq")
         shapes, real = [], grid_mod.to_samples
         monkeypatch.setattr(grid_mod, "to_samples",
                             lambda c, m: shapes.append(c.shape[:-1] + (m,)) or real(c, m))
@@ -563,8 +564,9 @@ class TestPath:
         # every maker stores its bins up to 1 + the last nonzero one, or finds
         # it by a scan; only cancelling spectra (a - a) leave the end above it
         from gkdvlab import io
+        from gkdvlab import littlewood_paley as lp
         from gkdvlab.airy import duhamel, free_solution
-        from gkdvlab.estimates import _project_path, annulus_field, flat_field
+        from gkdvlab.estimates import annulus_field, flat_field
         from gkdvlab.grid import _support_end
         from gkdvlab.norms import rescale_path
 
@@ -584,7 +586,7 @@ class TestPath:
                  "rescale_path": rescale_path(free, 40, 5.0)}
         for z in (50, 100, 200, 300):  # symbols ending below, inside and above the data
             for kind in ("leq", "psi"):
-                paths[f"{kind}{z}"] = _project_path(free, z, kind)
+                paths[f"{kind}{z}"] = lp.band_piece(free, z, kind)
         low = paths["leq50"]
         paths.update({"sum": free + low, "difference": low - free, "multiple": 0.5 * low,
                       "duhamel": duhamel(low), "snapshots": Path(g, list(free))})

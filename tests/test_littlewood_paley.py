@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import Field, GridSpec, l2_norm
+from gkdvlab.grid import Field, GridSpec, Path, l2_norm
 from gkdvlab import littlewood_paley as lp
 
 from conftest import random_field
@@ -383,3 +383,48 @@ def test_band_rows_are_the_computed_symbols_on_their_spans(length, n):
         nz = np.flatnonzero(ref)
         lo, hi = (nz[0], nz[-1] + 1) if nz.size else (start, start)
         assert start == lo and row.tobytes() == ref[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("n", [4096, 131072])
+def test_band_piece_is_the_full_width_multiplier(n):
+    # band_piece multiplies only the symbol's span over the stored bins; it
+    # equals the full-width product apply_multiplier(f, symbol_array(...)) bit
+    # for bit (that product's 0 * negative gives -0.0 below the span, and the
+    # comparison adds +0.0 to read it as 0.0), and a path's row k is the piece
+    # of snapshot k
+    import math
+
+    from gkdvlab.airy import free_solution
+    from gkdvlab.estimates import flat_field
+    from gkdvlab.grid import apply_multiplier
+
+    def bits(a):
+        return (np.asarray(a) + 0.0).view(np.int64)
+
+    g = GridSpec(400.0, n, 1e-3, 3)
+    rng = np.random.default_rng(n)
+    wide = Field.from_values(g, rng.standard_normal(n))
+    narrow = flat_field(g, 300, rng)  # bins 1 .. 300
+    band = lp.default_band(g)
+    straddle = int(round(math.log(300 * g.delta_xi) / math.log(lp.BASE)))
+    for f in (wide, narrow):
+        path = free_solution(f)
+        for kind in ("psi", "leq"):
+            for z in (band.start, band.start + 1, band.start + len(band) // 2,
+                      straddle, band.stop - 2, band.stop - 1):
+                got = lp.band_piece(f, z, kind)
+                ref = apply_multiplier(f, lp.symbol_array(g, z, kind))
+                assert type(got) is Field
+                np.testing.assert_array_equal(bits(got.coefficients), bits(ref.coefficients))
+                np.testing.assert_array_equal(got.values.view(np.int64), ref.values.view(np.int64))
+                start, row = lp.band_row(g, z, kind)
+                assert got.spectral_end <= min(f.spectral_end, start + row.size)
+                piece = lp.band_piece(path, z, kind)
+                assert type(piece) is Path
+                assert piece.spectral_end <= min(path.spectral_end, start + row.size)
+                for k in range(len(path)):
+                    snap = lp.band_piece(path[k], z, kind)
+                    np.testing.assert_array_equal(piece[k].coefficients.view(np.int64),
+                                                  snap.coefficients.view(np.int64))
+                    np.testing.assert_array_equal(piece.values_matrix[k].view(np.int64),
+                                                  snap.values.view(np.int64))

@@ -6,9 +6,10 @@ and each source tree given, a fresh process runs one bernstein op at that
 bin (caches filled), then times in CPU seconds (time.process_time):
 
 - `mixed_norm(low, inf, inf)` of a new low-pass path per call, the median
-  of CALLS calls (`low` is `_project_path(free_solution(phi), z, "leq")`
-  for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op);
-- the path layers of the op: `free_solution(phi)`, `_project_path` of it
+  of CALLS calls (`low` is `lp.band_piece(free_solution(phi), z, "leq")`
+  for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op; in a
+  tree without `band_piece`, its predecessor `estimates._project_path`);
+- the path layers of the op: `free_solution(phi)`, `lp.band_piece` of it
   and its `xs_report`, one call each, the median of CALLS rounds;
 - the whole op at that bin, the median of OPS ops;
 
@@ -85,16 +86,17 @@ def measure(top_bin: int) -> dict:
     op()
     phi = estimates.flat_field(g, top_bin, np.random.default_rng(top_bin))
     s_p = norms.critical_index(5.0).s_p
+    band_piece = getattr(lp, "band_piece", None) or estimates._project_path
     layers_s = []
     for _ in range(CALLS):
         t = time.process_time()
         path = free_solution(phi)
-        estimates._project_path(path, z, "leq")
+        band_piece(path, z, "leq")
         norms.xs_report(path, s_p)
         layers_s.append(time.process_time() - t)
     sup_s = []
     for _ in range(CALLS):
-        low = estimates._project_path(path, z, "leq")
+        low = band_piece(path, z, "leq")
         t = time.process_time()
         grid.mixed_norm(low, np.inf, np.inf)
         sup_s.append(time.process_time() - t)
