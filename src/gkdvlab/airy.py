@@ -27,33 +27,36 @@ def evolve(f: Field, t: float) -> Field:
 
 
 @lru_cache(maxsize=8)
-def _phase_matrix_cached(grid: GridSpec, sign: int) -> np.ndarray:
-    if sign < 0:
-        m = np.conj(_phase_matrix_cached(grid, +1))
-        m.flags.writeable = False
-        return m
-    return _phase_matrix_compute(grid, sign)
-
-
-def _phase_matrix_compute(grid: GridSpec, sign: int) -> np.ndarray:
-    xi3 = grid.frequencies ** 3
-    m = np.exp((sign * 1j) * np.outer(grid.times, xi3))
+def _phase_table(grid: GridSpec) -> np.ndarray:
+    m = _phase_matrix_compute(grid, +1)
     m.flags.writeable = False
     return m
 
 
-def phase_matrix(grid: GridSpec, sign: int = +1) -> np.ndarray:
-    """exp(sign * i xi^3 t_k) for all sample times; cached for small grids,
-    with the -1 table as the conjugate of the +1 table."""
-    if (grid.num_steps + 1) * grid.num_points <= _PHASE_CACHE_LIMIT:
-        return _phase_matrix_cached(grid, sign)
-    return _phase_matrix_compute(grid, sign)
+def _phase_matrix_compute(grid: GridSpec, sign: int, e=None, out=None) -> np.ndarray:
+    xi3 = grid.frequencies[:e] ** 3
+    return np.exp((sign * 1j) * np.outer(grid.times, xi3), out=out)
+
+
+def phase_matrix(grid: GridSpec, sign: int = +1, e=None, out=None) -> np.ndarray:
+    """exp(sign * i xi^3 t_k) for all sample times over the stored bins below
+    e (all N/2 if None). One table per grid is cached, the +1 one, while
+    (K+1) N <= _PHASE_CACHE_LIMIT: sign +1 reads a read-only view of its
+    columns, and sign -1 their conjugate, written into out (a new array if
+    None). Above the limit only the columns asked for are built, on each
+    call. Multiply a -1 table on the right as np.multiply(x, table, ...):
+    numpy may compute x * table, with a temporary table, as table * x,
+    whose complex product can differ in the last bit."""
+    if (grid.num_steps + 1) * grid.num_points > _PHASE_CACHE_LIMIT:
+        return _phase_matrix_compute(grid, sign, e, out if sign < 0 else None)
+    table = _phase_table(grid)[:, :e]
+    return table if sign > 0 else np.conj(table, out=out)
 
 
 def free_solution(phi: Field) -> Path:
     """Path of S(t_k) phi over the grid's sample times, with phi's spectral end."""
     e = phi.spectral_end
-    return Path._adopt(phi.grid, phase_matrix(phi.grid, +1)[:, :e] * phi.bins(e), e)
+    return Path._adopt(phi.grid, phase_matrix(phi.grid, +1, e) * phi.bins(e), e)
 
 
 def duhamel(forcing: Path) -> Path:
@@ -72,13 +75,14 @@ def duhamel_spectra(g: GridSpec, forcing: np.ndarray) -> np.ndarray:
     """The spectra of duhamel's output from the forcing spectra, (K+1, e) for
     any e <= N/2: the bins below e, column by column."""
     e, dt = forcing.shape[1], g.dt
-    p = forcing * phase_matrix(g, -1)[:, :e]
+    p = phase_matrix(g, -1, e)
+    np.multiply(forcing, p, out=p)
     acc = np.zeros_like(p)
     # even rows sum the Simpson panels; an odd row adds one trapezoid step
     np.cumsum((dt / 3.0) * (p[:-2:2] + 4.0 * p[1:-1:2] + p[2::2]), axis=0,
               out=acc[2::2])
     acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
-    acc *= phase_matrix(g, +1)[:, :e]
+    acc *= phase_matrix(g, +1, e)
     return acc
 
 

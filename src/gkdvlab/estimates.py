@@ -226,8 +226,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             z = int(round(math.log(lam_target) / math.log(lp.BASE)))
             lam = lp.scale_value(z)
             path = free_solution(flat_field(grid, top_bin, rng))
-            low = lp.band_piece(path, z, "leq")
-            lhs = mixed_norm(low, np.inf, np.inf)
+            lhs = mixed_norm(lp.band_piece(path, z, "leq"), np.inf, np.inf)
             xs = xs_norm(path, ci.s_p)
             rhs = lam ** (0.5 - ci.s_p) * xs
             sweep.add({"trial": trial, "lam": lam, "lhs": lhs, "rhs": rhs,

@@ -443,7 +443,8 @@ def _sup(c: np.ndarray, n: int, m: int) -> float:
     slack = (2 * np.pi / m) * (ac @ k) * (1 + 1e-9) + 64 * np.finfo(float).eps * (2 * ac.sum(1) - ac[:, 0])
     keep = node > (best - slack)[:, None]
     keep |= np.roll(keep, -1, axis=1)  # cell i: the r - 1 points between nodes i and i + 1
-    kept, tw = np.count_nonzero(keep, axis=1), _twists(n, range(1, r), e)
+    # the shifts 1 .. r-1 twist bin k by k a < r e <= N/2: no reduction mod N
+    kept, tw = np.count_nonzero(keep, axis=1), _roots(n)[np.outer(np.arange(1, r), k)]
     dense = kept * (r - 1) * e > _SUP_DIRECT_RATIO * n * np.log2(m)
     if dense.any():
         v = to_samples(c[dense, None] * tw, m)

@@ -28,12 +28,16 @@ _BANKS_KEPT most recently used sets. psi rows are the rows of narrow dense
 blocks of consecutive bands over a shared window of bins (at most _SLACK
 times each row's span, or at most _FLOOR bins, so that the narrow low bands
 share a few blocks), zero outside each row's nonzero span; a block is
-built on first use, and band_row returns views trimmed to the span. leq
-rows are stored one by one over their spans. Spread on the N/2 stored bins
-a row is bitwise the symbol on the grid frequencies (mode 0 zeroed for
-leq). Band reductions run band_sums, one matmul per block that meets the
-rows' support, squared on the fly. A band piece (band_piece, of a Field
-or a Path) multiplies only the row's span, over the bins its input stores.
+built on first use, a few rows at a time (band z's row is bump(xi / lam_z)
+- bump(xi / lam_{z-1}), the cutoffs evaluated over the block's window, at
+most _BUMP_VALUES values per bump call), and band_row returns views
+trimmed to the span. leq rows are stored one by one over their spans.
+Spread on the N/2 stored bins a row is bitwise the symbol on the grid
+frequencies (mode 0 zeroed for leq). Band reductions run band_sums, one
+matmul per block that meets the rows' support, squared on the fly, reading
+a band's rows of a block as a slice where they are contiguous. A band
+piece (band_piece, of a Field or a Path) multiplies only the row's span,
+over the bins its input stores.
 """
 
 from __future__ import annotations
@@ -146,6 +150,7 @@ _BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
 # _FLOOR bins: the narrow low bands share a few blocks (18 is the largest floor that
 # keeps the blocks within 1.3 times the spans at N = 1024)
 _SLACK, _FLOOR = 1.2, 18
+_BUMP_VALUES = 1 << 16  # cutoff values per bump call while a block is built
 
 
 class _Bank(dict):
@@ -176,16 +181,22 @@ class _Bank(dict):
 
     def block(self, b: int) -> Tuple[int, np.ndarray, list]:
         """(first bin, read-only block, (first bin, row view) per band), built
-        in one pass: each cutoff bump(xi / lam_z) serves bands z and z + 1."""
+        a few rows at a time: each cutoff bump(xi / lam_z) serves bands z and z + 1."""
         entry = self.built.get(b)
         if entry is None:
             i, j = self.edges[b], self.edges[b + 1]
             lo = int(self.start[b])
-            cut = bump(self.pos[lo:self.stop[b]] / self.cut[i:j + 1, None])
-            blk = cut[1:] - cut[:-1]
+            pos = self.pos[lo:self.stop[b]]
+            blk = np.empty((j - i, pos.size))
+            # cutoffs q .. q + step - 1 of the block's j - i + 1 in one bump call:
+            # row r is cutoff r + 1 minus cutoff r
+            step = max(2, _BUMP_VALUES // max(pos.size, 1))
+            for q in range(0, j - i, step - 1):
+                cut = bump(pos / self.cut[i + q:min(i + q + step, j + 1), None])
+                np.subtract(cut[1:], cut[:-1], out=blk[q:q + cut.shape[0] - 1])
             blk.flags.writeable = False
             rows = [(lo + int(k[0]), blk[r, k[0]:k[-1] + 1]) if k.size else (lo, blk[r, :0])
-                    for r, k in enumerate(map(np.flatnonzero, blk != 0))]
+                    for r, k in enumerate(map(np.flatnonzero, blk))]
             entry = self.built.setdefault(b, (lo, blk, rows))
         return entry
 
@@ -243,14 +254,18 @@ def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
     idx = np.asarray(band, dtype=np.int64) - bank.z0
     out = np.zeros((x.shape[0], idx.size))
     first, end = x.shape[1] - _support_end(x[:, ::-1]), _support_end(x)
-    at = np.searchsorted(idx, bank.edges)
-    touched = np.arange(np.searchsorted(bank.stop, first, "right"),
-                        np.searchsorted(bank.start, end))
-    for b in touched[at[touched + 1] > at[touched]]:
+    at, idx = np.searchsorted(idx, bank.edges).tolist(), idx.tolist()
+    for b in range(int(np.searchsorted(bank.stop, first, "right")),
+                   int(np.searchsorted(bank.start, end))):
+        u, v = at[b], at[b + 1]
+        if u == v:
+            continue
         lo, blk, _ = bank.block(b)
-        w = blk[idx[at[b]:at[b + 1]] - bank.edges[b]]
-        w *= w
-        out[:, at[b]:at[b + 1]] = x[:, lo:lo + w.shape[1]] @ w.T
+        r, edge = idx[u] - bank.edges[b], idx[v - 1] - bank.edges[b]
+        # a band covering the block's rows contiguously reads them as a slice
+        w = np.square(blk[r:edge + 1] if edge - r == v - 1 - u
+                      else blk[[z - bank.edges[b] for z in idx[u:v]]])
+        out[:, u:v] = x[:, lo:lo + w.shape[1]] @ w.T
     return out
 
 

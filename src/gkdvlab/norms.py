@@ -124,17 +124,15 @@ def sobolev_norm(f: Field, s: float, band=None) -> float:
     return sobolev_report(f, s, band).value
 
 
-# bytes the V2 engine of xs_report may hold at once: the Gram, distance and
-# powered distance tables (3 x m x m floats per band) of one chunk of bands.
-# The DP bound of a chunk, run before its solve, holds two such tables per
-# band (the bound table D' and its square) and fits the same budget
+# bytes the exact solves of xs_report may hold at once: the Gram, distance and
+# powered distance tables (3 x m x m floats per band) of one chunk of bands
 _ENGINE_BYTES = 1 << 23
 
 
-def _energy(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """|x|^2 elementwise, written into out if given."""
-    out = np.square(x.real, out=out)
-    out += np.square(x.imag)
+def _energy(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, written into out; tmp (x's shape) is overwritten."""
+    np.square(x.real, out=out)
+    out += np.square(x.imag, out=tmp)
     return out
 
 
@@ -158,14 +156,23 @@ def _dp_bounds(steps: np.ndarray, cen: np.ndarray, nrm: np.ndarray) -> np.ndarra
     mean and through 0. The V2 dynamic program is monotone in its
     distances, so the DP over D' with the same terminal norms bounds V2.
     The margin, the second bound's, covers the rounding of both DPs.
+
+    One k-loop for all bands forms only the column D'[:k, k] it adds, as
+    S_k - S_j with S the cumulative path length, so no m x m table exists;
+    each entry is summed as in vp_batch over the full table.
     """
-    # the tables are (j, k, band): every broadcast runs along contiguous bands
     S = np.zeros((steps.shape[0] + 1, steps.shape[1]))
     np.cumsum(steps, axis=0, out=S[1:])
-    D = np.abs(S[:, None] - S[None, :])
-    for v in (cen, nrm):
-        np.minimum(D, v[:, None] + v[None, :], out=D)
-    return (1.0 + 1e-9) * np.array(vp_batch(D.transpose(2, 0, 1), nrm.T, 2.0))
+    M, col, pair = np.zeros(nrm.shape), np.empty(nrm.shape), np.empty(nrm.shape)
+    for k in range(1, M.shape[0]):
+        d, t = np.subtract(S[k], S[:k], out=col[:k]), pair[:k]
+        np.minimum(d, np.add(cen[:k], cen[k], out=t), out=d)
+        np.minimum(d, np.add(nrm[:k], nrm[k], out=t), out=d)
+        np.square(d, out=d)
+        d += M[:k]
+        np.maximum.reduce(d, axis=0, out=M[k])
+    best = np.max(M + nrm ** 2.0, axis=0)
+    return (1.0 + 1e-9) * np.array([float(b) ** 0.5 for b in best])
 
 
 def xs_report(path: Path, s: float, band=None) -> NormReport:
@@ -188,10 +195,13 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     DP over D'_jk = min(path length from j to k, c_j + c_k, r_j + r_k)
     with c and r the norms of its centred and plain rows (_dp_bounds),
     and is skipped on the same terms. D' is at least every distance, so
-    this bound is at least V2, and it is at most the second bound. Both
-    bounds carry the margin 1 + 1e-9. Either DP sums at most m squared
-    distances, each at most V2^2 and rounded by a few ulp of the span
-    length, so both values are exact to far less than the margin, and a
+    this bound is at least V2, and it is at most the second bound. It is
+    formed in one pass per call, once x is solved, for every band the
+    visit can still reach whose second bound is above the value of x: no
+    other band can meet it. Both bounds carry the margin 1 + 1e-9. Either
+    DP sums at most m squared distances, each at most V2^2 and rounded by
+    a few ulp of the span length, so both values are exact to far less
+    than the margin, and a
     band within it of the best is left to the exact DP. The rest are
     solved in chunks, one batched DP per chunk, and their values are taken
     in visiting order under the same stop rule, so bands solved past the
@@ -208,18 +218,24 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     a band covers has Parseval weight 2, so its sums carry the factor 2L.
     All of it runs over the first lp.reach bins of the path's spectral_end:
     every block window meeting its support, hence every band it can reach.
+    The pullback multiplies the stored bins by the -1 phase columns below
+    the spectral end into one zeroed array of that width.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
-    width = lp.reach(grid, path.spectral_end)  # no band sum reads past it
-    g, e = _unit_scaled(path.bins(width) * phase_matrix(grid, -1)[:, :width])
+    end = path.spectral_end
+    width = lp.reach(grid, end)  # no band sum reads past it
+    pulled = np.zeros((grid.num_steps + 1, width), dtype=np.complex128)
+    p = phase_matrix(grid, -1, end, out=pulled[:, :end])
+    np.multiply(path.bins(end), p, out=p)
+    g, e = _unit_scaled(pulled)
     m = g.shape[0]
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
-    stack = np.empty((2 * m, width))
-    energy = _energy(g, out=stack[:m])
+    stack, tmp = np.empty((2 * m, width)), np.empty((m, width))
+    energy = _energy(g, stack[:m], tmp)
     # V1: the K increments |g_{k+1} - g_k|^2 plus the terminal jump |g_K|^2
-    screen, d_im = stack[m:], g.imag[1:] - g.imag[:-1]
+    screen, d_im = stack[m:], np.subtract(g.imag[1:], g.imag[:-1], out=tmp[:-1])
     np.square(np.subtract(g.real[1:], g.real[:-1], out=screen[:-1]), out=screen[:-1])
     screen[:-1] += np.square(d_im, out=d_im)
     screen[-1] = energy[-1]
@@ -234,7 +250,7 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
         np.arange(band.start, band.stop), lam, lam_s, bound, steps, jump))
     chain = chain[:-1, order]
     g -= g.mean(axis=0)  # centred from here on
-    _energy(g, out=stack[m:])
+    _energy(g, stack[m:], tmp)
     best, cut, arg, vals, n = 0.0, 0.0, None, {}, order.size
     if n:
         # the visit never reaches a band after x whose bound is at most x's value
@@ -256,17 +272,18 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     diam = np.minimum(steps[:n], 2.0 * c_norm.max(axis=0, initial=0.0))
     top = (1.0 + 1e-9) * lam_s[:n] * np.sqrt(
         diam * steps[:n] + L2 * nrm.max(axis=0, initial=0.0))
+    # one DP bound pass over every band the visit can still solve after x:
+    # the floor is never below the value of x, so no other band meets the bound
+    rest = [k for k in np.flatnonzero(~(top <= cut)).tolist() if k not in vals]
+    upper = dict(zip(rest, (lam_s[rest] * _dp_bounds(
+        chain[:, rest], c_norm[:, rest], r_norm[:, rest])).tolist())) if rest else {}
     chunk = max(1, _ENGINE_BYTES // (24 * m * m))
     i = 0
     while i < n:
         todo = range(i, min(i + chunk, n))
         floor = max(best, cut)
         solve = [k for k in todo if k not in vals and not bound[k] <= best
-                 and not top[k] <= floor]
-        if solve:
-            up = lam_s[solve] * _dp_bounds(
-                chain[:, solve], c_norm[:, solve], r_norm[:, solve])
-            solve = [k for k, u in zip(solve, up.tolist()) if not u <= floor]
+                 and not top[k] <= floor and not upper[k] <= floor]
         if solve:
             vals.update(zip(solve, _band_values(
                 grid, g, zs[solve], r_norm[:, solve], lam_s[solve], L2).tolist()))

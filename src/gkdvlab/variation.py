@@ -63,8 +63,8 @@ def _sampled(path: Path, rows: np.ndarray, terminal: bool) -> SampledPath:
 
 def pullback_sampled(path: Path, terminal: bool = True) -> SampledPath:
     """Undo the free flow snapshotwise: rows are S(-t_k) u(t_k) in spectral form."""
-    return _sampled(path, path.spectral_matrix * phase_matrix(path.grid, -1),
-                    terminal)
+    rows = phase_matrix(path.grid, -1)
+    return _sampled(path, np.multiply(path.spectral_matrix, rows, out=rows), terminal)
 
 
 def sampled_from_path(path: Path, terminal: bool = True) -> SampledPath:

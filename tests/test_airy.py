@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from gkdvlab.airy import (
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
 
 from conftest import gaussian_bump, random_field
+
+
+# grids (L, N, dt, K) of the picard and bernstein workloads and two more
+_GRIDS = [(400.0, 4096, 1 / 64, 64), (400.0, 131072, 1e-3, 12),
+          (200.0, 1024, 1 / 32, 32), (512.0, 2048, 33 / 128, 128)]
 
 
 class TestEvolve:
@@ -52,18 +59,76 @@ class TestEvolve:
                                   small_grid.num_points // 2)
             np.testing.assert_allclose(mags, 1.0, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("L,n,dt,k", [(400.0, 4096, 1 / 64, 64),
-                                          (400.0, 131072, 1e-3, 12),
-                                          (200.0, 1024, 1 / 32, 32),
-                                          (512.0, 2048, 33 / 128, 128)])
+    @pytest.mark.parametrize("L,n,dt,k", _GRIDS)
     def test_backward_table_is_conjugate_bitwise(self, L, n, dt, k):
-        # the cached -1 table is the conjugate of the +1 table, and equal
-        # bit for bit to its own exponential on these grids
+        # the -1 table is read as the conjugate of the cached +1 table, and
+        # is equal bit for bit to its own exponential on these grids
         from gkdvlab.airy import _phase_matrix_compute
         g = GridSpec(L, n, dt, k)
         own = _phase_matrix_compute(g, -1)
         for table in (np.conj(phase_matrix(g, +1)), phase_matrix(g, -1)):
             assert np.array_equal(table.view(np.int64), own.view(np.int64))
+        assert phase_matrix(g, -1, 7).tobytes() == own[:, :7].tobytes()
+
+    @pytest.mark.parametrize("L,n,dt,k", _GRIDS)
+    def test_pullbacks_equal_those_of_the_explicit_table(self, L, n, dt, k,
+                                                         monkeypatch):
+        # xs_report and duhamel_spectra read the -1 table as the conjugate
+        # of the +1 columns they use; their outputs are bitwise those formed
+        # with the explicit -1 exponential, the forcing on the left
+        from gkdvlab import norms
+        from gkdvlab.airy import _phase_matrix_compute, duhamel_spectra
+        g = GridSpec(L, n, dt, k)
+        own, plus = _phase_matrix_compute(g, -1), phase_matrix(g, +1)
+        rng = np.random.default_rng(k)
+        e = 300
+        c = np.zeros((k + 1, n // 2), dtype=np.complex128)
+        c[:, 1:e] = rng.standard_normal((k + 1, e - 1)) + 1j * rng.standard_normal((k + 1, e - 1))
+        path = Path.from_spectral_matrix(g, c)
+        forcing = path.bins(e)
+        p = forcing * own[:, :e]
+        acc = np.zeros_like(p)
+        np.cumsum((dt / 3.0) * (p[:-2:2] + 4.0 * p[1:-1:2] + p[2::2]), axis=0,
+                  out=acc[2::2])
+        acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
+        acc *= plus[:, :e]
+        assert duhamel_spectra(g, forcing).tobytes() == acc.tobytes()
+        got = norms.xs_report(path, 0.1).to_json()
+
+        def explicit(grid, sign, end, out):
+            np.copyto(out, own[:, :end])
+            return out
+
+        monkeypatch.setattr(norms, "phase_matrix", explicit)
+        assert got == norms.xs_report(path, 0.1).to_json()
+
+    def test_phase_cache_holds_one_table_per_grid(self, monkeypatch):
+        # both signs and every column range read the one cached +1 table;
+        # above the cache limit only the columns asked for are built
+        from gkdvlab import airy
+        cached = lru_cache(maxsize=8)(airy._phase_table)
+        monkeypatch.setattr(airy, "_phase_table", cached)
+        grids = [GridSpec(50.0, 256, 0.05, 20), GridSpec(40.0, 64, 0.1, 9)]
+        for g in grids:
+            for sign, e in ((+1, None), (-1, None), (-1, 17), (+1, 5)):
+                table = phase_matrix(g, sign, e)
+                assert table.shape == (g.num_steps + 1, e or g.num_points // 2)
+        assert cached.cache_info().currsize == len(grids)
+        assert cached.cache_info().misses == len(grids)
+        g = grids[0]
+        full = {sign: phase_matrix(g, sign) for sign in (+1, -1)}
+        buf = np.zeros((g.num_steps + 1, 40), dtype=np.complex128)
+        for limit in (airy._PHASE_CACHE_LIMIT, 0):
+            monkeypatch.setattr(airy, "_PHASE_CACHE_LIMIT", limit)
+            for sign in (+1, -1):
+                table = phase_matrix(g, sign, 17)
+                assert table.shape == (g.num_steps + 1, 17)
+                assert table.tobytes() == full[sign][:, :17].tobytes()
+            # a -1 table is written into the (strided) out it is given
+            assert phase_matrix(g, -1, 17, out=buf[:, :17]) is not None
+            assert buf[:, :17].tobytes() == full[-1][:, :17].tobytes()
+            assert not buf[:, 17:].any()
+        assert cached.cache_info().misses == len(grids)
 
     def test_commutes_with_projections(self, grid):
         rng = np.random.default_rng(3)

@@ -385,6 +385,29 @@ def test_band_rows_are_the_computed_symbols_on_their_spans(length, n):
         assert start == lo and row.tobytes() == ref[lo:hi].tobytes()
 
 
+@pytest.mark.parametrize("length, n, blocks, values", [
+    (400.0, 4096, None, lp._BUMP_VALUES), (400.0, 4096, None, 1),
+    (400.0, 131072, (0, 1, 40, -2, -1), lp._BUMP_VALUES)])
+def test_row_built_blocks_equal_the_one_shot_difference(length, n, blocks, values,
+                                                        monkeypatch):
+    # a block built a few cutoff rows at a time is bitwise the difference of
+    # adjacent rows of bump(xi / lam) evaluated over the whole block at once
+    monkeypatch.setattr(lp, "_BUMP_VALUES", values)  # 1: one cutoff row a call
+    bank = lp._Bank(GridSpec(length, n, 1.0, 1))
+    nblocks = len(bank.edges) - 1
+    for b in range(nblocks) if blocks is None else [b % nblocks for b in blocks]:
+        i, j = bank.edges[b], bank.edges[b + 1]
+        cut = lp.bump(bank.pos[bank.start[b]:bank.stop[b]] / bank.cut[i:j + 1, None])
+        want = cut[1:] - cut[:-1]
+        lo, blk, rows = bank.block(b)
+        assert lo == bank.start[b] and blk.tobytes() == want.tobytes()
+        for r, (start, row) in enumerate(rows):
+            k = np.flatnonzero(want[r])
+            assert (start, row.size) == ((lo + k[0], k[-1] + 1 - k[0]) if k.size else (lo, 0))
+            assert np.shares_memory(row, blk) or not row.size
+            assert not row.flags.writeable
+
+
 @pytest.mark.parametrize("n", [4096, 131072])
 def test_band_piece_is_the_full_width_multiplier(n):
     # band_piece multiplies only the symbol's span over the stored bins; it

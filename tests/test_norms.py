@@ -17,6 +17,19 @@ from gkdvlab.variation import SampledPath, vp_norm
 from conftest import gaussian_bump, random_field
 
 
+def _dp_bounds_by_tables(steps, cen, nrm):
+    """The DP bound over full (m, m, B) tables D'_jk = min(|S_j - S_k|,
+    c_j + c_k, r_j + r_k), solved by vp_batch: the reference that
+    norms._dp_bounds must equal bit for bit."""
+    from gkdvlab.variation import vp_batch
+    S = np.zeros((steps.shape[0] + 1, steps.shape[1]))
+    np.cumsum(steps, axis=0, out=S[1:])
+    D = np.abs(S[:, None] - S[None, :])
+    for v in (cen, nrm):
+        np.minimum(D, v[:, None] + v[None, :], out=D)
+    return (1.0 + 1e-9) * np.array(vp_batch(D.transpose(2, 0, 1), nrm.T, 2.0))
+
+
 def mean_free(f):
     c = f.coefficients.copy()
     c[0] = 0.0
@@ -223,6 +236,16 @@ class TestXs:
         assert rep.value == pytest.approx(best, rel=1e-12)
         assert rep.argmax_scale == arg
 
+    # the exact-solve chunk sizes, and the bands the DP bound bounded, of
+    # the engine that bounded each chunk before solving it (bound values are
+    # bitwise those of the one bound pass, so the chunks cannot change)
+    _PER_CHUNK = {
+        0.1: ([1] + [2] * 12 + [1] * 4 + [2] + [1] * 3 + [2] + [1] * 2 + [2]
+              + [1] * 6 + [2],
+              [*range(-260, -240), *range(-151, -53), *range(-52, 107)]),
+        -0.3: ([1, 2, 2, 2], [*range(-263, -237), *range(-147, -138)]),
+    }
+
     @pytest.mark.parametrize("s", [0.1, -0.3])
     def test_screening_matches_exhaustive_over_chunks(self, small_grid, s,
                                                       monkeypatch):
@@ -231,6 +254,7 @@ class TestXs:
         # solved over many chunks, and the answer must still be the
         # exhaustive one
         m = small_grid.num_steps + 1
+        L2 = 2.0 * small_grid.domain_length
         monkeypatch.setattr(norms, "_ENGINE_BYTES", 2 * 24 * m * m)
         chunks = []
         solve = norms.vp_batch
@@ -240,18 +264,32 @@ class TestXs:
         values = norms._band_values
         monkeypatch.setattr(norms, "_band_values",
                             lambda *a: solved.append(len(a[2])) or values(*a))
+        # a band is known by its column of terminal norms, bitwise those of
+        # the band_sums call over the rows |g_k|^2 and |g_k - mean|^2
+        sums, bounded = [], []
+        band_sums, dp_bounds = lp.band_sums, norms._dp_bounds
+        monkeypatch.setattr(lp, "band_sums", lambda g, band, x: sums.append(
+            (list(band), band_sums(g, band, x))) or sums[-1][1])
+        monkeypatch.setattr(norms, "_dp_bounds", lambda steps, cen, nrm: bounded.append(
+            nrm.copy()) or dp_bounds(steps, cen, nrm))
         rng = np.random.default_rng(34)
         path = Path.from_spectral_matrix(small_grid, np.stack(
             [random_field(small_grid, rng, decay=1.0).coefficients
              for _ in range(m)]))
-        best, arg = self._exhaustive(path, s)
         rep = norms.xs_report(path, s)
-        assert len(chunks) > 10 and max(chunks) == 2
+        monkeypatch.setattr(lp, "band_sums", band_sums)
+        best, arg = self._exhaustive(path, s)
         assert rep.value == pytest.approx(best, rel=1e-12)
         assert rep.argmax_scale == arg
-        # vp_batch also runs the DP bound; the exact solves alone still
-        # span several chunks
-        assert len(solved) > 3
+        # vp_batch runs only the exact solves, in the per-chunk engine's chunks
+        want_chunks, want_bounded = self._PER_CHUNK[s]
+        assert chunks == solved == want_chunks and max(chunks) == 2
+        # one bound pass, over every band the per-chunk engine bounded
+        band, out = [c for c in sums if c[1].shape[0] == 2 * m][-1]
+        known = {np.sqrt(L2 * out[:m, i]).tobytes(): z for i, z in enumerate(band)}
+        assert len(bounded) == 1
+        covered = {known[bounded[0][:, j].tobytes()] for j in range(bounded[0].shape[1])}
+        assert covered >= set(want_bounded)
 
     @pytest.mark.parametrize("kind", ["flat3", "flat25", "annulus", "zero"])
     def test_band_limited_paths_match_exhaustive(self, kind):
@@ -366,6 +404,7 @@ class TestXs:
             exact[b] = vp_norm(SampledPath(grid.times, x, weight=L2), 2.0)
         steps, cen, nrm = tables[0, :-1], tables[1], tables[2]
         up = norms._dp_bounds(steps, cen, nrm)
+        assert up.tobytes() == _dp_bounds_by_tables(steps, cen, nrm).tobytes()
         v1 = steps.sum(axis=0)
         top = (1.0 + 1e-9) * np.sqrt(np.minimum(v1, 2.0 * cen.max(axis=0)) * v1
                                      + nrm.max(axis=0) ** 2)
@@ -373,6 +412,24 @@ class TestXs:
         assert np.all(np.isfinite(exact)) and normal.mean() > 0.5
         assert np.all(up[normal] >= exact[normal])
         assert np.all(up[normal] <= (1.0 + 1e-12) * top[normal])
+
+    @pytest.mark.parametrize("m", [2, 13, 65, 257])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_dp_bound_equals_full_tables_bitwise(self, m, scale):
+        # the column-wise bound forms each D'[:k, k] inside the k-loop; it is
+        # the bound over the full tables bit for bit, on tables where each of
+        # the three terms is the least somewhere (and zero bands and rows)
+        rng = np.random.default_rng(m)
+        bands = 9
+        steps = scale * rng.exponential(size=(m - 1, bands)) ** 3
+        cen = scale * rng.uniform(0.1, 2.0, (m, bands)) * np.sqrt(m)
+        nrm = scale * rng.uniform(0.5, 3.0, (m, bands)) * np.sqrt(m)
+        steps[:, 0], cen[:, 0], nrm[:, 0] = 0.0, 0.0, 0.0
+        steps[: m // 3, 1] = 0.0
+        nrm[0, 2] = 0.0
+        up = norms._dp_bounds(steps, cen, nrm)
+        assert up.shape == (bands,)
+        assert up.tobytes() == _dp_bounds_by_tables(steps, cen, nrm).tobytes()
 
     def test_nearly_constant_path_matches_direct_differences(self, small_grid):
         # a constant plus increments of 1e-9 of its size after the pullback;

@@ -29,8 +29,9 @@ With --picard "L,N,K,T ..." it times `solve_picard` instead, on each grid
 (L, N, K, T) for the picard workload's packet of seed 303
 (perfbench/workloads.py; dt = T/K): a fresh process solves once (caches
 filled), then reports the median of SOLVES warm solves, the CPU seconds spent
-in `norms.xs_report` and in `power_spectra` during that solve, and the band
-blocks read in one warm solve (deterministic).
+in `norms.xs_report`, in its DP bound `norms._dp_bounds` and in
+`power_spectra` during that solve, the band blocks read in one warm solve
+(deterministic) and the process's peak RSS (ru_maxrss).
 
     python tools/layer_rows.py parent=... change=. --picard "400,4096,64,1 400,4096,256,4"
 
@@ -139,7 +140,7 @@ def measure_picard(grid_arg: str, tree: str) -> dict:
     wl = Picard()
     wl.T, wl.grid = horizon, grid.GridSpec(length, n, horizon / k, k)
     phi = wl.inputs(PICARD_SEED, 1)[0]
-    spent = {"xs": 0.0, "power": 0.0}
+    spent = {"xs": 0.0, "dp": 0.0, "power": 0.0}
 
     def timed(key, fn):
         def wrapper(*args, **kwargs):
@@ -152,17 +153,18 @@ def measure_picard(grid_arg: str, tree: str) -> dict:
 
     wl.op(phi)
     blocks = _count_blocks(lp, lambda: wl.op(phi))
-    real_xs, real_power = norms.xs_report, picard.power_spectra
-    norms.xs_report, picard.power_spectra = timed("xs", real_xs), timed("power", real_power)
+    real = norms.xs_report, norms._dp_bounds, picard.power_spectra
+    norms.xs_report, norms._dp_bounds, picard.power_spectra = (
+        timed(key, fn) for key, fn in zip(("xs", "dp", "power"), real))
     rounds = []
     for _ in range(SOLVES):
-        spent.update(xs=0.0, power=0.0)
+        spent.update(xs=0.0, dp=0.0, power=0.0)
         t = time.process_time()
         wl.op(phi)
-        rounds.append((time.process_time() - t, spent["xs"], spent["power"]))
-    norms.xs_report, picard.power_spectra = real_xs, real_power
-    solve_s, xs_s, power_s = _median(rounds)
-    return {"solve_s": solve_s, "xs_s": xs_s, "power_s": power_s, "blocks": blocks,
+        rounds.append((time.process_time() - t, spent["xs"], spent["dp"], spent["power"]))
+    norms.xs_report, norms._dp_bounds, picard.power_spectra = real
+    solve_s, xs_s, dp_s, power_s = _median(rounds)
+    return {"solve_s": solve_s, "xs_s": xs_s, "dp_s": dp_s, "power_s": power_s, "blocks": blocks,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
@@ -203,6 +205,7 @@ def main(argv=None) -> None:
                  "layer": f"picard.solve_picard warm, picard workload packet of seed {PICARD_SEED}",
                  "solve_warm_p50_s": sorted(round(r["solve_s"], 4) for r in runs),
                  "xs_report_in_solve_s": sorted(round(r["xs_s"], 4) for r in runs),
+                 "dp_bounds_in_solve_s": sorted(round(r["dp_s"], 4) for r in runs),
                  "power_spectra_in_solve_s": sorted(round(r["power_s"], 4) for r in runs),
                  "band_blocks_read_per_solve": runs[0]["blocks"],
                  "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
