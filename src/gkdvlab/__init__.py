@@ -22,7 +22,6 @@ from .grid import (
     apply_multiplier,
     derivative,
     l2_norm,
-    lq_norm,
     mixed_norm,
 )
 from .airy import duhamel, evolve, free_solution
@@ -44,7 +43,6 @@ from .nonlinearity import (
     evaluate_power,
     quintic_expansion_check,
     telescoping_check,
-    truncation_operator,
 )
 from .norms import (
     CriticalIndex,
@@ -53,8 +51,6 @@ from .norms import (
     besov_report,
     critical_index,
     rescale,
-    rescale_path,
-    sobolev_norm,
     sobolev_report,
     xs_norm,
     xs_report,

@@ -96,11 +96,3 @@ def equation_defects(path: Path, forcing=0.0) -> np.ndarray:
     resid = dt_c + c[1:-1] * d3[None, :] + forcing
     return np.sqrt(g.domain_length
                    * np.sum((resid * np.conj(resid)).real * g.bin_weights, axis=1))
-
-
-def free_equation_residual(path: Path) -> float:
-    """sup_k L2 residual of v_t + v_xxx = 0, centered differences in time.
-
-    O(dt^2) for free solutions; used as a self-check, not a norm.
-    """
-    return float(equation_defects(path).max(initial=0.0))

@@ -334,17 +334,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.weight * np.dot(v, v)))
 
 
-def lq_norm(f: Field, q) -> float:
-    """L^q norm with rectangle weight L/N; q = inf gives max |f|."""
-    if q == np.inf or q == "inf":
-        return float(np.abs(f.values).max())
-    q = float(q)
-    if q < 1:
-        raise ValueError("q must be >= 1 or inf")
-    av = np.abs(f.values)
-    return float((f.grid.weight * np.sum(av ** q)) ** (1.0 / q))
-
-
 class Path(_Stored):
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 

@@ -96,16 +96,6 @@ def load(path):
     raise ContainerError(f"unknown kind {head['kind']!r}")
 
 
-def path_to_csv(p: Path) -> str:
-    """Plot-ready CSV with one (t, x, value) row per sample."""
-    lines = ["t,x,value"]
-    x = p.grid.x
-    for t, vals in zip(p.grid.times, p.values_matrix):
-        for j in range(p.grid.num_points):
-            lines.append(f"{t!r},{x[j]!r},{vals[j]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON used for every report: sorted keys, repr floats."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

@@ -393,13 +393,3 @@ def mean_mode(f: Field) -> Field:
     c = np.zeros_like(f.coefficients)
     c[0] = f.coefficients[0].real
     return Field.from_coefficients(f.grid, c)
-
-
-def coverage_rows(f: Field, band: Iterable[int]) -> List[Tuple[int, float, float]]:
-    """(z, lam, fraction of ||f||^2 captured by band z) rows for reporting."""
-    band = list(band)
-    caps, _ = band_energies(f, band)
-    c2 = np.abs(_unit_scaled(f.coefficients)[0]) ** 2
-    total = f.grid.domain_length * float(c2 @ f.grid.bin_weights)
-    return [(z, scale_value(z), float(cap) / total if total > 0 else 0.0)
-            for z, cap in zip(band, caps)]

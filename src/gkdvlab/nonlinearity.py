@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import littlewood_paley as lp
-from .grid import Field, GridSpec, NonFiniteFieldError, to_samples, to_spectrum
+from .grid import Field, GridSpec, to_samples, to_spectrum
 
 
 class ExpansionBudgetError(Exception):
@@ -113,13 +113,12 @@ def power_spectra(c: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
 
     Real powers alias; padding by the grid's dealias factor pushes the
     dominant aliases out, and the taper suppresses what re-enters near the
-    top of the band. Raises NonFiniteFieldError like Field.from_coefficients.
+    top of the band. Overflowed values come back as NaN or inf; the callers
+    that need finite spectra refuse them.
     """
     law = PowerLaw(p)
     out = to_spectrum(law(to_samples(c, _padded_size(grid))), grid.num_points)
     out *= _taper(grid)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("coefficients contain NaN or inf")
     return out
 
 
@@ -136,15 +135,6 @@ def dealiased_product(f: Field, g: Field) -> Field:
     out = to_spectrum(to_samples(f.coefficients, m) * to_samples(g.coefficients, m),
                       f.grid.num_points)
     return Field.from_coefficients(f.grid, out)
-
-
-def truncation_operator(u: Field, sc: lp.LPScale, tau: float) -> Field:
-    """Blend of the low-pass cutoffs: everything below the band plus tau
-    times the band itself. Linear in u for fixed (scale, tau)."""
-    tau = float(tau)
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError("tau must lie in [0, 1]")
-    return lp.project_lt(u, sc) + lp.project(u, sc) * tau
 
 
 def _gl_nodes(n: int):

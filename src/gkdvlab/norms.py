@@ -120,10 +120,6 @@ def sobolev_report(f: Field, s: float, band=None) -> NormReport:
     return _band_report("sobolev", f, s, band, 2)
 
 
-def sobolev_norm(f: Field, s: float, band=None) -> float:
-    return sobolev_report(f, s, band).value
-
-
 # bytes the exact solves of xs_report may hold at once: the Gram, distance and
 # powered distance tables (3 x m x m floats per band) of one chunk of bands
 _ENGINE_BYTES = 1 << 23
@@ -322,9 +318,3 @@ def rescale(f: Field, m: int, p: float) -> Field:
     """
     return Field.from_coefficients(rescaled_grid(f.grid, m),
                                    _rescale_factor(m, p) * f.coefficients)
-
-
-def rescale_path(path: Path, m: int, p: float) -> Path:
-    """Snapshotwise critical rescaling; the grid's dt absorbs c^{-3}."""
-    e = path.spectral_end
-    return Path._adopt(rescaled_grid(path.grid, m), _rescale_factor(m, p) * path.bins(e), e)

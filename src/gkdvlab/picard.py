@@ -19,7 +19,7 @@ import numpy as np
 from .airy import duhamel_spectra, equation_defects, free_solution
 from .estimates import verify_l6_smallness
 from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
-                   Path, l2_norm, to_samples)
+                   Path, _finite, _unit_scaled, l2_norm, to_samples)
 from .nonlinearity import power_spectra
 from .norms import besov_norm, critical_index, xs_norm
 
@@ -129,8 +129,9 @@ def _correction(g: GridSpec, power: np.ndarray) -> Path:
 def gkdv_residual(u: Path, p: float) -> float:
     """sup over interior times of the L2 equation defect, with a centered
     difference standing in for the time derivative (so O(dt^2) even for an
-    exact solution). Times whose defect is NaN are skipped."""
-    return _residual_from_power(u, power_spectra(u.spectral_matrix[1:-1], u.grid, p))
+    exact solution). Times whose defect is NaN are skipped. Raises
+    NonFiniteFieldError if f overflows at an interior time."""
+    return _residual_from_power(u, _finite(power_spectra(u.spectral_matrix[1:-1], u.grid, p)))
 
 
 def _residual_from_power(u: Path, power: np.ndarray) -> float:
@@ -158,36 +159,32 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
     w = Path.zero(cfg.grid)
     trace = IterationTrace()
     phi_besov = besov_norm(phi, ci.s_p)
-    phi_l2 = float(_l2_rows(cfg.grid, phi.coefficients))
+    # the data's squares may overflow: scale them as the norms do
+    c, e = _unit_scaled(phi.coefficients)
+    phi_l2 = float(np.ldexp(_l2_rows(cfg.grid, c), -e))
     thr_xs = cfg.stop_tolerance * (phi_besov if phi_besov > 0 else 1.0)
     thr_l2 = cfg.stop_tolerance * (phi_l2 if phi_l2 > 0 else 1.0)
     prev_diff = None
     growing = 0
-    # f(v + w) on every row, evaluated once per iterate: its interior rows
-    # give the residual of v + w_next, all of it the next correction
-    power = None
+    # f(v + w) on every row, evaluated once per iterate: all of it gives the
+    # next correction, its interior rows the residual of v + w
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = power_spectra((v + w).spectral_matrix, cfg.grid, cfg.p)
     for n in range(1, cfg.max_iters + 1):
         # far beyond the smallness regime the iterates overflow within a
-        # few steps; that is still divergence, not a numerical fault
+        # few steps; that is still divergence, not a numerical fault. A
+        # non-finite interior row of f is refused by the residual, an edge
+        # row by the next correction
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if power is None:
-                    w_next = picard_step(v, w, cfg.p)
-                else:
-                    w_next = _correction(cfg.grid, power)
+                w_next = _correction(cfg.grid, power)
                 diff = w_next - w if n > 1 else w_next  # w = 0: bit for bit
                 d_xs = xs_norm(diff, ci.s_p)
                 d_l2 = float(_l2_rows(cfg.grid, diff.spectral_matrix).max())
                 w_norm = xs_norm(w_next, ci.s_p) if n > 1 else d_xs
                 u = v + w_next
-                try:
-                    power = power_spectra(u.spectral_matrix, cfg.grid, cfg.p)
-                    resid = _residual_from_power(u, power[1:-1])
-                except NonFiniteFieldError:
-                    # an edge row may be all that overflowed: the residual
-                    # reads the interior alone, and the next step raises
-                    power = None
-                    resid = gkdv_residual(u, cfg.p)
+                power = power_spectra(u.spectral_matrix, cfg.grid, cfg.p)
+                resid = _residual_from_power(u, _finite(power[1:-1]))
         except NonFiniteFieldError:
             trace.rows.append({"n": n, "w_norm": math.inf,
                                "diff_norm": math.inf, "ratio": None,
@@ -243,7 +240,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
 
     def nl(c: np.ndarray) -> np.ndarray:
         # a non-finite c makes the power spectrum non-finite, which raises
-        return -dxi * power_spectra(c, grid, p)
+        return -dxi * _finite(power_spectra(c, grid, p))
 
     cmat = np.zeros((grid.num_steps + 1, xi.size), dtype=np.complex128)
     cmat[0] = phi.coefficients

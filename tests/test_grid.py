@@ -17,7 +17,6 @@ from gkdvlab.grid import (
     apply_multiplier,
     derivative,
     l2_norm,
-    lq_norm,
     mixed_norm,
     time_weights,
 )
@@ -190,22 +189,6 @@ class TestNorms:
         g = GridSpec(10.0, 64, 0.1, 2)
         f = Field.from_values(g, np.ones(64))
         assert l2_norm(f) == pytest.approx(np.sqrt(10.0), rel=1e-14)
-
-    def test_homogeneity(self, small_grid):
-        rng = np.random.default_rng(5)
-        f = random_field(small_grid, rng)
-        for q in (1, 2, 4, np.inf):
-            assert lq_norm(f * 2.0, q) == pytest.approx(2 * lq_norm(f, q), rel=1e-12)
-
-    def test_rejects_q_below_one(self, small_grid):
-        f = Field.zero(small_grid)
-        with pytest.raises(ValueError):
-            lq_norm(f, 0.5)
-
-    def test_linf_is_max(self, small_grid):
-        rng = np.random.default_rng(6)
-        f = random_field(small_grid, rng)
-        assert lq_norm(f, np.inf) == np.abs(f.values).max()
 
 
 class TestPath:
@@ -568,7 +551,6 @@ class TestPath:
         from gkdvlab.airy import duhamel, free_solution
         from gkdvlab.estimates import annulus_field, flat_field
         from gkdvlab.grid import _support_end
-        from gkdvlab.norms import rescale_path
 
         g = GridSpec(400.0, 4096, 1.0 / 64, 12)
         rng = np.random.default_rng(14)
@@ -582,8 +564,7 @@ class TestPath:
         else:
             phi = Field.zero(g)
         free = free_solution(phi)
-        paths = {"free_solution": free, "zero": Path.zero(g),
-                 "rescale_path": rescale_path(free, 40, 5.0)}
+        paths = {"free_solution": free, "zero": Path.zero(g)}
         for z in (50, 100, 200, 300):  # symbols ending below, inside and above the data
             for kind in ("leq", "psi"):
                 paths[f"{kind}{z}"] = lp.band_piece(free, z, kind)
@@ -641,15 +622,6 @@ class TestSerialization:
         target.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(io.ContainerError):
             io.load(target)
-
-    def test_csv_export_shape(self, small_grid):
-        from gkdvlab import io
-
-        p = Path.zero(small_grid)
-        text = io.path_to_csv(p)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,x,value"
-        assert len(lines) == 1 + (small_grid.num_steps + 1) * small_grid.num_points
 
     def test_atomic_write_replaces(self, tmp_path):
         from gkdvlab import io

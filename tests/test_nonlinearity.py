@@ -1,4 +1,4 @@
-"""Power nonlinearity, truncation blends, and the band decomposition identities."""
+"""Power nonlinearity and the band decomposition identities."""
 
 import warnings
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gkdvlab import littlewood_paley as lp
 from gkdvlab import nonlinearity as nl
-from gkdvlab.grid import Field, GridSpec, l2_norm
+from gkdvlab.grid import Field, GridSpec, NonFiniteFieldError, l2_norm
 
 from conftest import gaussian_bump
 
@@ -149,60 +149,20 @@ class TestEvaluatePower:
         rel = np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values)
         assert rel <= 1e-10
 
+    def test_overflow_is_refused(self, small_grid):
+        # power_spectra returns the overflow; the field refuses it
+        f = gaussian_bump(small_grid) * 1e70
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(
+                nl.power_spectra(f.coefficients, small_grid, 5.0)))
+            with pytest.raises(NonFiniteFieldError):
+                nl.evaluate_power(f, 5.0)
+
     def test_product_grid_mismatch(self, grid, small_grid):
         a = gaussian_bump(grid)
         b = gaussian_bump(small_grid)
         with pytest.raises(ValueError):
             nl.dealiased_product(a, b)
-
-
-class TestTruncationOperator:
-    def test_endpoints(self, small_grid):
-        rng = np.random.default_rng(4)
-        u = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
-        sc = lp.scale(40)
-        lo = nl.truncation_operator(u, sc, 0.0)
-        hi = nl.truncation_operator(u, sc, 1.0)
-        assert np.allclose(lo.coefficients, lp.project_lt(u, sc).coefficients,
-                           atol=1e-15)
-        assert np.allclose(hi.coefficients, lp.project_leq(u, sc).coefficients,
-                           atol=1e-14)
-
-    def test_linearity(self, small_grid):
-        rng = np.random.default_rng(5)
-        u = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
-        v = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
-        sc = lp.scale(25)
-        both = nl.truncation_operator(u + v, sc, 0.37)
-        split = nl.truncation_operator(u, sc, 0.37) + nl.truncation_operator(v, sc, 0.37)
-        scale = np.max(np.abs(split.coefficients))
-        assert np.max(np.abs(both.coefficients - split.coefficients)) <= 1e-12 * scale
-
-    def test_tau_range(self, small_grid):
-        u = gaussian_bump(small_grid)
-        with pytest.raises(ValueError):
-            nl.truncation_operator(u, lp.scale(10), 1.0001)
-        with pytest.raises(ValueError):
-            nl.truncation_operator(u, lp.scale(10), -0.0001)
-
-    def test_nested_band_bound(self, small_grid):
-        # four nested blends keep every band norm within 2^4 of the input
-        rng = np.random.default_rng(5)
-        u = Field.from_values(small_grid, rng.standard_normal(small_grid.num_points))
-        band = lp.default_band(small_grid)
-        g = u
-        zs = (band.start + 50, band.start + 120, band.start + 200, band.start + 300)
-        for z, tau in zip(zs, (0.3, 0.9, 0.5, 1.0)):
-            g = nl.truncation_operator(g, lp.scale(z), tau)
-        seen = 0
-        for zmu in range(band.start, band.stop, 37):
-            den = l2_norm(lp.project(u, lp.scale(zmu)))
-            if den == 0.0:
-                continue
-            num = l2_norm(lp.project(g, lp.scale(zmu)))
-            assert num <= 16.0 * den
-            seen += 1
-        assert seen > 5
 
 
 class TestTelescoping:

@@ -9,8 +9,8 @@ import pytest
 import gkdvlab as g
 from gkdvlab.airy import free_solution
 from gkdvlab.cli import seeded_profile
-from gkdvlab.grid import (Field, GridMismatchError, GridSpec, Path,
-                          derivative, l2_norm, mixed_norm)
+from gkdvlab.grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
+                          Path, derivative, l2_norm, mixed_norm)
 from gkdvlab.nonlinearity import evaluate_power
 from gkdvlab.picard import (BlowUpError, PicardConfig, PicardDivergenceError,
                             SmallnessWarning, amplitude_threshold,
@@ -135,6 +135,17 @@ class TestSolvePicard:
         assert len(rows) >= 1
         assert not exc.value.trace.converged
 
+    def test_data_whose_squares_overflow_warn_nothing(self):
+        # the squared L2 norm of the data overflows at amplitude 1e200: the
+        # stop threshold scales the coefficients first, as the norms do
+        grid = GridSpec(100.0, 512, 1.0 / 16, 16)
+        phi = seeded_profile(grid, 9, amplitude=1.0) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError) as exc:
+                solve_picard(PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid))
+        assert [r["residual"] for r in exc.value.trace.rows] == [math.inf]
+
     def test_smallness_gate_warns(self, medium):
         grid, prof = medium
         cfg = PicardConfig(5.0, 1.0, 12, 0.9, prof * 0.17, grid,
@@ -235,27 +246,39 @@ class TestBatchedPower:
         assert math.isfinite(expect) and expect > 0
         assert got == expect
 
+    def test_gkdv_residual_refuses_an_interior_overflow(self, medium):
+        grid, prof = medium
+        c = free_solution(prof * 0.3).spectral_matrix.copy()
+        c[5] *= 1e70
+        u = Path.from_spectral_matrix(grid, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteFieldError):
+                gkdv_residual(u, 5.0)
 
-    @pytest.mark.parametrize("amp", [0.1, 3.0])
+    @pytest.mark.parametrize("amp", [0.1, 3.0, 3.96, 1e70])
     def test_trace_matches_two_evaluations_per_iterate(self, medium, amp,
                                                        monkeypatch):
-        # solve_picard evaluates f(v + w) once per iterate; the rows must be
-        # those of evaluating it in picard_step and again in gkdv_residual.
-        # At amplitude 3 the last row of f(v + w_3) overflows while the
-        # interior does not: the residual then reads the interior alone
-        # and the next step raises, as before.
+        # solve_picard evaluates f(v + w) once per iterate, and calls neither
+        # picard_step nor gkdv_residual; the rows must be those of evaluating
+        # f in picard_step and again in gkdv_residual. At amplitude 3.96 the
+        # last row of f(v + w_3) overflows while the interior does not: the
+        # residual reads the interior alone and the next correction raises.
+        # At 3 the interior rows of f(v + w_4) overflow too, and the residual
+        # raises. At 1e70 f(v) itself overflows: one all-inf row.
         from gkdvlab import norms, picard
-        from gkdvlab.grid import NonFiniteFieldError
+        from gkdvlab.nonlinearity import power_spectra
         grid, prof = medium
         phi = prof * amp
         cfg = PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid)
-        fallbacks = []
-        monkeypatch.setattr(picard, "gkdv_residual",
-                            lambda u, p: fallbacks.append(1) or gkdv_residual(u, p))
+        calls = []
+        for name in ("picard_step", "gkdv_residual"):
+            monkeypatch.setattr(picard, name, lambda *a, name=name: calls.append(name))
+        diverged = False
         try:
             _, trace = solve_picard(cfg)
         except PicardDivergenceError as exc:
-            trace = exc.trace
+            trace, diverged = exc.trace, True
+        assert calls == [] and diverged == (amp > 1.0)
         s_p = norms.critical_index(5.0).s_p
         v = free_solution(phi)
         w = Path.zero(grid)
@@ -273,7 +296,18 @@ class TestBatchedPower:
                 w = w_next
         assert [(r["w_norm"], r["diff_norm"], r["residual"])
                 for r in trace.rows] == want
-        assert len(fallbacks) == (1 if amp == 3.0 else 0)
+        if amp in (3.0, 3.96):
+            # w = w_3 is the last iterate kept; the overflowing f is that of
+            # v + w_3 at 3.96, and that of v + w_4 at 3
+            with np.errstate(over="ignore", invalid="ignore"):
+                if amp == 3.0:
+                    w = picard_step(v, w, 5.0)
+                f = power_spectra((v + w).spectral_matrix, grid, 5.0)
+            finite = np.all(np.isfinite(f), axis=1)
+            assert len(want) == 4 and not finite[-1]
+            assert finite[1:-1].all() == (amp == 3.96)
+        if amp == 1e70:
+            assert want == [(math.inf, math.inf, math.inf)]
 
     def test_first_iterate_reuses_its_norm(self, medium, monkeypatch):
         # from w = 0 the first difference is w_1 itself: the solver takes
