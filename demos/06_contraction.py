@@ -35,7 +35,7 @@ direct = direct_solve(phi, 5.0)
 drift = mixed_norm((free_solution(phi) + w) - direct, np.inf, 2.0) / l2_norm(phi)
 print(f"against the independent integrator: {drift:.2e} of the data size")
 
-lip = lipschitz_probe(phi, profile * 0.01, cfg)
+lip, = lipschitz_probe(cfg, [profile * 0.01])
 print(f"data-to-correction sensitivity: {lip:.3e} per unit data change")
 
 try:

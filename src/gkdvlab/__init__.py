@@ -32,11 +32,10 @@ from .estimates import (
     verify_bernstein_linfty,
     verify_bilinear,
     verify_interpolated,
-    verify_l6_smallness,
     verify_multilinear,
     verify_strichartz,
 )
-from .littlewood_paley import LPScale, project, project_leq, project_lt, scale
+from .littlewood_paley import LPScale, project, project_leq, scale
 from .nonlinearity import (
     PowerLaw,
     dealiased_product,

@@ -336,14 +336,14 @@ def _run_norms(cfg: RunConfig) -> int:
 def _run_lipschitz(cfg: RunConfig) -> int:
     phi = _data(cfg)
     pc = _picard_config(cfg, phi)
+    scales = [cfg.delta_scale * 0.5 ** level for level in range(cfg.levels)]
     records = []
     try:
-        for level in range(cfg.levels):
-            dphi = phi * (cfg.delta_scale * 0.5 ** level)
-            ratio = lipschitz_probe(phi, dphi, pc)
-            records.append({"level": level,
-                            "delta_scale": cfg.delta_scale * 0.5 ** level,
-                            "ratio": ratio})
+        # the ratios come one level at a time, so a divergence keeps the
+        # levels before it
+        for level, (scale, ratio) in enumerate(
+                zip(scales, lipschitz_probe(pc, (phi * s for s in scales)))):
+            records.append({"level": level, "delta_scale": scale, "ratio": ratio})
     except PicardDivergenceError:
         _write_json(cfg, {"failure": "divergence", "records": records},
                     "lipschitz-report")

@@ -461,13 +461,16 @@ def _mask_bins(grid: GridSpec, z: int, kind: str) -> Tuple[int, int]:
     return (start, start + row.size - 1) if row.size else (0, 0)
 
 
+_NEAR_EPS, _NEAR_DELTA = 0.02, 0.01  # the near case's eps > delta > 0
+
+
 def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
-                       eps: float = 0.02, delta: float = 0.01,
                        num_points: int = 2048) -> EstimateReport:
     """Septilinear space-time pairing against the scale-power bound.
 
     near: top band scale within a 1.1 factor of the pairing scale mu;
-    exponent triple (delta, -eps-s_p, -1-delta+eps) with eps > delta > 0.
+    exponent triple (delta, -eps-s_p, -1-delta+eps) with eps = _NEAR_EPS >
+    delta = _NEAR_DELTA > 0.
     far: mu at least 1.1 above the top band; exponents (1/15, -1/6-s_p,
     -9/10), stated for p > 5 only. For p = 5 the far pairing vanishes
     identically (six band-limited factors cannot sum to a frequency in the
@@ -477,13 +480,11 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
     ci = critical_index(p)
     if case not in ("near", "far"):
         raise ValueError("case must be 'near' or 'far'")
-    if not (eps > delta > 0):
-        raise ValueError("need eps > delta > 0")
     grid = GridSpec(200.0, int(num_points), 1.0 / 32, 32)
     schedule = tuple(ensemble.schedule) or \
         default_multilinear_schedule(case, int(num_points), p)
     if case == "near":
-        exps = (delta, -eps - ci.s_p, -1.0 - delta + eps)
+        exps = (_NEAR_DELTA, -_NEAR_EPS - ci.s_p, -1.0 - _NEAR_DELTA + _NEAR_EPS)
     else:
         exps = (1.0 / 15.0, -1.0 / 6.0 - ci.s_p, -0.9)
     exact_zero_mode = (case == "far" and p == 5.0)
@@ -547,23 +548,19 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
                        "ratio": _ratio(lhs, rhs)},
                       mu if case == "far" else lams[3], rhs)
     cfg = {"kind": "multilinear", "case": case, "p": float(p),
-           "eps": eps, "delta": delta, "exponents": list(exps),
+           "eps": _NEAR_EPS, "delta": _NEAR_DELTA, "exponents": list(exps),
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "num_points": int(num_points),
            "schedule": [list(map(int, t)) for t in schedule]}
     return sweep.report("multilinear_" + case, cfg, None, flags)
 
 
-def verify_l6_smallness(phi: Field, T: float, p: float,
-                        num_steps: int = 48) -> float:
-    """sup over scales of lam^{1/6+s_p} times the space-time L6 norm of the
-    localized free solution on [0, T]; the quantity whose smallness puts the
-    data inside the contraction regime."""
-    return l6_smallness_report(phi, T, p, num_steps)["sup"]
-
-
 def l6_smallness_report(phi: Field, T: float, p: float,
                         num_steps: int = 48) -> Dict:
+    """The sup ("sup") over scales of lam^{1/6+s_p} times the space-time L6
+    norm of the localized free solution on [0, T], the quantity whose
+    smallness puts the data inside the contraction regime, with its argmax
+    scale and its ratio to the data's critical Besov norm."""
     ci = critical_index(p)
     g = phi.grid
     if T <= 0:

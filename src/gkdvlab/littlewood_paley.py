@@ -285,8 +285,8 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
 def band_energies(f: Field, band: Iterable[int]) -> Tuple[np.ndarray, int]:
     """(||P_z 2^e f||_{L2}^2 for each z of an ascending band, e), in one
     band_sums over f's support; 2^e as grid._unit_scaled sets it."""
-    c, e = _unit_scaled(f.coefficients)
-    c2 = f.grid.bin_weights * np.abs(c) ** 2
+    c, e = _unit_scaled(f.bins(reach(f.grid, f.spectral_end)))
+    c2 = f.grid.bin_weights[:c.size] * np.abs(c) ** 2
     return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0], e
 
 
@@ -327,14 +327,6 @@ def project(f: Field, sc: LPScale) -> Field:
 
 def project_leq(f: Field, sc: LPScale) -> Field:
     return band_piece(f, sc.exponent, "leq")
-
-
-def project_lt(f: Field, sc: LPScale) -> Field:
-    """P_{<lam} = P_{<=lam} - P_lam, computed literally as that difference so
-    the identity is bitwise true."""
-    if not _band_is_resolvable(f.grid, sc):
-        return project_leq(f, sc)
-    return project_leq(f, sc) - project(f, sc)
 
 
 def default_band(grid: GridSpec) -> range:

@@ -9,9 +9,8 @@ quadrature in the truncation parameters.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,10 +20,6 @@ from .grid import Field, GridSpec, to_samples, to_spectrum
 
 class ExpansionBudgetError(Exception):
     """Nested band sum would exceed the configured work budget."""
-
-
-class IntegrandMagnitudeWarning(UserWarning):
-    """A truncated-field integrand exceeded the configured magnitude."""
 
 
 _ABS_FLOOR = 1e-300  # keeps 0**0 away from the power kernels
@@ -214,9 +209,10 @@ def _chain_cutoffs(band: range, length: int) -> List[int]:
     return zs
 
 
-def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
-                            budget: int = 6_000_000,
-                            integrand_limit: Optional[float] = None) -> float:
+_EXPANSION_BUDGET = 6_000_000  # elementary transforms of one nested band sum
+
+
+def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8) -> float:
     """Relative L2 residual of the four-fold nested band decomposition.
 
     The band lattice is coarsened to a short chain of cutoffs (the percent-
@@ -244,22 +240,20 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
     live = [i for i, q in enumerate(bands) if np.any(q * uh)]
     nb = len(live)
     work = (nb * nodes) ** 4
-    if work > budget:
+    if work > _EXPANSION_BUDGET:
         raise ExpansionBudgetError(
             "nested band sum needs a budget of %d elementary transforms "
             "(budget is %d); coarsen the chain or lower the node count"
-            % (work, budget))
+            % (work, _EXPANSION_BUDGET))
 
     cum_below = [cum[i] for i in live]
     q_live = [bands[i] for i in live]
     blends = [cum_below[i][None, :] + tau[:, None] * q_live[i][None, :]
               for i in range(nb)]
-    hot_rows = 0
 
     def level(m: np.ndarray, depth: int) -> np.ndarray:
         """Sum over live band i and node a of w_a P_i(m u) times the next level at
         blends[i][a] m; at depth 1 that level, over the last two band indices, is one batch."""
-        nonlocal hot_rows
         acc = np.zeros(n)
         for i in range(nb):
             piece = to_samples(q_live[i] * m * uh, n)
@@ -276,16 +270,9 @@ def quintic_expansion_check(u: Field, p: float, band=None, nodes: int = 8,
                     vals = to_samples(stack, n)
                     v, pieces = vals[:nb * nodes], vals[nb * nodes:]
                     core = cexp * np.maximum(np.abs(v), _ABS_FLOOR) ** (p - 5.0) * v
-                    if integrand_limit is not None:
-                        hot_rows += int(np.sum(np.max(np.abs(core), axis=1) > integrand_limit))
                     summed = np.einsum("a,ban->bn", wts, core.reshape(nb, nodes, n))
                     inner = (summed * pieces).sum(axis=0)
                 acc += wts[a] * inner * piece
         return acc
 
-    acc = level(1.0, 3)
-    if integrand_limit is not None and hot_rows:
-        warnings.warn(
-            "%d inner evaluations exceeded the integrand magnitude limit"
-            % hot_rows, IntegrandMagnitudeWarning)
-    return _rel_l2(acc, target)
+    return _rel_l2(level(1.0, 3), target)

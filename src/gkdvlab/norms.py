@@ -77,7 +77,7 @@ def out_of_band_fraction(f: Field, band) -> float:
     The mean mode is never covered, so fields with nonzero mean always show
     a positive fraction.
     """
-    return _out_of_band(f.grid, f.coefficients, band)
+    return _out_of_band(f.grid, f.bins(f.spectral_end), band)
 
 
 def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:

@@ -10,14 +10,12 @@ the independent oracle for converged runs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from .airy import duhamel_spectra, equation_defects, free_solution
-from .estimates import verify_l6_smallness
 from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
                    Path, _finite, _unit_scaled, l2_norm, to_samples)
 from .nonlinearity import power_spectra
@@ -44,10 +42,6 @@ class PicardDivergenceError(RuntimeError):
         self.trace = trace
 
 
-class SmallnessWarning(UserWarning):
-    pass
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     p: float
@@ -57,7 +51,6 @@ class PicardConfig:
     initial_data: Field
     grid: GridSpec
     stop_tolerance: float = 1e-10
-    smallness_ceiling: Optional[float] = None
 
     def __post_init__(self):
         problems = []
@@ -149,12 +142,6 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
     """
     ci = critical_index(cfg.p)
     phi = cfg.initial_data
-    if cfg.smallness_ceiling is not None:
-        sup = verify_l6_smallness(phi, cfg.T, cfg.p)
-        if sup > cfg.smallness_ceiling:
-            warnings.warn(
-                f"smallness gate exceeded: {sup:.3e} > {cfg.smallness_ceiling:.3e}; "
-                "the iteration may diverge", SmallnessWarning, stacklevel=2)
     v = free_solution(phi)
     w = Path.zero(cfg.grid)
     trace = IterationTrace()
@@ -214,21 +201,20 @@ def solve_picard(cfg: PicardConfig) -> Tuple[Path, IterationTrace]:
     return w, trace
 
 
-def direct_solve(phi: Field, p: float, T: Optional[float] = None,
-                 substeps: int = 4, ceiling_factor: float = 1e6) -> Path:
+_CEILING_FACTOR = 1e6  # direct_solve's blow-up height, in initial heights
+
+
+def direct_solve(phi: Field, p: float, substeps: int = 4) -> Path:
     """Independent oracle: fourth-order integrating-factor stepping of the
-    full equation in spectral space, nonlinearity dealiased.
+    full equation in spectral space, nonlinearity dealiased, over the
+    data's grid.
 
     The mean mode never moves (divergence form is exact here) and the L2
     norm of smooth solutions drifts only through the time error. Height
-    exceeding ceiling_factor times the initial height aborts with the time
+    exceeding _CEILING_FACTOR times the initial height aborts with the time
     of explosion.
     """
     grid = phi.grid
-    if T is not None and abs(T - grid.horizon) > 1e-12 * max(T, 1.0):
-        grid = GridSpec(grid.domain_length, grid.num_points,
-                        T / grid.num_steps, grid.num_steps, grid.dealias_factor)
-        phi = Field.from_coefficients(grid, phi.coefficients)
     if substeps < 1:
         raise ValueError("need at least one substep")
     xi = grid.frequencies
@@ -236,7 +222,7 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
     h = grid.dt / substeps
     e_half = np.exp((1j * xi ** 3) * (h / 2.0))
     e_full = e_half * e_half
-    ceiling = ceiling_factor * float(np.abs(phi.values).max())
+    ceiling = _CEILING_FACTOR * float(np.abs(phi.values).max())
 
     def nl(c: np.ndarray) -> np.ndarray:
         # a non-finite c makes the power spectrum non-finite, which raises
@@ -268,19 +254,25 @@ def direct_solve(phi: Field, p: float, T: Optional[float] = None,
     return Path._adopt(grid, cmat)
 
 
-def lipschitz_probe(phi: Field, dphi: Field, cfg: PicardConfig) -> float:
-    """Correction difference per unit data difference (critical norms).
+def lipschitz_probe(cfg: PicardConfig, dphis: Iterable[Field]) -> Iterator[float]:
+    """Correction difference per unit data difference (critical norms), for
+    the data cfg.initial_data plus each perturbation in turn.
 
-    Zero perturbation returns 0 by convention. Either diverging run raises
-    the structured iteration failure.
+    A zero perturbation gives 0 by convention. The unperturbed data is solved
+    once, before the first nonzero perturbation. Either diverging run raises
+    the structured iteration failure when its ratio is asked for.
     """
     ci = critical_index(cfg.p)
-    denom = besov_norm(dphi, ci.s_p)
-    if denom == 0.0:
-        return 0.0
-    w_a, _ = solve_picard(replace(cfg, initial_data=phi))
-    w_b, _ = solve_picard(replace(cfg, initial_data=phi + dphi))
-    return xs_norm(w_b - w_a, ci.s_p) / denom
+    w_a = None
+    for dphi in dphis:
+        denom = besov_norm(dphi, ci.s_p)
+        if denom == 0.0:
+            yield 0.0
+            continue
+        if w_a is None:
+            w_a, _ = solve_picard(cfg)
+        w_b, _ = solve_picard(replace(cfg, initial_data=cfg.initial_data + dphi))
+        yield xs_norm(w_b - w_a, ci.s_p) / denom
 
 
 def _converges(profile: Field, amp: float, p: float, grid: GridSpec,
@@ -312,26 +304,17 @@ def amplitude_threshold(profile: Field, p: float,
         raise ValueError("rel_tol must lie in (0, 1)")
     grid = profile.grid
     amp = 1.0
-    if _converges(profile, amp, p, grid, max_iters, stop_tolerance):
-        lo = amp
-        for _ in range(80):
-            amp *= 2.0
-            if not _converges(profile, amp, p, grid, max_iters, stop_tolerance):
-                break
-            lo = amp
-        else:
-            raise RuntimeError("no divergence found within 80 doublings")
-        hi = amp
+    # double from a converging start until a probe diverges, halve from a
+    # diverging one until a probe converges
+    up = _converges(profile, amp, p, grid, max_iters, stop_tolerance)
+    for _ in range(80):
+        last, amp = amp, amp * (2.0 if up else 0.5)
+        if _converges(profile, amp, p, grid, max_iters, stop_tolerance) != up:
+            break
     else:
-        hi = amp
-        for _ in range(80):
-            amp *= 0.5
-            if _converges(profile, amp, p, grid, max_iters, stop_tolerance):
-                break
-            hi = amp
-        else:
-            raise RuntimeError("no convergence found within 80 halvings")
-        lo = amp
+        raise RuntimeError("no divergence found within 80 doublings" if up
+                           else "no convergence found within 80 halvings")
+    lo, hi = (last, amp) if up else (amp, last)
     while hi / lo > 1.0 + rel_tol:
         mid = math.sqrt(lo * hi)
         if _converges(profile, mid, p, grid, max_iters, stop_tolerance):

@@ -188,6 +188,33 @@ class TestReports:
         assert rep["records"][1]["delta_scale"] == pytest.approx(
             rep["records"][0]["delta_scale"] / 2)
 
+    LIPSCHITZ = ["lipschitz", "--points", "512", "--steps", "16", "--levels", "2",
+                 "--seed", "5", "--amplitude", "0.05"]
+
+    def test_lipschitz_solves_the_data_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = picard.solve_picard
+        monkeypatch.setattr(picard, "solve_picard",
+                            lambda cfg: calls.append(cfg) or solve(cfg))
+        assert run(self.LIPSCHITZ, tmp_path) == 0
+        assert len(calls) == 3
+
+    def test_lipschitz_divergence_keeps_finished_levels(self, tmp_path, monkeypatch):
+        calls = []
+        solve = picard.solve_picard
+
+        def failing_third(cfg):
+            calls.append(cfg)
+            if len(calls) == 3:
+                raise picard.PicardDivergenceError(picard.IterationTrace())
+            return solve(cfg)
+
+        monkeypatch.setattr(picard, "solve_picard", failing_third)
+        assert run(self.LIPSCHITZ, tmp_path) == 3
+        rep = json.loads((tmp_path / "lipschitz-report.json").read_text())
+        assert rep["failure"] == "divergence"
+        assert [r["level"] for r in rep["records"]] == [0]
+
     def test_multilinear_report(self, tmp_path):
         rc = run(["verify-multilinear", "--trials", "1", "--case", "near"],
                  tmp_path)

@@ -252,8 +252,6 @@ class TestMultilinear:
         e = est.TrialEnsemble(seed=2, num_trials=1, schedule=NEAR_SCHEDULE)
         with pytest.raises(ValueError, match="case"):
             est.verify_multilinear(e, 6.0, "middle")
-        with pytest.raises(ValueError, match="eps"):
-            est.verify_multilinear(e, 6.0, "near", eps=0.01, delta=0.02)
 
 
 def smallness_profile():
@@ -289,13 +287,13 @@ class TestSmallness:
         T = 0.5
         c = lp.scale_value(40)
         phi_c = rescale(phi, 40, 5.0)
-        s1 = est.verify_l6_smallness(phi, T, 5.0, num_steps=24)
-        s2 = est.verify_l6_smallness(phi_c, T / c ** 3, 5.0, num_steps=24)
+        s1 = est.l6_smallness_report(phi, T, 5.0, num_steps=24)["sup"]
+        s2 = est.l6_smallness_report(phi_c, T / c ** 3, 5.0, num_steps=24)["sup"]
         assert abs(s1 - s2) / s1 <= 1e-4
 
     def test_positive_horizon_required(self):
         with pytest.raises(ValueError):
-            est.verify_l6_smallness(smallness_profile(), 0.0, 5.0)
+            est.l6_smallness_report(smallness_profile(), 0.0, 5.0)
 
 
 class TestReports:

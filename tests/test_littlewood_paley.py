@@ -115,16 +115,6 @@ class TestProjection:
         assert np.abs(g.coefficients).max() == 0.0
         assert np.abs(g.values).max() == 0.0
 
-    def test_project_lt_identity_bitwise(self, grid):
-        rng = np.random.default_rng(4)
-        f = random_field(grid, rng)
-        z = lp.default_band(grid).start + 200
-        sc = lp.scale(z)
-        lt = lp.project_lt(f, sc)
-        ref = lp.project_leq(f, sc) - lp.project(f, sc)
-        np.testing.assert_array_equal(lt.values, ref.values)
-        np.testing.assert_array_equal(lt.coefficients, ref.coefficients)
-
     def test_out_of_band_warns_and_zeroes(self, small_grid):
         rng = np.random.default_rng(5)
         f = random_field(small_grid, rng)

@@ -229,15 +229,11 @@ class TestQuinticExpansion:
         monkeypatch.setattr(nl, "expansion_constant", lambda p: 720.0)
         assert nl.quintic_expansion_check(u, 6.0, nodes=8) >= 0.3
 
-    def test_budget_rejected(self, small_grid):
+    def test_budget_rejected(self, small_grid, monkeypatch):
         u = two_band_field(small_grid)
+        monkeypatch.setattr(nl, "_EXPANSION_BUDGET", 10)
         with pytest.raises(nl.ExpansionBudgetError, match="budget"):
-            nl.quintic_expansion_check(u, 5.0, nodes=8, budget=10)
-
-    def test_integrand_limit_warns(self, small_grid):
-        u = two_band_field(small_grid)
-        with pytest.warns(nl.IntegrandMagnitudeWarning):
-            nl.quintic_expansion_check(u, 5.0, nodes=4, integrand_limit=0.0)
+            nl.quintic_expansion_check(u, 5.0, nodes=8)
 
     def test_quiet_without_limit(self, small_grid):
         u = two_band_field(small_grid)

@@ -13,9 +13,8 @@ from gkdvlab.grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldErro
                           Path, derivative, l2_norm, mixed_norm)
 from gkdvlab.nonlinearity import evaluate_power
 from gkdvlab.picard import (BlowUpError, PicardConfig, PicardDivergenceError,
-                            SmallnessWarning, amplitude_threshold,
-                            direct_solve, gkdv_residual, lipschitz_probe,
-                            picard_step, solve_picard)
+                            amplitude_threshold, direct_solve, gkdv_residual,
+                            lipschitz_probe, picard_step, solve_picard)
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +144,6 @@ class TestSolvePicard:
             with pytest.raises(PicardDivergenceError) as exc:
                 solve_picard(PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid))
         assert [r["residual"] for r in exc.value.trace.rows] == [math.inf]
-
-    def test_smallness_gate_warns(self, medium):
-        grid, prof = medium
-        cfg = PicardConfig(5.0, 1.0, 12, 0.9, prof * 0.17, grid,
-                           smallness_ceiling=1e-9)
-        with pytest.warns(SmallnessWarning):
-            _, trace = solve_picard(cfg)
-        assert trace.converged
 
     def test_residual_tracks_truncation(self, medium):
         grid, prof = medium
@@ -369,11 +360,13 @@ class TestDirectSolve:
         worst = max(abs(l2_norm(s) - base) for s in path)
         assert worst <= 1e-6 * sg.horizon
 
-    def test_blow_up_detected(self):
+    def test_blow_up_detected(self, monkeypatch):
+        import gkdvlab.picard as picard_mod
         sg = GridSpec(50.0, 256, 0.02, 25)
         phi = seeded_profile(sg, 4, amplitude=40.0)
+        monkeypatch.setattr(picard_mod, "_CEILING_FACTOR", 1e3)
         with pytest.raises(BlowUpError) as exc:
-            direct_solve(phi, 5.0, ceiling_factor=1e3)
+            direct_solve(phi, 5.0)
         assert exc.value.time > 0.0
         assert not math.isfinite(exc.value.sup) or exc.value.sup > 1e3
 
@@ -388,13 +381,6 @@ class TestDirectSolve:
             direct_solve(seeded_profile(small_grid, 4, amplitude=0.1), 5.0)
         assert exc.value.time == small_grid.dt and not math.isfinite(exc.value.sup)
 
-    def test_horizon_rebase(self):
-        sg = GridSpec(50.0, 256, 0.02, 25)
-        phi = seeded_profile(sg, 4, amplitude=0.1)
-        path = direct_solve(phi, 5.0, T=1.0)
-        assert path.grid.horizon == pytest.approx(1.0)
-        assert path.grid.num_steps == 25
-
     def test_substeps_validated(self, small_grid):
         with pytest.raises(ValueError):
             direct_solve(Field.zero(small_grid), 5.0, substeps=0)
@@ -405,14 +391,14 @@ class TestLipschitz:
         grid, prof = medium
         phi = prof * 0.17
         cfg = PicardConfig(5.0, 1.0, 12, 0.9, phi, grid)
-        assert lipschitz_probe(phi, Field.zero(grid), cfg) == 0.0
+        assert list(lipschitz_probe(cfg, [Field.zero(grid)])) == [0.0]
 
     def test_stable_under_halving(self, medium):
         grid, prof = medium
         phi = prof * 0.17
         cfg = PicardConfig(5.0, 1.0, 12, 0.9, phi, grid)
-        vals = [lipschitz_probe(phi, phi * (0.02 * 0.5 ** lev), cfg)
-                for lev in range(4)]
+        vals = list(lipschitz_probe(cfg, (phi * (0.02 * 0.5 ** lev)
+                                          for lev in range(4))))
         assert all(v > 0 for v in vals)
         assert max(vals) <= 2.0 * min(vals)
 
@@ -425,8 +411,8 @@ class TestLipschitz:
         phi_c = rescale(phi, 30, 5.0)
         grid_c = phi_c.grid
         cfg_c = PicardConfig(5.0, grid_c.horizon, 12, 0.9, phi_c, grid_c)
-        a = lipschitz_probe(phi, phi * 0.02, cfg)
-        b = lipschitz_probe(phi_c, phi_c * 0.02, cfg_c)
+        a, = lipschitz_probe(cfg, [phi * 0.02])
+        b, = lipschitz_probe(cfg_c, [phi_c * 0.02])
         assert abs(a - b) <= 1e-6 * a
 
 
@@ -455,6 +441,35 @@ class TestAmplitudeThreshold:
         except PicardDivergenceError:
             diverged = True
         assert diverged
+
+    @pytest.mark.parametrize("boundary, probes", [
+        # a converging start doubles, a diverging one halves; recorded
+        # before the two scans became one loop
+        (5.3, [1.0, 2.0, 4.0, 8.0, 5.656854249492381, 4.756828460010884,
+               5.187358218604039, 5.4170221877475715]),
+        (0.07, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.08838834764831845,
+                0.07432544468767006, 0.0681567332915786, 0.07117428967229322]),
+    ])
+    def test_scan_probes(self, small_grid, monkeypatch, boundary, probes):
+        import gkdvlab.picard as picard_mod
+        seen = []
+        monkeypatch.setattr(picard_mod, "_converges",
+                            lambda profile, amp, *rest: seen.append(amp) or amp <= boundary)
+        amplitude_threshold(seeded_profile(small_grid, 1), 5.0, rel_tol=0.05)
+        assert seen == probes
+
+    @pytest.mark.parametrize("verdict, message", [
+        (True, "no divergence found within 80 doublings"),
+        (False, "no convergence found within 80 halvings"),
+    ])
+    def test_scan_gives_up_after_80_steps(self, small_grid, monkeypatch, verdict, message):
+        import gkdvlab.picard as picard_mod
+        seen = []
+        monkeypatch.setattr(picard_mod, "_converges",
+                            lambda profile, amp, *rest: seen.append(amp) or verdict)
+        with pytest.raises(RuntimeError, match=message):
+            amplitude_threshold(seeded_profile(small_grid, 1), 5.0)
+        assert len(seen) == 81 and seen[-1] == 2.0 ** (80 if verdict else -80)
 
     def test_zero_profile_rejected(self, small_grid):
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ from PATH/src, OPENBLAS_NUM_THREADS=1) computes sha256 values of:
 - the bernstein workload's op digests (perfbench/workloads.py, read as it is)
   for its verification input and for three 10-bin cycles at each of the
   seeds 303, 404 and 8080;
-- the picard workload's op digests for its verification input and seed 303.
+- the picard workload's op digests for its verification input and seed 303;
+- the stdout of each demo (PATH/demos/*.py), run in a fresh process.
 
     python tools/fingerprints.py parent=/path/to/parent/checkout change=.
 
@@ -20,6 +21,7 @@ the items whose digests differ between the trees.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -58,6 +60,11 @@ def fingerprints(tree: str, scratch: str, cases) -> dict:
     wl = Picard()
     out["picard verify input"] = wl.digest(wl.op(wl.verify_input()))
     out[f"picard seed {PICARD_SEED}"] = wl.digest(wl.op(wl.inputs(PICARD_SEED, 1)[0]))
+    # the environment (PYTHONPATH on this tree's src) passes on to the demos
+    for demo in sorted(glob.glob(os.path.join(tree, "demos", "*.py"))):
+        stdout = subprocess.run([sys.executable, demo], check=True, capture_output=True,
+                                cwd=scratch).stdout
+        out[f"demo {os.path.basename(demo)}"] = hashlib.sha256(stdout).hexdigest()
     return out
 
 
