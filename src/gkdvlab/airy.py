@@ -27,30 +27,35 @@ def evolve(f: Field, t: float) -> Field:
 
 
 @lru_cache(maxsize=8)
-def _phase_table(grid: GridSpec) -> np.ndarray:
-    m = _phase_matrix_compute(grid, +1)
-    m.flags.writeable = False
-    return m
+def _phase_table(grid: GridSpec) -> list:
+    """A slot for the grid's read-only +1 table, which phase_matrix fills."""
+    return [None]
 
 
-def _phase_matrix_compute(grid: GridSpec, sign: int, e=None, out=None) -> np.ndarray:
+def _phase_matrix_compute(grid: GridSpec, sign: int, e=None) -> np.ndarray:
     xi3 = grid.frequencies[:e] ** 3
-    return np.exp((sign * 1j) * np.outer(grid.times, xi3), out=out)
+    return np.exp((sign * 1j) * np.outer(grid.times, xi3))
 
 
-def phase_matrix(grid: GridSpec, sign: int = +1, e=None, out=None) -> np.ndarray:
+def phase_matrix(grid: GridSpec, sign: int = +1, e=None) -> np.ndarray:
     """exp(sign * i xi^3 t_k) for all sample times over the stored bins below
     e (all N/2 if None). One table per grid is cached, the +1 one, while
-    (K+1) N <= _PHASE_CACHE_LIMIT: sign +1 reads a read-only view of its
-    columns, and sign -1 their conjugate, written into out (a new array if
-    None). Above the limit only the columns asked for are built, on each
-    call. Multiply a -1 table on the right as np.multiply(x, table, ...):
-    numpy may compute x * table, with a temporary table, as table * x,
-    whose complex product can differ in the last bit."""
+    (K+1) N <= _PHASE_CACHE_LIMIT, over the most columns asked for so far
+    (rebuilt wider on demand; columns are elementwise, so no bit depends on
+    the width): sign +1 reads a read-only view of its columns, and sign -1
+    their conjugate, in a new array. Above the limit only the columns asked
+    for are built, on each call. Multiply a -1 table on the right as
+    np.multiply(x, table, ...): numpy may compute x * table, with a temporary
+    table, as table * x, whose product can differ in the last bit."""
     if (grid.num_steps + 1) * grid.num_points > _PHASE_CACHE_LIMIT:
-        return _phase_matrix_compute(grid, sign, e, out if sign < 0 else None)
-    table = _phase_table(grid)[:, :e]
-    return table if sign > 0 else np.conj(table, out=out)
+        return _phase_matrix_compute(grid, sign, e)
+    held, n = _phase_table(grid), grid.frequencies[:e].size
+    table = held[0]
+    if table is None or table.shape[1] < n:
+        table = _phase_matrix_compute(grid, +1, n)
+        table.flags.writeable = False
+        held[0] = table
+    return table[:, :n] if sign > 0 else np.conj(table[:, :n])
 
 
 def free_solution(phi: Field) -> Path:

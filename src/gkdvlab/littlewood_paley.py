@@ -35,7 +35,8 @@ trimmed to the span. leq rows are stored one by one over their spans.
 Spread on the N/2 stored bins a row is bitwise the symbol on the grid
 frequencies (mode 0 zeroed for leq). Band reductions run band_sums, one
 matmul per block that meets the rows' support, squared on the fly, reading
-a band's rows of a block as a slice where they are contiguous. A band
+a band's rows of a block as a slice where they are contiguous, each window
+clipped to the bins the rows hold: rows may stop at their support's end. A band
 piece (band_piece, of a Field or a Path) multiplies only the row's span,
 over the bins its input stores.
 """
@@ -237,19 +238,12 @@ def band_row(grid: GridSpec, z: int, kind: str = "psi") -> Tuple[int, np.ndarray
     return entry
 
 
-def reach(grid: GridSpec, end: int) -> int:
-    """Bins band_sums reads of rows zero from bin end on: through each block
-    window starting below end."""
-    bank = _bank(grid.domain_length, grid.num_points)
-    return int(bank.stop[bank.start < end].max(initial=end))
-
-
 def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
     """sum_m Psi_z(xi_m)^2 x[k, m] in row k, column i, for the i-th band z of
-    an ascending band and rows x[k] on the stored bins: one matmul per block
-    whose window meets the span of nonzero columns of x, against its rows
-    squared on the fly. The other blocks would add exact zeros, so x may
-    stop at reach(grid, end) bins, end that of their support. Empty rows give zeros."""
+    an ascending band and rows x[k] on the leading stored bins (zero past
+    them): one matmul per block whose window meets the span of nonzero
+    columns of x, against its rows squared on the fly, the window clipped to
+    the columns of x, so x may stop where its support ends. Empty rows give zeros."""
     bank = _bank(grid.domain_length, grid.num_points)
     idx = np.asarray(band, dtype=np.int64) - bank.z0
     out = np.zeros((x.shape[0], idx.size))
@@ -262,10 +256,11 @@ def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
             continue
         lo, blk, _ = bank.block(b)
         r, edge = idx[u] - bank.edges[b], idx[v - 1] - bank.edges[b]
+        cols = min(blk.shape[1], x.shape[1] - lo)
         # a band covering the block's rows contiguously reads them as a slice
-        w = np.square(blk[r:edge + 1] if edge - r == v - 1 - u
-                      else blk[[z - bank.edges[b] for z in idx[u:v]]])
-        out[:, u:v] = x[:, lo:lo + w.shape[1]] @ w.T
+        w = np.square(blk[r:edge + 1, :cols] if edge - r == v - 1 - u
+                      else blk[[z - bank.edges[b] for z in idx[u:v]], :cols])
+        out[:, u:v] = x[:, lo:lo + cols] @ w.T
     return out
 
 
@@ -285,7 +280,7 @@ def symbol_array(grid: GridSpec, z: int, kind: str = "psi") -> np.ndarray:
 def band_energies(f: Field, band: Iterable[int]) -> Tuple[np.ndarray, int]:
     """(||P_z 2^e f||_{L2}^2 for each z of an ascending band, e), in one
     band_sums over f's support; 2^e as grid._unit_scaled sets it."""
-    c, e = _unit_scaled(f.bins(reach(f.grid, f.spectral_end)))
+    c, e = _unit_scaled(f.bins(f.spectral_end))
     c2 = f.grid.bin_weights[:c.size] * np.abs(c) ** 2
     return f.grid.domain_length * band_sums(f.grid, band, c2[None, :])[0], e
 

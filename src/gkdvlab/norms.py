@@ -136,8 +136,9 @@ def _band_values(grid: GridSpec, cen: np.ndarray, zs, nrm: np.ndarray,
                  lam_s: np.ndarray, L2: float) -> np.ndarray:
     """lam^s V2 of each band z of zs, one batched DP for all: the distances
     of a band are those of its span of the centred pullback weighted by the
-    row, under the weight L2; nrm[:, b] holds the norms ||psi g_k||."""
-    D = np.stack([gram_distances(cen[:, start:start + row.size] * row, L2)
+    row, cut at the pullback's width, under the weight L2; every row starts
+    below it. nrm[:, b] holds the norms ||psi g_k||."""
+    D = np.stack([gram_distances(cen[:, start:start + row.size] * row[:cen.shape[1] - start], L2)
                   for start, row in (lp.band_row(grid, z) for z in zs)])
     return lam_s * np.array(vp_batch(D, nrm.T, 2.0))
 
@@ -212,23 +213,21 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     centring commutes with the band weights, so each band's Gram matrix is
     that of its own centred rows, built from one contiguous slice. Every bin
     a band covers has Parseval weight 2, so its sums carry the factor 2L.
-    All of it runs over the first lp.reach bins of the path's spectral_end:
-    every block window meeting its support, hence every band it can reach.
-    The pullback multiplies the stored bins by the -1 phase columns below
-    the spectral end into one zeroed array of that width.
+    All of it runs over the bins below the path's spectral_end, past which
+    every row is zero; band sums and band rows are clipped there. The
+    pullback is the stored bins times the -1 phase columns below the
+    spectral end, written into a new array of that width.
     """
     grid = path.grid
     band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
     end = path.spectral_end
-    width = lp.reach(grid, end)  # no band sum reads past it
-    pulled = np.zeros((grid.num_steps + 1, width), dtype=np.complex128)
-    p = phase_matrix(grid, -1, end, out=pulled[:, :end])
-    np.multiply(path.bins(end), p, out=p)
+    pulled = phase_matrix(grid, -1, end)
+    np.multiply(path.bins(end), pulled, out=pulled)
     g, e = _unit_scaled(pulled)
     m = g.shape[0]
     # rows 0..m-1 hold |g_k|^2; rows m.. the V1 screen, then |g_k - mean|^2
-    stack, tmp = np.empty((2 * m, width)), np.empty((m, width))
+    stack, tmp = np.empty((2 * m, end)), np.empty((m, end))
     energy = _energy(g, stack[:m], tmp)
     # V1: the K increments |g_{k+1} - g_k|^2 plus the terminal jump |g_K|^2
     screen, d_im = stack[m:], np.subtract(g.imag[1:], g.imag[:-1], out=tmp[:-1])

@@ -21,6 +21,15 @@ _GRIDS = [(400.0, 4096, 1 / 64, 64), (400.0, 131072, 1e-3, 12),
           (200.0, 1024, 1 / 32, 32), (512.0, 2048, 33 / 128, 128)]
 
 
+@pytest.fixture
+def phase_cache(monkeypatch):
+    """airy's phase-table cache, emptied for the test and put back after it."""
+    from gkdvlab import airy
+    cached = lru_cache(maxsize=8)(airy._phase_table.__wrapped__)
+    monkeypatch.setattr(airy, "_phase_table", cached)
+    return cached
+
+
 class TestEvolve:
     def test_identity_at_zero(self, small_grid):
         rng = np.random.default_rng(0)
@@ -95,40 +104,67 @@ class TestEvolve:
         assert duhamel_spectra(g, forcing).tobytes() == acc.tobytes()
         got = norms.xs_report(path, 0.1).to_json()
 
-        def explicit(grid, sign, end, out):
-            np.copyto(out, own[:, :end])
-            return out
+        def explicit(grid, sign, end):
+            return own[:, :end].copy()
 
         monkeypatch.setattr(norms, "phase_matrix", explicit)
         assert got == norms.xs_report(path, 0.1).to_json()
 
-    def test_phase_cache_holds_one_table_per_grid(self, monkeypatch):
-        # both signs and every column range read the one cached +1 table;
-        # above the cache limit only the columns asked for are built
+    def test_phase_cache_holds_one_table_per_grid(self, monkeypatch, phase_cache):
+        # both signs and every column range read the one cached +1 table,
+        # which grows to the widest range asked for and is never rebuilt
+        # narrower; above the cache limit only the columns asked for are built
         from gkdvlab import airy
-        cached = lru_cache(maxsize=8)(airy._phase_table)
-        monkeypatch.setattr(airy, "_phase_table", cached)
         grids = [GridSpec(50.0, 256, 0.05, 20), GridSpec(40.0, 64, 0.1, 9)]
         for g in grids:
-            for sign, e in ((+1, None), (-1, None), (-1, 17), (+1, 5)):
+            widths = []
+            for sign, e in ((+1, 5), (-1, 17), (+1, None), (-1, None), (-1, 17), (+1, 5)):
                 table = phase_matrix(g, sign, e)
                 assert table.shape == (g.num_steps + 1, e or g.num_points // 2)
-        assert cached.cache_info().currsize == len(grids)
-        assert cached.cache_info().misses == len(grids)
+                widths.append(phase_cache(g)[0].shape[1])
+            assert widths == [5, 17] + [g.num_points // 2] * 4
+        assert phase_cache.cache_info().currsize == len(grids)
+        assert phase_cache.cache_info().misses == len(grids)
         g = grids[0]
         full = {sign: phase_matrix(g, sign) for sign in (+1, -1)}
-        buf = np.zeros((g.num_steps + 1, 40), dtype=np.complex128)
         for limit in (airy._PHASE_CACHE_LIMIT, 0):
             monkeypatch.setattr(airy, "_PHASE_CACHE_LIMIT", limit)
             for sign in (+1, -1):
                 table = phase_matrix(g, sign, 17)
                 assert table.shape == (g.num_steps + 1, 17)
                 assert table.tobytes() == full[sign][:, :17].tobytes()
-            # a -1 table is written into the (strided) out it is given
-            assert phase_matrix(g, -1, 17, out=buf[:, :17]) is not None
-            assert buf[:, :17].tobytes() == full[-1][:, :17].tobytes()
-            assert not buf[:, 17:].any()
-        assert cached.cache_info().misses == len(grids)
+        assert phase_cache.cache_info().misses == len(grids)
+
+    @pytest.mark.parametrize("L,n,dt,k", _GRIDS[:2])
+    def test_grown_table_columns_are_the_full_tables(self, L, n, dt, k, phase_cache):
+        # a grid asked for e1 < e2 < all columns: every +1 column is bitwise
+        # that of the full table, the +1 table a read-only view and the -1
+        # one its conjugate in a new writable array; one table per grid
+        from gkdvlab import airy
+        g = GridSpec(L, n, dt, k)
+        full = airy._phase_matrix_compute(g, +1)
+        for e in (3, n // 8 + 1, None):
+            plus, minus = phase_matrix(g, +1, e), phase_matrix(g, -1, e)
+            width = e or n // 2
+            assert plus.tobytes() == full[:, :width].tobytes()
+            assert minus.tobytes() == np.conj(full[:, :width]).tobytes()
+            assert not plus.flags.writeable and minus.flags.writeable
+            assert not np.shares_memory(minus, phase_cache(g)[0])
+            assert phase_cache(g)[0].shape[1] == width
+        assert phase_cache.cache_info().currsize == 1
+
+    def test_bernstein_cycle_builds_no_table_after_its_verify_op(self, monkeypatch, phase_cache):
+        # the bernstein workload's verify op (bin 29600) asks for the widest
+        # columns; the ten-bin cycle after it reads them and builds none
+        from gkdvlab import airy
+        from gkdvlab import estimates as est
+        built, compute = [], airy._phase_matrix_compute
+        monkeypatch.setattr(airy, "_phase_matrix_compute",
+                            lambda g, sign, e=None: built.append(e) or compute(g, sign, e))
+        est.verify_bernstein_linfty(est.TrialEnsemble(3, 1, schedule=(29600,)), 5.0)
+        assert built == [29601]
+        est.verify_bernstein_linfty(est.TrialEnsemble(4, 1), 5.0)
+        assert built == [29601] and phase_cache.cache_info().currsize == 1
 
     def test_commutes_with_projections(self, grid):
         rng = np.random.default_rng(3)

@@ -265,15 +265,17 @@ def test_band_sums_match_per_band_loops(n):
 
 
 def _band_sums_every_block(g, band, x):
-    # band_sums without the support rule: every block the band reaches
+    # band_sums without the support rule: every block the band reaches, its
+    # window clipped to the columns x has
     bank = lp._bank(g.domain_length, g.num_points)
     idx = np.asarray(band, dtype=np.int64) - bank.z0
     out = np.zeros((x.shape[0], idx.size))
     at = np.searchsorted(idx, bank.edges)
     for b in np.flatnonzero(at[1:] > at[:-1]):
         lo, blk, _ = bank.block(b)
-        w = blk[idx[at[b]:at[b + 1]] - bank.edges[b]] ** 2
-        out[:, at[b]:at[b + 1]] = x[:, lo:lo + w.shape[1]] @ w.T
+        cols = max(0, min(blk.shape[1], x.shape[1] - lo))
+        w = blk[idx[at[b]:at[b + 1]] - bank.edges[b], :cols] ** 2
+        out[:, at[b]:at[b + 1]] = x[:, lo:lo + cols] @ w.T
     return out
 
 
@@ -282,7 +284,8 @@ def _band_sums_every_block(g, band, x):
 def test_band_sums_read_only_the_support(n, support, monkeypatch):
     # rows zero outside bins a .. e - 1: the sums are those over every block
     # bit for bit, no block whose window misses a .. e - 1 is read, and rows
-    # cut at reach() give the same sums
+    # cut at e give those of their own every-block sums bit for bit and the
+    # full-width sums to rounding (BLAS sums fewer trailing zeros)
     g = GridSpec(400.0, n, 0.05, 12)
     band = lp.default_band(g)
     bank = lp._bank(400.0, n)
@@ -292,17 +295,20 @@ def test_band_sums_read_only_the_support(n, support, monkeypatch):
     x[:, a:e] = np.random.default_rng(n).random((3, e - a))
     subset = band[::7]
     want = [_band_sums_every_block(g, zs, x) for zs in (band, subset)]
+    cut = [_band_sums_every_block(g, zs, x[:, :e]) for zs in (band, subset)]
     read = []
     block = lp._Bank.block
     monkeypatch.setattr(lp._Bank, "block", lambda self, b: read.append(b) or block(self, b))
-    for zs, w in zip((band, subset), want):
+    for zs, w, c in zip((band, subset), want, cut):
         got = lp.band_sums(g, zs, x)
         assert got.tobytes() == w.tobytes()
-        assert lp.band_sums(g, zs, x[:, :lp.reach(g, e)]).tobytes() == w.tobytes()
+        got = lp.band_sums(g, zs, x[:, :e])
+        assert got.tobytes() == c.tobytes()
+        np.testing.assert_allclose(got, w, rtol=4e-15, atol=0)
     meets = (bank.stop > a) & (bank.start < e)
     assert set(read) == set(np.flatnonzero(meets).tolist())
-    assert lp.reach(g, e) == max(e, bank.stop[bank.start < e].max(initial=0))
-    assert support != "inside" or e < lp.reach(g, e) < n // 2
+    # the cut rows end inside a block window that a full-width read runs past
+    assert support != "inside" or e < bank.stop[bank.start < e].max() < n // 2
 
 
 @pytest.mark.parametrize("n", [1024, 16384])

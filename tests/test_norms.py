@@ -296,8 +296,8 @@ class TestXs:
 
     @pytest.mark.parametrize("kind", ["flat3", "flat25", "annulus", "zero"])
     def test_band_limited_paths_match_exhaustive(self, kind):
-        # rows zero above a few bins: xs_report reads only the bins its band
-        # sums reach, and value and argmax are still the exhaustive ones, on
+        # rows zero above a few bins: xs_report reads only the bins below the
+        # spectral end, and value and argmax are still the exhaustive ones, on
         # a free path (constant pullback) and on its Duhamel integral (a line)
         grid = GridSpec(100.0, 2048, 0.01, 12)
         rng = np.random.default_rng(41)
@@ -305,12 +305,32 @@ class TestXs:
                "flat25": lambda: flat_field(grid, 25, rng),
                "annulus": lambda: annulus_field(grid, 110, rng),
                "zero": lambda: Field.zero(grid)}[kind]()
-        assert lp.reach(grid, phi.spectral_end) < grid.num_points // 4
+        assert phi.spectral_end < grid.num_points // 4
         for path in (airy.free_solution(phi), airy.duhamel(airy.free_solution(phi))):
             best, arg = self._exhaustive(path, 0.1)
             rep = norms.xs_report(path, 0.1)
             assert rep.value == pytest.approx(best, rel=1e-12)
             assert rep.argmax_scale == arg
+
+    def test_band_limited_path_reads_no_bin_past_its_end(self, monkeypatch):
+        # one xs_report of a band-limited path at N = 131072: no band_sums
+        # argument, pullback handed to the exact solves or band slice of it
+        # is wider than the path's spectral end
+        grid = GridSpec(400.0, 131072, 1e-3, 12)
+        path = airy.free_solution(flat_field(grid, 2790, np.random.default_rng(5)))
+        end = path.spectral_end
+        sums, values, grams = [], [], []
+        band_sums, band_values, gram = lp.band_sums, norms._band_values, norms.gram_distances
+        monkeypatch.setattr(lp, "band_sums", lambda g, band, x:
+                            sums.append(x.shape[1]) or band_sums(g, band, x))
+        monkeypatch.setattr(norms, "_band_values", lambda g, cen, *a:
+                            values.append(cen.shape[1]) or band_values(g, cen, *a))
+        monkeypatch.setattr(norms, "gram_distances", lambda x, w:
+                            grams.append(x.shape[1]) or gram(x, w))
+        norms.xs_report(path, norms.critical_index(5.0).s_p)
+        assert end < grid.num_points // 16
+        assert sums and values and grams
+        assert max(sums + values + grams) <= end
 
     @pytest.mark.parametrize("c", [1e-150, 1e-170, 1e160])
     def test_scaled_path_matches_unscaled(self, small_grid, c):
