@@ -35,7 +35,7 @@ from .estimates import (
     verify_multilinear,
     verify_strichartz,
 )
-from .littlewood_paley import LPScale, project, project_leq, scale
+from .littlewood_paley import LPScale, project, scale
 from .nonlinearity import (
     PowerLaw,
     dealiased_product,

@@ -75,14 +75,16 @@ class GridSpec:
     num_points: N, a power of two, at least 2
     dt: time step > 0
     num_steps: K >= 1; sampled times are k*dt for k = 0..K
-    dealias_factor: zero-padding ratio for nonlinear products, >= 1
+
+    Fields hold the bins m < N/2, and the solvers integrate the Galerkin
+    truncation of the equation to those bins: f(u) is formed on
+    nonlinearity.DEALIAS_FACTOR * N samples and cut back, with no roll-off.
     """
 
     domain_length: float
     num_points: int
     dt: float
     num_steps: int
-    dealias_factor: float = 2.0
 
     def __post_init__(self):
         problems = []
@@ -94,12 +96,6 @@ class GridSpec:
             problems.append("dt must be positive")
         if not (self.num_steps >= 1):
             problems.append("num_steps must be >= 1")
-        if not (self.dealias_factor >= 1):
-            problems.append("dealias_factor must be >= 1")
-        else:
-            padded = self.dealias_factor * self.num_points
-            if abs(padded - round(padded)) > 1e-9:
-                problems.append("dealias_factor * num_points must be an integer")
         if problems:
             raise GridError("; ".join(problems))
 
@@ -321,7 +317,8 @@ def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarra
     if table.shape != (grid.num_points // 2,):
         raise GridError("multiplier table has wrong shape")
     _check_mean(table, 1e-12, "multiplier")
-    return Field._adopt(grid, table * f.coefficients)
+    e = f.spectral_end
+    return Field._adopt(grid, table[:e] * f.bins(e))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -360,7 +357,8 @@ class Path(_Stored):
         for s in snaps:
             if s.grid != grid:
                 raise GridMismatchError("snapshot grid differs from path grid")
-        cmat = np.stack([s.coefficients for s in snaps])
+        e = max(s.spectral_end for s in snaps)
+        cmat = np.stack([s.bins(e) for s in snaps])
         self.grid, self._cmat, self._vmat = grid, cmat[:, :_support_end(cmat)], None
         self._cmat.flags.writeable = False
 

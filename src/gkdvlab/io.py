@@ -11,6 +11,7 @@ from typing import Union
 import numpy as np
 
 from .grid import NORMALIZATION_TAG, GridSpec, Path, to_spectrum
+from .nonlinearity import DEALIAS_FACTOR
 
 MAGIC = b"GKDVBIN1"
 SCHEMA_VERSION = 1
@@ -28,7 +29,7 @@ def _header(grid: GridSpec, kind: str, count: int) -> dict:
         "num_points": grid.num_points,
         "dt": grid.dt,
         "num_steps": grid.num_steps,
-        "dealias_factor": grid.dealias_factor,
+        "dealias_factor": DEALIAS_FACTOR,
         "normalization": NORMALIZATION_TAG,
         "endianness": "little",
         "count": count,
@@ -49,8 +50,7 @@ def _unpack(blob: bytes):
     head = json.loads(blob[12:12 + hlen].decode())
     if head.get("normalization") != NORMALIZATION_TAG:
         raise ContainerError("container uses a different transform normalization")
-    grid = GridSpec(head["domain_length"], head["num_points"], head["dt"],
-                    head["num_steps"], head.get("dealias_factor", 2.0))
+    grid = GridSpec(head["domain_length"], head["num_points"], head["dt"], head["num_steps"])
     count = head["count"]
     body = np.frombuffer(blob[12 + hlen:], dtype="<f8")
     if body.size != count * grid.num_points:

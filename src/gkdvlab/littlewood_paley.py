@@ -320,10 +320,6 @@ def project(f: Field, sc: LPScale) -> Field:
     return band_piece(f, sc.exponent, "psi")
 
 
-def project_leq(f: Field, sc: LPScale) -> Field:
-    return band_piece(f, sc.exponent, "leq")
-
-
 def default_band(grid: GridSpec) -> range:
     """Exponent range covering all nonzero resolvable grid frequencies.
 

@@ -89,36 +89,33 @@ def expansion_constant(p: float) -> float:
     return PowerLaw(p).coefficients[4]
 
 
+# zero-padding ratio of every nonlinear product: exact for a quadratic product
+# of fields on the stored bins; for p = 5 and 7 the alias part is at rounding
+# on the seeded CLI data, and no finite ratio is exact for a non-integer p
+DEALIAS_FACTOR = 2.0
+
+
 def _padded_size(grid: GridSpec) -> int:
-    return int(round(grid.dealias_factor * grid.num_points))
-
-
-def _taper(grid: GridSpec) -> np.ndarray:
-    # half-cosine rolloff on the top tenth of the resolvable band
-    r = grid.frequencies / grid.resolvable_max
-    t = np.ones(r.size)
-    hot = r > 0.9
-    t[hot] = np.cos(0.5 * np.pi * np.minimum((r[hot] - 0.9) / 0.1, 1.0)) ** 2
-    return t
+    return int(round(DEALIAS_FACTOR * grid.num_points))
 
 
 def power_spectra(c: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     """Spectra of |f|^{p-1} f for the fields whose spectra are c along the
     last axis (one field or a whole path at once).
 
-    Real powers alias; padding by the grid's dealias factor pushes the
-    dominant aliases out, and the taper suppresses what re-enters near the
-    top of the band. Overflowed values come back as NaN or inf; the callers
-    that need finite spectra refuse them.
+    This is the Galerkin truncation of the nonlinearity: f(u) is formed on
+    DEALIAS_FACTOR * N samples of the bins m < N/2 and cut back to those bins,
+    with no roll-off. Real powers alias; the padding pushes the dominant
+    aliases out of the stored bins. Overflowed values come back as NaN or inf;
+    the callers that need finite spectra refuse them.
     """
     law = PowerLaw(p)
-    out = to_spectrum(law(to_samples(c, _padded_size(grid))), grid.num_points)
-    out *= _taper(grid)
-    return out
+    return to_spectrum(law(to_samples(c, _padded_size(grid))), grid.num_points)
 
 
 def evaluate_power(f: Field, p: float) -> Field:
-    """|f|^{p-1} f on a zero-padded grid, truncated back and tapered."""
+    """|f|^{p-1} f formed on the zero-padded grid and cut back to the stored
+    bins m < N/2 (power_spectra), with no roll-off."""
     return Field.from_coefficients(f.grid, power_spectra(f.coefficients, f.grid, p))
 
 

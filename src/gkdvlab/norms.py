@@ -301,8 +301,7 @@ def rescaled_grid(g: GridSpec, m: int) -> GridSpec:
     """The grid of the critical rescaling by c = 1.01^m: length L/c and
     dt/c^3, so the lattice and paired time rescalings map onto themselves."""
     c = lp.scale_value(int(m))
-    return GridSpec(g.domain_length / c, g.num_points, g.dt / c ** 3,
-                    g.num_steps, g.dealias_factor)
+    return GridSpec(g.domain_length / c, g.num_points, g.dt / c ** 3, g.num_steps)
 
 
 def _rescale_factor(m: int, p: float) -> float:

@@ -2,6 +2,9 @@
 
 The solution is sought as psi = v + w with v the free evolution of the
 data and w the fixed point of w -> -duhamel(d_x f_p(v + w)), w(0) = 0.
+Both solvers integrate the Galerkin truncation of the equation to the stored
+bins m < N/2: f_p(u) is formed on 2N samples (nonlinearity.DEALIAS_FACTOR)
+and cut back to those bins, with no roll-off.
 Contraction is measured, never assumed; the smallness boundary is located
 empirically by amplitude bisection. A direct spectral integrator serves as
 the independent oracle for converged runs.

@@ -34,8 +34,6 @@ class TestGridSpec:
             GridSpec(10.0, 64, -0.1, 4)
         with pytest.raises(GridError):
             GridSpec(10.0, 64, 0.1, 0)
-        with pytest.raises(GridError):
-            GridSpec(10.0, 64, 0.1, 4, dealias_factor=0.5)
         # N = 1 holds only the Nyquist bin, so it would store no bin at all
         with pytest.raises(GridError, match="at least 2"):
             GridSpec(10.0, 1, 0.1, 1)
@@ -604,6 +602,27 @@ class TestSerialization:
         scale = np.abs(p.values_matrix).max()
         np.testing.assert_allclose(q.values_matrix, p.values_matrix,
                                    rtol=0, atol=1e-14 * scale)
+
+    def test_header_keeps_the_padding_key_and_load_ignores_it(self, tmp_path):
+        from gkdvlab import io
+        from gkdvlab.grid import to_spectrum
+
+        # the header bytes of containers written while the padding ratio was a
+        # GridSpec field, which took any ratio >= 1 (here 2.0 and 3.0)
+        head = (b'{"count":3,"dealias_factor":2.0,"domain_length":10.0,"dt":0.125,'
+                b'"endianness":"little","kind":"path","normalization":'
+                b'"coeff=dft/N;parseval=L*sum|c|^2;nyquist=projected",'
+                b'"num_points":16,"num_steps":2,"schema_version":1}')
+        grid = GridSpec(10.0, 16, 0.125, 2)
+        rows = np.random.default_rng(5).standard_normal((3, 16))
+        blob = io.MAGIC + len(head).to_bytes(4, "little") + head + rows.astype("<f8").tobytes()
+        assert io._pack(grid, "path", rows) == blob
+        target = tmp_path / "old.gkdv"
+        for factor in (b"2.0", b"3.0"):
+            target.write_bytes(blob.replace(b'"dealias_factor":2.0', b'"dealias_factor":' + factor))
+            q = io.load(target)
+            assert q.grid == grid
+            np.testing.assert_array_equal(q.spectral_matrix, to_spectrum(rows, 16))
 
     def test_path_with_nan_sample_rejected(self, tmp_path, small_grid):
         from gkdvlab import io
