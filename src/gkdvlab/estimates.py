@@ -1,8 +1,9 @@
 """Randomized scaling-law verification for the dispersive estimates.
 
 Each verifier measures left-hand sides on ensembles of localized free
-solutions (whose flow-adapted norms equal their data's L2 norm exactly) and
-regresses the log ratio against the swept scale. Implicit constants are
+solutions, takes the right-hand side from their data (whose L2 and critical
+Besov norms equal the paths' V2 and critical path norms; c05 checks both)
+and regresses the log ratio against the swept scale. Implicit constants are
 never asserted; worst ratios are reported as the empirical constants.
 
 Frequency sweeps span decades, which no single grid resolves honestly, so
@@ -24,7 +25,7 @@ from . import littlewood_paley as lp
 from .airy import free_solution
 from .grid import Field, GridSpec, l2_norm, mixed_norm, time_weights, to_samples
 from .io import canonical_json
-from .norms import besov_norm, critical_index, rescaled_grid, xs_norm
+from .norms import besov_norm, critical_index, rescaled_grid
 
 SCHEMA_VERSION = 1
 
@@ -209,11 +210,13 @@ _BERNSTEIN_BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
 
 def verify_bernstein_linfty(ensemble: TrialEnsemble,
                             p: float) -> EstimateReport:
-    """Height of low-pass pieces against the critical path norm.
+    """Height of low-pass pieces against the critical norm.
 
     Data is flat-spectrum and phase-aligned up to the swept cutoff: the sup
     then grows like the bin count while the critical norm grows like the
-    top-scale power, exposing the exponent 1/2 - s_p.
+    top-scale power, exposing the exponent 1/2 - s_p. The low-pass path is
+    the free solution of the projected data, and rhs scales the data's
+    critical Besov norm, equal to the free path's flow norm by c05's identity.
     """
     ci = critical_index(p)
     grid = GridSpec(400.0, 131072, 1e-3, 12)
@@ -225,12 +228,12 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
             lam_target = top_bin * grid.delta_xi
             z = int(round(math.log(lam_target) / math.log(lp.BASE)))
             lam = lp.scale_value(z)
-            path = free_solution(flat_field(grid, top_bin, rng))
-            lhs = mixed_norm(lp.band_piece(path, z, "leq"), np.inf, np.inf)
-            xs = xs_norm(path, ci.s_p)
-            rhs = lam ** (0.5 - ci.s_p) * xs
+            phi = flat_field(grid, top_bin, rng)
+            lhs = mixed_norm(free_solution(lp.band_piece(phi, z, "leq")), np.inf, np.inf)
+            norm = besov_norm(phi, ci.s_p)
+            rhs = lam ** (0.5 - ci.s_p) * norm
             sweep.add({"trial": trial, "lam": lam, "lhs": lhs, "rhs": rhs,
-                       "ratio": _ratio(lhs, rhs)}, lam, xs)
+                       "ratio": _ratio(lhs, rhs)}, lam, norm)
     cfg = {"kind": "bernstein", "p": float(p), "s_p": ci.s_p,
            "seed": ensemble.seed, "num_trials": ensemble.num_trials,
            "cutoff_bins": list(steps),

@@ -1,7 +1,8 @@
 """Periodic grid, real spectral fields, and time-sampled paths.
 
-A long periodic cell of length L sampled at N points stands in for the real
-line; data is kept concentrated away from the cell boundary by the callers.
+Every report is for the periodic problem on a cell of length L (N points),
+not the line: radiation wraps round. The picard packet's alpha moved by
+3.8e-8, 4.1e-6, 5.1e-4 relative, 400- vs 800-wide cell, at T = 1, 8, 16.
 Everything downstream (projections, propagators, norms) is built on the
 transform convention fixed here, and this module alone calls np.fft:
 

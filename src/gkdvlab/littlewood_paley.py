@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Tuple
@@ -348,16 +348,27 @@ def default_band(grid: GridSpec) -> range:
     return range(z_min, z_max + 1)
 
 
-def partition_sum(grid: GridSpec, band: range) -> np.ndarray:
-    """sum_z Psi_z evaluated on the grid frequencies (telescopes exactly),
-    accumulated in z order; built once per frequency set and band, read-only."""
+def partition_sum(grid: GridSpec, band: range, width=None) -> np.ndarray:
+    """sum_z Psi_z on the first width stored bins (all N/2 if None), read-only,
+    bitwise the full sum's: added in z order from the bands of the blocks whose
+    window starts below width, and cached over the widest width asked for."""
     bank = _bank(grid.domain_length, grid.num_points)
     key = ("sum", band.start, band.stop, band.step)
-    if key not in bank:
-        out = _spread(grid, (band_row(grid, z) for z in band))
+    width = grid.num_points // 2 if width is None else width
+    held = bank.get(key, np.zeros(0))
+    if held.size < width:
+        out, w = np.append(held, np.zeros(width - held.size)), held.size
+        # the bands of the blocks whose window meets bins w .. width - 1
+        lo, hi = (bank.z0 + bank.edges[int(np.searchsorted(bank.stop, w, "right"))],
+                  bank.z0 + bank.edges[int(np.searchsorted(bank.start, width))])
+        for z in band[bisect_left(band, lo):bisect_left(band, hi)]:
+            start, row = band_row(grid, z)
+            a, b = max(start, w), min(start + row.size, width)
+            if a < b:
+                out[a:b] += row[a - start:b - start]
         out.flags.writeable = False
-        bank.setdefault(key, out)
-    return bank[key]
+        bank[key] = held = out
+    return held[:width]
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:

@@ -87,7 +87,7 @@ def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    mask = lp.partition_sum(grid, band)[:e]
+    mask = lp.partition_sum(grid, band, e)
     resid = float(np.sum((1.0 - mask) ** 2 * c2))
     return resid / total
 

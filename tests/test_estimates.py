@@ -79,6 +79,41 @@ class TestBernstein:
         assert abs(rep.slope - 0.5) <= 0.07
         assert np.isfinite(rep.worst_ratio)
 
+    def test_free_paths_critical_norm_is_the_datas_on_the_op_grid(self):
+        # the identity rhs relies on, on verify_bernstein_linfty's grid: the
+        # critical flow norm of a flat field's free path is its data's
+        # critical Besov norm, at the same scale
+        from gkdvlab.norms import besov_report, xs_report
+
+        g = GridSpec(400.0, 131072, 1e-3, 12)
+        s_p = critical_index(5.0).s_p
+        rng = np.random.default_rng(2600)
+        for top_bin in (25, 580, 13470, 29600):
+            phi = est.flat_field(g, top_bin, rng)
+            flow, data = xs_report(free_solution(phi), s_p), besov_report(phi, s_p)
+            assert flow.value == pytest.approx(data.value, rel=1e-12, abs=0.0)
+            assert flow.argmax_scale == data.argmax_scale
+
+    def test_op_takes_rhs_from_the_data(self, monkeypatch):
+        # no flow norm is solved: rhs is lam^(1/2 - s_p) times the data's
+        # critical Besov norm, bit for bit, for each trial's data in order
+        from gkdvlab import norms
+
+        calls = []
+        monkeypatch.setattr(norms, "xs_report", lambda *args: calls.append(args))
+        ens = est.TrialEnsemble(9, 2, schedule=(25, 580, 13470))
+        rep = est.verify_bernstein_linfty(ens, 5.0)
+        assert not calls
+        g, s_p = GridSpec(*rep.config["grid"]), critical_index(5.0).s_p
+        recs = iter(rep.records)
+        for trial in range(ens.num_trials):
+            rng = ens.rng(trial)
+            for top_bin in ens.schedule:
+                rec = next(recs)
+                want = rec["lam"] ** (0.5 - s_p) * norms.besov_norm(
+                    est.flat_field(g, top_bin, rng), s_p)
+                assert rec["trial"] == trial and rec["rhs"] == want
+
     def test_op_reads_only_the_reach_of_its_support(self, monkeypatch):
         # bin 25 of 65536 stored bins: no NaN/inf check and no support scan
         # of one op reads an array wider than the support end 26

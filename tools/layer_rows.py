@@ -3,19 +3,23 @@ or of Picard solves on given grids.
 
 For each cutoff bin of `verify_bernstein_linfty` (L=400, N=131072, K=12)
 and each source tree given, a fresh process runs one bernstein op at that
-bin (caches filled), then times in CPU seconds (time.process_time):
+bin (caches cold, then filled), then times in CPU seconds (time.process_time):
 
 - `mixed_norm(low, inf, inf)` of a new low-pass path per call, the median
-  of CALLS calls (`low` is `lp.band_piece(free_solution(phi), z, "leq")`
-  for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op; in a
-  tree without `band_piece`, its predecessor `estimates._project_path`);
-- the path layers of the op: `free_solution(phi)`, `lp.band_piece` of it
-  and its `xs_report`, one call each, the median of CALLS rounds;
+  of CALLS calls (`low` is `free_solution(lp.band_piece(phi, z, "leq"))`
+  for `phi = flat_field(grid, bin, default_rng(bin))`, as in the op);
+- the layers of the op, each the median of CALLS calls: the low-pass path
+  built both ways, `free_solution(lp.band_piece(phi, z, "leq"))` (project,
+  then evolve) and `lp.band_piece(free_solution(phi), z, "leq")` (evolve,
+  then project), and the critical norm both ways, `besov_norm(phi, s_p)` of
+  the data and `xs_report(free_solution(phi), s_p)` of the path; both forms
+  run in every tree, whichever of them its op runs;
 - the whole op at that bin, the median of OPS ops;
 
 and reports the peak traced allocation of one more warm op (tracemalloc),
-the process's peak RSS (ru_maxrss) and two deterministic counts: the sample
-points (rows x transform length, summed over calls) that one
+the process's peak RSS (ru_maxrss) and three deterministic counts: the
+band blocks the cold op built (`_Bank.built` of the op's frequency set),
+the sample points (rows x transform length, summed over calls) that one
 `mixed_norm(low, inf, inf)` call passes through `grid.to_samples`, and the
 band blocks (`_Bank.block` reads) of one `xs_report(path, s_p)`. Processes
 alternate between the trees; each list in a row holds the sorted values of PROCS
@@ -85,19 +89,27 @@ def measure(top_bin: int) -> dict:
     op = lambda: estimates.verify_bernstein_linfty(  # noqa: E731
         estimates.TrialEnsemble(top_bin, 1, schedule=(top_bin,)), 5.0)
     op()
+    built = len(lp._bank(g.domain_length, g.num_points).built)
     phi = estimates.flat_field(g, top_bin, np.random.default_rng(top_bin))
     s_p = norms.critical_index(5.0).s_p
-    band_piece = getattr(lp, "band_piece", None) or estimates._project_path
-    layers_s = []
-    for _ in range(CALLS):
-        t = time.process_time()
-        path = free_solution(phi)
-        band_piece(path, z, "leq")
-        norms.xs_report(path, s_p)
-        layers_s.append(time.process_time() - t)
+    path = free_solution(phi)
+    layers = {  # both forms of the low-pass path and of the critical norm
+        "free_solution_of_band_piece": lambda: free_solution(lp.band_piece(phi, z, "leq")),
+        "band_piece_of_free_solution": lambda: lp.band_piece(free_solution(phi), z, "leq"),
+        "besov_norm_of_data": lambda: norms.besov_norm(phi, s_p),
+        "xs_report_of_path": lambda: norms.xs_report(path, s_p),
+    }
+    layers_s = {}
+    for name, layer in layers.items():
+        calls = []
+        for _ in range(CALLS):
+            t = time.process_time()
+            layer()
+            calls.append(time.process_time() - t)
+        layers_s[name] = _median(calls)
     sup_s = []
     for _ in range(CALLS):
-        low = band_piece(path, z, "leq")
+        low = layers["free_solution_of_band_piece"]()
         t = time.process_time()
         grid.mixed_norm(low, np.inf, np.inf)
         sup_s.append(time.process_time() - t)
@@ -117,10 +129,11 @@ def measure(top_bin: int) -> dict:
         t = time.process_time()
         op()
         op_s.append(time.process_time() - t)
-    return {"sup_s": _median(sup_s), "layers_s": _median(layers_s), "op_s": _median(op_s),
+    return {"sup_s": _median(sup_s), "op_s": _median(op_s),
+            "layers_s": layers_s,
             "op_peak_mb": op_peak / 2.0 ** 20,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "sup_points": sum(points), "blocks": blocks}
+            "sup_points": sum(points), "blocks": blocks, "built": built}
 
 
 def _picard_grid(arg: str):
@@ -217,7 +230,9 @@ def main(argv=None) -> None:
              "mixed_norm_warm_p50_s": sorted(round(r["sup_s"], 4) for r in runs),
              "mixed_norm_sample_points": runs[0]["sup_points"],
              "band_sums_blocks_read": runs[0]["blocks"],
-             "free_project_xs_warm_p50_s": sorted(round(r["layers_s"], 4) for r in runs),
+             "bank_blocks_built_by_cold_op": runs[0]["built"],
+             **{f"{name}_warm_p50_s": sorted(round(r["layers_s"][name], 6) for r in runs)
+                for name in runs[0]["layers_s"]},
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
              "bernstein_op_tracemalloc_peak_mb": sorted(round(r["op_peak_mb"], 2) for r in runs),
              "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
