@@ -62,7 +62,6 @@ from .picard import (
     amplitude_threshold,
     direct_solve,
     lipschitz_probe,
-    picard_step,
     solve_picard,
 )
 from .variation import (

@@ -49,7 +49,8 @@ def phase_matrix(grid: GridSpec, sign: int = +1, e=None) -> np.ndarray:
     table, as table * x, whose product can differ in the last bit."""
     if (grid.num_steps + 1) * grid.num_points > _PHASE_CACHE_LIMIT:
         return _phase_matrix_compute(grid, sign, e)
-    held, n = _phase_table(grid), grid.frequencies[:e].size
+    held, half = _phase_table(grid), grid.num_points // 2
+    n = half if e is None else min(e, half)
     table = held[0]
     if table is None or table.shape[1] < n:
         table = _phase_matrix_compute(grid, +1, n)

@@ -1,8 +1,9 @@
-"""Serialization: self-describing binary container, CSV export, atomic writes."""
+"""Serialization: self-describing binary container, canonical JSON, atomic writes."""
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import tempfile
@@ -46,12 +47,17 @@ def _pack(grid: GridSpec, kind: str, payload_rows: np.ndarray) -> bytes:
 def _unpack(blob: bytes):
     if blob[:8] != MAGIC:
         raise ContainerError("bad magic; not a path container")
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    head = json.loads(blob[12:12 + hlen].decode())
+    try:
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        head = json.loads(blob[12:12 + hlen].decode())
+        grid = GridSpec(head["domain_length"], head["num_points"], head["dt"], head["num_steps"])
+        count = operator.index(head["count"])
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ContainerError(f"malformed container header: {exc!r}") from None
     if head.get("normalization") != NORMALIZATION_TAG:
         raise ContainerError("container uses a different transform normalization")
-    grid = GridSpec(head["domain_length"], head["num_points"], head["dt"], head["num_steps"])
-    count = head["count"]
+    if head.get("schema_version") != SCHEMA_VERSION or head.get("endianness") != "little":
+        raise ContainerError("container has another schema version or byte order")
     body = np.frombuffer(blob[12 + hlen:], dtype="<f8")
     if body.size != count * grid.num_points:
         raise ContainerError("payload size disagrees with header")

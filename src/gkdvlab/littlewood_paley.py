@@ -31,7 +31,8 @@ share a few blocks), zero outside each row's nonzero span; a block is
 built on first use, a few rows at a time (band z's row is bump(xi / lam_z)
 - bump(xi / lam_{z-1}), the cutoffs evaluated over the block's window, at
 most _BUMP_VALUES values per bump call), and band_row returns views
-trimmed to the span. leq rows are stored one by one over their spans.
+trimmed to the span. leq rows are stored one by one over their spans, and
+nothing else is stored: partition_sum spreads the psi rows on each call.
 Spread on the N/2 stored bins a row is bitwise the symbol on the grid
 frequencies (mode 0 zeroed for leq). Band reductions run band_sums, one
 matmul per block that meets the rows' support, squared on the fly, reading
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Tuple
@@ -157,7 +158,7 @@ _BUMP_VALUES = 1 << 16  # cutoff values per bump call while a block is built
 class _Bank(dict):
     """Symbols of one frequency set: bands z0 + edges[b] .. z0 + edges[b+1] - 1
     form psi block b, and no psi row outside z0 .. z0 + edges[-1] - 1 is
-    nonzero. The dict holds (z, "leq") -> (first bin, row) and partition sums."""
+    nonzero. The dict holds (z, "leq") -> (first bin, row)."""
 
     def __init__(self, grid: GridSpec):
         band = default_band(grid)
@@ -348,27 +349,9 @@ def default_band(grid: GridSpec) -> range:
     return range(z_min, z_max + 1)
 
 
-def partition_sum(grid: GridSpec, band: range, width=None) -> np.ndarray:
-    """sum_z Psi_z on the first width stored bins (all N/2 if None), read-only,
-    bitwise the full sum's: added in z order from the bands of the blocks whose
-    window starts below width, and cached over the widest width asked for."""
-    bank = _bank(grid.domain_length, grid.num_points)
-    key = ("sum", band.start, band.stop, band.step)
-    width = grid.num_points // 2 if width is None else width
-    held = bank.get(key, np.zeros(0))
-    if held.size < width:
-        out, w = np.append(held, np.zeros(width - held.size)), held.size
-        # the bands of the blocks whose window meets bins w .. width - 1
-        lo, hi = (bank.z0 + bank.edges[int(np.searchsorted(bank.stop, w, "right"))],
-                  bank.z0 + bank.edges[int(np.searchsorted(bank.start, width))])
-        for z in band[bisect_left(band, lo):bisect_left(band, hi)]:
-            start, row = band_row(grid, z)
-            a, b = max(start, w), min(start + row.size, width)
-            if a < b:
-                out[a:b] += row[a - start:b - start]
-        out.flags.writeable = False
-        bank[key] = held = out
-    return held[:width]
+def partition_sum(grid: GridSpec, band: range) -> np.ndarray:
+    """sum_z Psi_z on the N/2 stored bins (telescopes exactly), added in z order."""
+    return _spread(grid, (band_row(grid, z) for z in band))
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:

@@ -8,7 +8,7 @@ grid's full resolvable band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,18 +24,18 @@ class CriticalIndex:
     """Nonlinearity power together with its scale-invariant regularity."""
 
     p: float
-    s_p: float
 
     def __post_init__(self):
         if not (self.p >= 5.0):
             raise ValueError("power must satisfy p >= 5")
 
+    @property
+    def s_p(self) -> float:
+        return 0.5 - 2.0 / (self.p - 1.0)
+
 
 def critical_index(p: float) -> CriticalIndex:
-    p = float(p)
-    if not (p >= 5.0):
-        raise ValueError("power must satisfy p >= 5")
-    return CriticalIndex(p, 0.5 - 2.0 / (p - 1.0))
+    return CriticalIndex(float(p))
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,27 @@ def _out_of_band(grid: GridSpec, coeffs: np.ndarray, band) -> float:
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    mask = lp.partition_sum(grid, band, e)
+    mask = lp.partition_sum(grid, band)[:e]
     resid = float(np.sum((1.0 - mask) ** 2 * c2))
     return resid / total
 
 
-def _band_report(name: str, f: Field, s: float, band, q: float) -> NormReport:
-    """lam_z^s ||P_z f||_{L2} over the band: their sup if q = 1, their l2 sum
-    if q = 2; the argmax is the lam of the first top term, if it is > 0."""
-    band = _resolve_band(f.grid, band)
+def _band_value(f: Field, s: float, band: range, q: float) -> Tuple[float, Optional[float]]:
+    """(value, argmax) of lam_z^s ||P_z f||_{L2} over the band: their sup if q = 1,
+    their l2 sum if q = 2; the argmax is the lam of the first top term, if it is > 0."""
     lam = lp.scale_values(band)
     energies, e = lp.band_energies(f, band)  # of 2^e f
     terms = (lam ** s * np.sqrt(energies)) ** q
     k = int(np.argmax(terms)) if terms.size else 0
     value = terms.max(initial=0.0) if q == 1 else np.sqrt(terms.sum())
-    return NormReport(name, float(s), band.start, band.stop - 1, float(np.ldexp(value, -e)),
-                      float(lam[k]) if terms.size and terms[k] > 0 else None,
-                      out_of_band_fraction(f, band))
+    return float(np.ldexp(value, -e)), float(lam[k]) if terms.size and terms[k] > 0 else None
+
+
+def _band_report(name: str, f: Field, s: float, band, q: float) -> NormReport:
+    """_band_value with the band and the out-of-band fraction."""
+    band = _resolve_band(f.grid, band)
+    return NormReport(name, float(s), band.start, band.stop - 1,
+                      *_band_value(f, s, band, q), out_of_band_fraction(f, band))
 
 
 def besov_report(f: Field, s: float, band=None) -> NormReport:
@@ -112,7 +116,8 @@ def besov_report(f: Field, s: float, band=None) -> NormReport:
 
 
 def besov_norm(f: Field, s: float, band=None) -> float:
-    return besov_report(f, s, band).value
+    """besov_report's value alone."""
+    return _band_value(f, s, _resolve_band(f.grid, band), 1)[0]
 
 
 def sobolev_report(f: Field, s: float, band=None) -> NormReport:
@@ -172,8 +177,8 @@ def _dp_bounds(steps: np.ndarray, cen: np.ndarray, nrm: np.ndarray) -> np.ndarra
     return (1.0 + 1e-9) * np.array([float(b) ** 0.5 for b in best])
 
 
-def xs_report(path: Path, s: float, band=None) -> NormReport:
-    """sup over band scales of lam^s V2 of the flow-undone localized path.
+def _xs_value(path: Path, s: float, band: range) -> Tuple[float, Optional[float]]:
+    """xs_report's (value, argmax): the sup over band scales of lam^s V2.
 
     Exact V2 per band is a dynamic program, so bands are screened by the
     cheap full-chain V1 bound (V2 <= V1) and visited best-first: in order of
@@ -219,7 +224,6 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
     spectral end, written into a new array of that width.
     """
     grid = path.grid
-    band = _resolve_band(grid, band)
     L2 = 2.0 * grid.domain_length
     end = path.spectral_end
     pulled = phase_matrix(grid, -1, end)
@@ -289,12 +293,20 @@ def xs_report(path: Path, s: float, band=None) -> NormReport:
                 break
             if vals.get(k, 0.0) > best:
                 best, arg = vals[k], float(lam[k])
-    return NormReport("xs", float(s), band.start, band.stop - 1, float(np.ldexp(best, -e)),
-                      arg, _out_of_band(grid, path.bins(path.spectral_end)[0], band))
+    return float(np.ldexp(best, -e)), arg
+
+
+def xs_report(path: Path, s: float, band=None) -> NormReport:
+    """sup over band scales of lam^s V2 of the flow-undone localized path
+    (_xs_value), with argmax, and the out-of-band fraction of its data."""
+    band = _resolve_band(path.grid, band)
+    return NormReport("xs", float(s), band.start, band.stop - 1, *_xs_value(path, s, band),
+                      _out_of_band(path.grid, path.bins(path.spectral_end)[0], band))
 
 
 def xs_norm(path: Path, s: float, band=None) -> float:
-    return xs_report(path, s, band).value
+    """xs_report's value alone."""
+    return _xs_value(path, s, _resolve_band(path.grid, band))[0]
 
 
 def rescaled_grid(g: GridSpec, m: int) -> GridSpec:

@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 from .airy import duhamel_spectra, equation_defects, free_solution
-from .grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
-                   Path, _finite, _unit_scaled, l2_norm, to_samples)
+from .grid import (Field, GridSpec, NonFiniteFieldError, Path, _finite,
+                   _unit_scaled, l2_norm, to_samples)
 from .nonlinearity import power_spectra
 from .norms import besov_norm, critical_index, xs_norm
 
@@ -96,21 +96,6 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def picard_step(v: Path, w_prev: Path, p: float) -> Path:
-    """One correction update: minus the retarded integral of d_x f_p(v+w).
-
-    Starts from zero at t = 0 exactly; the linear equation residual of the
-    output against the previous iterate's forcing is O(dt^2) plus the
-    dealiasing floor.
-    """
-    if v.grid != w_prev.grid:
-        raise GridMismatchError("free part and correction live on different grids")
-    l2 = _l2_rows(w_prev.grid, w_prev.spectral_matrix)
-    if l2[0] > 1e-9 * max(l2.max(), 1.0):
-        raise ValueError("correction path must vanish at t = 0")
-    return _correction(v.grid, power_spectra((v + w_prev).spectral_matrix, v.grid, p))
-
-
 def _l2_rows(g: GridSpec, c: np.ndarray) -> np.ndarray:
     """The L2 norm of each field whose stored bins are c along the last axis,
     by Parseval, so no sample value is built."""
@@ -122,16 +107,11 @@ def _correction(g: GridSpec, power: np.ndarray) -> Path:
     return Path._adopt(g, duhamel_spectra(g, (-1j * g.frequencies) * power))
 
 
-def gkdv_residual(u: Path, p: float) -> float:
-    """sup over interior times of the L2 equation defect, with a centered
-    difference standing in for the time derivative (so O(dt^2) even for an
-    exact solution). Times whose defect is NaN are skipped. Raises
-    NonFiniteFieldError if f overflows at an interior time."""
-    return _residual_from_power(u, _finite(power_spectra(u.spectral_matrix[1:-1], u.grid, p)))
-
-
 def _residual_from_power(u: Path, power: np.ndarray) -> float:
-    """gkdv_residual from the power spectra of the interior rows of u."""
+    """sup over interior times of the L2 equation defect of u, with the power
+    spectra f of its interior rows, and a centered difference standing in for
+    the time derivative (so O(dt^2) even for an exact solution). Times whose
+    defect is NaN are skipped."""
     defects = equation_defects(u, (1j * u.grid.frequencies) * power)
     return float(np.fmax.reduce(defects, initial=0.0))
 

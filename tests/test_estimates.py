@@ -149,6 +149,39 @@ class TestBernstein:
         g = GridSpec(*rep.config["grid"])
         assert peak < 16 * (g.num_steps + 1) * (g.num_points // 2)
 
+    def test_op_forms_no_out_of_band_diagnostic(self, monkeypatch):
+        # rhs needs the critical norm's value alone: no partition sum and no
+        # out-of-band fraction is formed
+        from gkdvlab import norms
+
+        calls = []
+        for mod, name in ((lp, "partition_sum"), (norms, "out_of_band_fraction"),
+                          (norms, "_out_of_band")):
+            monkeypatch.setattr(mod, name, lambda *a, name=name: calls.append(name))
+        rep = est.verify_bernstein_linfty(est.TrialEnsemble(3, 1, schedule=(25, 29600)), 5.0)
+        assert not calls and len(rep.records) == 2
+
+    def test_warm_op_builds_no_frequency_table(self, monkeypatch):
+        # the op's grid is built afresh on each call; once the caches are
+        # filled, its phase columns are read by count alone, so no call
+        # computes the grid's N/2 frequencies
+        from functools import cached_property
+
+        built = []
+        real = GridSpec.frequencies
+
+        def counted(self):
+            built.append(self.num_points)
+            return real.func(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(GridSpec, "frequencies")
+        est.verify_bernstein_linfty(est.TrialEnsemble(4, 1, schedule=(29600,)), 5.0)
+        monkeypatch.setattr(GridSpec, "frequencies", spy)
+        for top_bin in (25, 29600):
+            est.verify_bernstein_linfty(est.TrialEnsemble(4, 1, schedule=(top_bin,)), 5.0)
+        assert built == []
+
 
 class TestBilinear:
     def test_separation_decay(self):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -641,6 +642,66 @@ class TestSerialization:
         target.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(io.ContainerError):
             io.load(target)
+
+    @staticmethod
+    def _load_with_header(tmp_path, grid, edit):
+        """io.load of a path container whose header bytes edit(head) returns."""
+        from gkdvlab import io
+
+        blob = io._pack(grid, "path", np.zeros((grid.num_steps + 1, grid.num_points)))
+        hlen = int.from_bytes(blob[8:12], "little")
+        head = edit(blob[12:12 + hlen])
+        target = tmp_path / "edited.gkdv"
+        target.write_bytes(io.MAGIC + len(head).to_bytes(4, "little") + head + blob[12 + hlen:])
+        return io.load(target)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        from gkdvlab import io
+
+        target = tmp_path / "short.gkdv"
+        target.write_bytes(io.MAGIC + b"\x05\x00")
+        with pytest.raises(io.ContainerError):
+            io.load(target)
+
+    def test_non_json_header_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        with pytest.raises(io.ContainerError):
+            self._load_with_header(tmp_path, small_grid, lambda h: b"{not json" + h[9:])
+
+    def test_header_without_domain_length_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        def drop(head):
+            d = json.loads(head)
+            del d["domain_length"]
+            return json.dumps(d).encode()
+
+        with pytest.raises(io.ContainerError):
+            self._load_with_header(tmp_path, small_grid, drop)
+
+    def test_non_integer_count_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        count = f'"count":{small_grid.num_steps + 1}'.encode()
+        with pytest.raises(io.ContainerError):
+            self._load_with_header(tmp_path, small_grid, lambda h: h.replace(count, count + b".0"))
+
+    def test_other_schema_version_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        with pytest.raises(io.ContainerError):
+            self._load_with_header(tmp_path, small_grid, lambda h: h.replace(
+                b'"schema_version":1', b'"schema_version":99'))
+
+    def test_big_endian_container_rejected(self, tmp_path, small_grid):
+        from gkdvlab import io
+
+        # the unedited header loads, so the byte order alone is refused
+        assert self._load_with_header(tmp_path, small_grid, lambda h: h).grid == small_grid
+        with pytest.raises(io.ContainerError):
+            self._load_with_header(tmp_path, small_grid, lambda h: h.replace(
+                b'"endianness":"little"', b'"endianness":"big"'))
 
     def test_atomic_write_replaces(self, tmp_path):
         from gkdvlab import io

@@ -448,31 +448,3 @@ def test_band_piece_is_the_full_width_multiplier(n):
                                                   snap.coefficients.view(np.int64))
                     np.testing.assert_array_equal(piece.values_matrix[k].view(np.int64),
                                                   snap.values.view(np.int64))
-
-
-@pytest.mark.parametrize("length, n", [(400.0, 4096), (400.0, 131072)])
-def test_partition_sum_over_a_width_is_the_full_sums_first_bins(length, n, monkeypatch):
-    # on the picard and bernstein frequency sets, a partition sum over the
-    # first bins equals the full sum's (that of every row spread in z order)
-    # bit for bit, whether the full sum was built first or last; a fresh
-    # bank asked for a width builds no psi block whose window starts at or
-    # above it, and growing to a wider width keeps to the wider one
-    from functools import lru_cache
-
-    g = GridSpec(length, n, 1.0, 1)
-    band, half = lp.default_band(g), n // 2
-    widths = sorted({min(w, half) for w in (26, 581, 29601, half)})
-    ref = lp._spread(g, (lp.band_row(g, z) for z in band))
-    for full_first in (True, False):
-        monkeypatch.setattr(lp, "_bank", lru_cache(maxsize=lp._BANKS_KEPT)(lp._bank.__wrapped__))
-        if full_first:
-            full = lp.partition_sum(g, band)
-            assert full.tobytes() == ref.tobytes() and not full.flags.writeable
-        for w in widths:
-            part = lp.partition_sum(g, band, w)
-            assert part.shape == (w,) and not part.flags.writeable
-            assert part.tobytes() == ref[:w].tobytes()
-            bank = lp._bank(length, n)
-            if not full_first:
-                assert all(bank.start[b] < w for b in bank.built)
-        assert lp.partition_sum(g, band).tobytes() == ref.tobytes()

@@ -11,7 +11,8 @@ from gkdvlab import littlewood_paley as lp
 from gkdvlab.airy import phase_matrix
 from gkdvlab.estimates import annulus_field, flat_field
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
-from gkdvlab.picard import picard_step
+from gkdvlab.nonlinearity import power_spectra
+from gkdvlab.picard import _correction
 from gkdvlab.variation import SampledPath, vp_norm
 
 from conftest import gaussian_bump, random_field
@@ -54,7 +55,14 @@ class TestCriticalIndex:
         with pytest.raises(ValueError):
             norms.critical_index(4.999)
         with pytest.raises(ValueError):
-            norms.CriticalIndex(3.0, 0.0)
+            norms.CriticalIndex(3.0)
+
+    def test_s_p_is_derived_from_p(self):
+        # s_p is a property of p, not a second field that could disagree
+        assert norms.CriticalIndex(9.0).s_p == norms.critical_index(9).s_p == 0.25
+        assert norms.critical_index(7).p == 7.0
+        with pytest.raises(TypeError):
+            norms.CriticalIndex(5.0, 0.9)
 
 
 class TestBesov:
@@ -348,8 +356,12 @@ class TestXs:
     def _picard_difference(grid):
         """w_2 - w_1 of the correction iteration for a packet on grid."""
         v = airy.free_solution(gaussian_bump(grid, 0.6, 3.0, 2.0))
-        w1 = picard_step(v, Path.zero(grid), 5.0)
-        return picard_step(v, w1, 5.0) - w1
+
+        def step(w):  # the solver's correction of w
+            return _correction(grid, power_spectra((v + w).spectral_matrix, grid, 5.0))
+
+        w1 = step(Path.zero(grid))
+        return step(w1) - w1
 
     @pytest.mark.parametrize("s", [0.0, 0.25])
     @pytest.mark.parametrize("tiny", [False, True])
@@ -485,6 +497,37 @@ class TestXs:
         rep = norms.xs_report(path, s)
         assert rep.value == pytest.approx(best, rel=1e-9)
         assert rep.argmax_scale == arg
+
+
+class TestNormIsTheReportsValue:
+    # besov_norm and xs_norm run the reports' cores and leave out only the
+    # out-of-band fraction, so each equals its report's value bit for bit
+
+    @staticmethod
+    def _check(phi, path, bands=(None,), ss=(0.0, 0.25)):
+        for band in bands:
+            for s in ss:
+                assert repr(norms.besov_norm(phi, s, band)) == repr(
+                    norms.besov_report(phi, s, band).value)
+                assert repr(norms.xs_norm(path, s, band)) == repr(
+                    norms.xs_report(path, s, band).value)
+
+    def test_random_field(self, small_grid):
+        phi = random_field(small_grid, np.random.default_rng(28), decay=1.0)
+        band = lp.default_band(small_grid)
+        self._check(phi, airy.duhamel(airy.free_solution(phi)),
+                    bands=(None, (band.start + 40, band.stop - 60)), ss=(0.0, 0.25, -0.3))
+
+    def test_path_scaled_by_1e160(self, small_grid):
+        phi = random_field(small_grid, np.random.default_rng(29), decay=1.0) * 1e160
+        path = airy.duhamel(airy.free_solution(phi))
+        assert norms.xs_norm(path, 0.1) > 1e150
+        self._check(phi, path)
+
+    def test_band_limited_path_at_131072(self):
+        grid = GridSpec(400.0, 131072, 1e-3, 12)
+        phi = flat_field(grid, 2790, np.random.default_rng(30))
+        self._check(phi, airy.free_solution(phi), ss=(norms.critical_index(5.0).s_p,))
 
 
 class TestRescale:

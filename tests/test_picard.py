@@ -9,18 +9,36 @@ import pytest
 import gkdvlab as g
 from gkdvlab.airy import free_solution
 from gkdvlab.cli import seeded_profile
-from gkdvlab.grid import (Field, GridMismatchError, GridSpec, NonFiniteFieldError,
-                          Path, derivative, l2_norm, mixed_norm)
-from gkdvlab.nonlinearity import evaluate_power
+from gkdvlab.grid import (Field, GridSpec, NonFiniteFieldError, Path, _finite,
+                          derivative, l2_norm, mixed_norm)
+from gkdvlab.nonlinearity import evaluate_power, power_spectra
 from gkdvlab.picard import (BlowUpError, PicardConfig, PicardDivergenceError,
-                            amplitude_threshold, direct_solve, gkdv_residual,
-                            lipschitz_probe, picard_step, solve_picard)
+                            _correction, _residual_from_power, amplitude_threshold,
+                            direct_solve, lipschitz_probe, solve_picard)
 
 
 @pytest.fixture(scope="module")
 def medium():
     grid = GridSpec(200.0, 1024, 1.0 / 32, 32)
     return grid, seeded_profile(grid, 9, amplitude=1.0)
+
+
+def _step(v, w, p=5.0):
+    """The solver's correction of w: minus the retarded integral of d_x f_p(v + w)."""
+    return _correction(v.grid, power_spectra((v + w).spectral_matrix, v.grid, p))
+
+
+def _residual(u, p=5.0):
+    """The solver's residual of u, from f_p of its interior rows (refused if not finite)."""
+    return _residual_from_power(u, _finite(power_spectra(u.spectral_matrix[1:-1], u.grid, p)))
+
+
+def _first_iterate(phi, p=5.0):
+    """w_1 of solve_picard, the correction of the free evolution of phi."""
+    grid = phi.grid
+    w, trace = solve_picard(PicardConfig(p, grid.horizon, 1, 0.9, phi, grid))
+    assert len(trace.rows) == 1
+    return w
 
 
 class TestPicardConfig:
@@ -48,28 +66,25 @@ class TestPicardConfig:
 
 
 class TestPicardStep:
-    def test_grid_mismatch(self, medium):
-        grid, prof = medium
-        other = GridSpec(100.0, 512, 1.0 / 16, 16)
-        with pytest.raises(GridMismatchError):
-            picard_step(free_solution(prof), Path.zero(other), 5.0)
+    # the solver's first iterate w_1, the correction of the free evolution
 
-    def test_correction_must_start_at_zero(self, medium):
+    def test_grid_mismatch(self, medium):
+        # data sampled at other times than the solve's grid is refused with
+        # the config, before any iterate
         grid, prof = medium
-        v = free_solution(prof)
-        bad = Path(grid, [prof for _ in range(grid.num_steps + 1)])
-        with pytest.raises(ValueError, match="vanish at t = 0"):
-            picard_step(v, bad, 5.0)
+        other = GridSpec(grid.domain_length, grid.num_points, grid.dt / 2, grid.num_steps)
+        data = Field.from_coefficients(other, prof.coefficients)
+        with pytest.raises(ValueError, match="different grid"):
+            PicardConfig(5.0, grid.horizon, 1, 0.9, data, grid)
 
     def test_zero_data_gives_zero_correction(self, small_grid):
-        v = free_solution(Field.zero(small_grid))
-        w = picard_step(v, Path.zero(small_grid), 5.0)
+        w = _first_iterate(Field.zero(small_grid))
         assert mixed_norm(w, np.inf, 2.0) == 0.0
 
     def test_output_starts_at_zero_exactly(self, medium):
         grid, prof = medium
-        w = picard_step(free_solution(prof * 0.1), Path.zero(grid), 5.0)
-        assert l2_norm(w[0]) == 0.0
+        w = _first_iterate(prof * 0.1)
+        assert l2_norm(w[0]) == 0.0 and l2_norm(w[1]) > 0.0
 
     def test_first_correction_magnitude(self):
         # independent route: dense trapezoid of the retarded integral of the
@@ -77,8 +92,7 @@ class TestPicardStep:
         grid = GridSpec(50.0, 512, 0.02, 10)
         prof = seeded_profile(grid, 3, amplitude=1.0)
         phi = prof * 1e-3
-        v = free_solution(phi)
-        w1 = picard_step(v, Path.zero(grid), 5.0)
+        w1 = _first_iterate(phi)
         M = 16
         fine = GridSpec(50.0, 512, grid.dt / M, grid.num_steps * M)
         vf = free_solution(Field.from_coefficients(fine, phi.coefficients))
@@ -99,8 +113,7 @@ class TestPicardStep:
     def test_first_correction_quintic_scaling(self):
         grid = GridSpec(50.0, 512, 0.02, 10)
         prof = seeded_profile(grid, 3, amplitude=1.0)
-        small = picard_step(free_solution(prof * 1e-3), Path.zero(grid), 5.0)
-        big = picard_step(free_solution(prof * 2e-3), Path.zero(grid), 5.0)
+        small, big = _first_iterate(prof * 1e-3), _first_iterate(prof * 2e-3)
         ratio = mixed_norm(big, np.inf, 2.0) / mixed_norm(small, np.inf, 2.0)
         assert ratio == pytest.approx(32.0, rel=1e-10)
 
@@ -151,7 +164,7 @@ class TestSolvePicard:
         cfg = PicardConfig(5.0, 1.0, 12, 0.9, phi, grid)
         w, trace = solve_picard(cfg)
         assert trace.rows[-1]["residual"] == pytest.approx(
-            gkdv_residual(free_solution(phi) + w, 5.0), rel=1e-9)
+            _residual(free_solution(phi) + w), rel=1e-9)
 
     def test_trace_csv(self, medium):
         grid, prof = medium
@@ -207,7 +220,7 @@ class TestBatchedPower:
 
     @staticmethod
     def _residual_by_snapshot(u, p):
-        # the per-snapshot loop gkdv_residual once ran; Python max skips NaN
+        # the solver's residual as a per-snapshot loop; Python max skips NaN
         grid = u.grid
         c = u.spectral_matrix
         dt_c = (c[2:] - c[:-2]) / (2.0 * grid.dt)
@@ -224,8 +237,8 @@ class TestBatchedPower:
     def test_gkdv_residual_matches_snapshot_loop(self, medium):
         grid, prof = medium
         v = free_solution(prof * 0.3)
-        u = v + picard_step(v, Path.zero(grid), 5.0)
-        assert gkdv_residual(u, 5.0) == self._residual_by_snapshot(u, 5.0)
+        u = v + _step(v, Path.zero(grid))
+        assert _residual(u) == self._residual_by_snapshot(u, 5.0)
         # a non-finite first row makes the k = 1 defect NaN; it is skipped
         c = np.zeros((grid.num_steps + 1, grid.num_points // 2), dtype=np.complex128)
         c[0, 3] = 1e300
@@ -233,7 +246,7 @@ class TestBatchedPower:
             big = Path.from_spectral_matrix(grid, c) * 1e10
             bad = u + (big - big)
             expect = self._residual_by_snapshot(bad, 5.0)
-            got = gkdv_residual(bad, 5.0)
+            got = _residual(bad)
         assert math.isfinite(expect) and expect > 0
         assert got == expect
 
@@ -244,32 +257,31 @@ class TestBatchedPower:
         u = Path.from_spectral_matrix(grid, c)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteFieldError):
-                gkdv_residual(u, 5.0)
+                _residual(u)
 
     @pytest.mark.parametrize("amp", [0.1, 3.0, 3.96, 1e70])
     def test_trace_matches_two_evaluations_per_iterate(self, medium, amp,
                                                        monkeypatch):
-        # solve_picard evaluates f(v + w) once per iterate, and calls neither
-        # picard_step nor gkdv_residual; the rows must be those of evaluating
-        # f in picard_step and again in gkdv_residual. At amplitude 3.96 the
+        # solve_picard evaluates f(v + w) once per iterate, plus once for
+        # v; the rows must be those of evaluating f for the correction and
+        # again for the residual of each iterate. At amplitude 3.96 the
         # last row of f(v + w_3) overflows while the interior does not: the
         # residual reads the interior alone and the next correction raises.
         # At 3 the interior rows of f(v + w_4) overflow too, and the residual
         # raises. At 1e70 f(v) itself overflows: one all-inf row.
         from gkdvlab import norms, picard
-        from gkdvlab.nonlinearity import power_spectra
         grid, prof = medium
         phi = prof * amp
         cfg = PicardConfig(5.0, grid.horizon, 8, 0.9, phi, grid)
         calls = []
-        for name in ("picard_step", "gkdv_residual"):
-            monkeypatch.setattr(picard, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(picard, "power_spectra",
+                            lambda *a: calls.append(1) or power_spectra(*a))
         diverged = False
         try:
             _, trace = solve_picard(cfg)
         except PicardDivergenceError as exc:
             trace, diverged = exc.trace, True
-        assert calls == [] and diverged == (amp > 1.0)
+        assert len(calls) <= len(trace.rows) + 1 and diverged == (amp > 1.0)
         s_p = norms.critical_index(5.0).s_p
         v = free_solution(phi)
         w = Path.zero(grid)
@@ -277,10 +289,10 @@ class TestBatchedPower:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in trace.rows:
                 try:
-                    w_next = picard_step(v, w, 5.0)
+                    w_next = _step(v, w)
                     want.append((norms.xs_norm(w_next, s_p),
                                  norms.xs_norm(w_next - w, s_p),
-                                 gkdv_residual(v + w_next, 5.0)))
+                                 _residual(v + w_next)))
                 except NonFiniteFieldError:
                     want.append((math.inf, math.inf, math.inf))
                     break
@@ -292,7 +304,7 @@ class TestBatchedPower:
             # v + w_3 at 3.96, and that of v + w_4 at 3
             with np.errstate(over="ignore", invalid="ignore"):
                 if amp == 3.0:
-                    w = picard_step(v, w, 5.0)
+                    w = _step(v, w)
                 f = power_spectra((v + w).spectral_matrix, grid, 5.0)
             finite = np.all(np.isfinite(f), axis=1)
             assert len(want) == 4 and not finite[-1]
@@ -316,7 +328,7 @@ class TestBatchedPower:
         s_p = norms.critical_index(5.0).s_p
         v, w = free_solution(prof * 0.1), Path.zero(grid)
         for row in trace.rows:
-            w_next = picard_step(v, w, 5.0)
+            w_next = _step(v, w)
             assert row["w_norm"] == norms.xs_norm(w_next, s_p)
             assert row["diff_norm"] == norms.xs_norm(w_next - w, s_p)
             w = w_next

@@ -15,7 +15,8 @@ from PATH/src, OPENBLAS_NUM_THREADS=1) computes sha256 values of:
     python tools/fingerprints.py parent=/path/to/parent/checkout change=.
 
 prints one JSON object: the digests per item and tree, the item count, and
-the items whose digests differ between the trees.
+the items whose digests differ between the trees. The exit status is 1 when
+any item differs, so a byte check of a pure refactor is this one command.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def main(argv=None) -> None:
     print(json.dumps({"trees": [label for label, _ in trees], "items": len(items),
                       "equal": len(items) - len(differ), "differ": differ,
                       "digests": table}, indent=1))
+    if differ:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
