@@ -29,10 +29,10 @@ blocks of consecutive bands over a shared window of bins (at most _SLACK
 times each row's span, or at most _FLOOR bins, so that the narrow low bands
 share a few blocks), zero outside each row's nonzero span; a block is
 built on first use, a few rows at a time (band z's row is bump(xi / lam_z)
-- bump(xi / lam_{z-1}), the cutoffs evaluated over the block's window, at
-most _BUMP_VALUES values per bump call), and band_row returns views
-trimmed to the span. leq rows are stored one by one over their spans, and
-nothing else is stored: partition_sum spreads the psi rows on each call.
+- bump(xi / lam_{z-1}); each bump call of at most _BUMP_VALUES values carries
+its last cutoff to the next: one value per cutoff per window bin, bump clipped
+to [1, 2]); two argmax passes find the rows' spans, and band_row returns views
+trimmed to them. leq rows are stored one by one; partition_sum adds by blocks.
 Spread on the N/2 stored bins a row is bitwise the symbol on the grid
 frequencies (mode 0 zeroed for leq). Band reductions run band_sums, one
 matmul per block that meets the rows' support, squared on the fly, reading
@@ -113,20 +113,14 @@ def scale(z: int) -> LPScale:
 
 
 def bump(s):
-    """Smooth even cutoff: 1 on |s|<=1, 0 on |s|>=2, strictly between otherwise."""
-    arr = np.abs(np.asarray(s, dtype=np.float64))
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr[None]
-    out = np.ones_like(arr)
-    out[arr >= 2.0] = 0.0
-    mid = (arr > 1.0) & (arr < 2.0)
-    if mid.any():
-        sm = arr[mid]
-        up = np.exp(-1.0 / (2.0 - sm))
-        dn = np.exp(-1.0 / (sm - 1.0))
-        out[mid] = up / (up + dn)
-    return float(out[0]) if scalar else out
+    """Smooth even cutoff: 1 on |s|<=1, 0 on |s|>=2, strictly between otherwise: one
+    pass over |s| clipped to [1, 2], where exp(-1/0) = 0 gives 1 and 0 exactly; NaN gives NaN."""
+    a = np.abs(np.atleast_1d(np.asarray(s, dtype=np.float64)))
+    up, dn = np.subtract(2.0, np.clip(a, 1.0, 2.0, out=a)), np.subtract(a, 1.0, out=a)
+    with np.errstate(divide="ignore"):  # -1/0 = -inf, and exp(-inf) = 0
+        up, dn = (np.exp(np.divide(-1.0, t, out=t), out=t) for t in (up, dn))
+    np.divide(up, np.add(up, dn, out=dn), out=up)
+    return float(up[0]) if np.ndim(s) == 0 else up
 
 
 def psi_symbol(sc: LPScale, xi):
@@ -152,7 +146,7 @@ _BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
 # _FLOOR bins: the narrow low bands share a few blocks (18 is the largest floor that
 # keeps the blocks within 1.3 times the spans at N = 1024)
 _SLACK, _FLOOR = 1.2, 18
-_BUMP_VALUES = 1 << 16  # cutoff values per bump call while a block is built
+_BUMP_VALUES = 1 << 16  # values per bump call building a block; cells per partition_sum reduce
 
 
 class _Bank(dict):
@@ -190,15 +184,18 @@ class _Bank(dict):
             lo = int(self.start[b])
             pos = self.pos[lo:self.stop[b]]
             blk = np.empty((j - i, pos.size))
-            # cutoffs q .. q + step - 1 of the block's j - i + 1 in one bump call:
-            # row r is cutoff r + 1 minus cutoff r
-            step = max(2, _BUMP_VALUES // max(pos.size, 1))
-            for q in range(0, j - i, step - 1):
-                cut = bump(pos / self.cut[i + q:min(i + q + step, j + 1), None])
-                np.subtract(cut[1:], cut[:-1], out=blk[q:q + cut.shape[0] - 1])
+            # row r is cutoff r + 1 minus cutoff r; a call's last cutoff carries into the next
+            step, cut = max(1, _BUMP_VALUES // (pos.size or 1)), bump(pos / self.cut[i:i + 1, None])
+            for q in range(0, j - i, step):
+                last, cut = cut[-1], bump(pos / self.cut[i + q + 1:min(i + q + step, j) + 1, None])
+                np.subtract(cut[0], last, out=blk[q])
+                np.subtract(cut[1:], cut[:-1], out=blk[q + 1:q + cut.shape[0]])
             blk.flags.writeable = False
-            rows = [(lo + int(k[0]), blk[r, k[0]:k[-1] + 1]) if k.size else (lo, blk[r, :0])
-                    for r, k in enumerate(map(np.flatnonzero, blk))]
+            # row r spans bins a[r] .. e[r] - 1: argmax from both ends, a zero bin past the end
+            nz = np.pad(blk != 0.0, ((0, 0), (0, 1)))
+            a = nz.argmax(1)
+            e = np.where(nz[np.arange(j - i), a], pos.size + 1 - nz[:, ::-1].argmax(1), a)
+            rows = [(lo + x, blk[r, x:y]) for r, (x, y) in enumerate(zip(a.tolist(), e.tolist()))]
             entry = self.built.setdefault(b, (lo, blk, rows))
         return entry
 
@@ -350,8 +347,21 @@ def default_band(grid: GridSpec) -> range:
 
 
 def partition_sum(grid: GridSpec, band: range) -> np.ndarray:
-    """sum_z Psi_z on the N/2 stored bins (telescopes exactly), added in z order."""
-    return _spread(grid, (band_row(grid, z) for z in band))
+    """sum_z Psi_z on the N/2 stored bins (telescopes exactly), added in z order: a block of
+    at most _BUMP_VALUES cells over 2+ bins in one reduce of [sum; rows], which numpy adds row
+    by row (x + 0.0 = x off a span), and a larger one row by row over the spans."""
+    bank = _bank(grid.domain_length, grid.num_points)
+    out, idx = np.zeros(grid.num_points // 2), np.asarray(band, dtype=np.int64) - bank.z0
+    at = np.searchsorted(idx, bank.edges)
+    for b in np.flatnonzero(at[1:] > at[:-1]).tolist():
+        lo, blk, rows = bank.block(b)
+        part, sel = out[lo:lo + blk.shape[1]], (idx[at[b]:at[b + 1]] - bank.edges[b]).tolist()
+        if 1 < part.size and blk.size <= _BUMP_VALUES:
+            part[:] = np.add.reduce(np.concatenate([part[None], blk[sel]]))
+        else:
+            for start, row in map(rows.__getitem__, sel):
+                out[start:start + row.size] += row
+    return out
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:

@@ -41,6 +41,39 @@ class TestBump:
         v = lp.bump(s)
         assert np.all(np.diff(v) <= 0)
 
+    def test_clip_form_is_the_masked_form_bitwise(self):
+        def masked(s):
+            # the formula on the entries strictly inside (1, 2) only, 1 and 0
+            # set by masks outside it
+            arr = np.abs(np.asarray(s, dtype=np.float64))
+            scalar = arr.ndim == 0
+            if scalar:
+                arr = arr[None]
+            out = np.ones_like(arr)
+            out[arr >= 2.0] = 0.0
+            mid = (arr > 1.0) & (arr < 2.0)
+            if mid.any():
+                sm = arr[mid]
+                up = np.exp(-1.0 / (2.0 - sm))
+                dn = np.exp(-1.0 / (sm - 1.0))
+                out[mid] = up / (up + dn)
+            return float(out[0]) if scalar else out
+
+        near = [np.nextafter(x, y) for x in (1.0, 2.0) for y in (0.0, 3.0)]
+        edges = np.array([0.0, 1.0, 2.0, *near, np.inf, 1e300])
+        edges = np.concatenate([edges, -edges])  # -0.0 among them
+        dense = np.linspace(0.9, 2.1, 200001)
+        for s in (dense, -dense, edges, np.stack([dense[:1000], -dense[-1000:]])):
+            got = lp.bump(s)
+            assert got.shape == s.shape and got.tobytes() == masked(s).tobytes()
+        for x in edges.tolist():
+            got = lp.bump(x)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(masked(x)).tobytes()
+        assert type(lp.bump(np.float64(1.5))) is float
+        # NaN: no mask catches it, so the masked form gives 1.0; the clip form gives NaN
+        assert masked(np.nan) == 1.0
+        assert np.isnan(lp.bump(np.nan)) and np.isnan(lp.bump(np.array([np.nan, 1.5]))[0])
+
 
 class TestPsiSymbol:
     def test_zero_at_origin(self):
@@ -384,25 +417,52 @@ def test_band_rows_are_the_computed_symbols_on_their_spans(length, n):
 
 @pytest.mark.parametrize("length, n, blocks, values", [
     (400.0, 4096, None, lp._BUMP_VALUES), (400.0, 4096, None, 1),
-    (400.0, 131072, (0, 1, 40, -2, -1), lp._BUMP_VALUES)])
+    (400.0, 131072, (0, 1, 40, 78, -2, -1), lp._BUMP_VALUES), (400.0, 4096, None, 700)])
 def test_row_built_blocks_equal_the_one_shot_difference(length, n, blocks, values,
                                                         monkeypatch):
     # a block built a few cutoff rows at a time is bitwise the difference of
-    # adjacent rows of bump(xi / lam) evaluated over the whole block at once
-    monkeypatch.setattr(lp, "_BUMP_VALUES", values)  # 1: one cutoff row a call
+    # adjacent rows of bump(xi / lam) evaluated over the whole block at once,
+    # and its build evaluates each of its cutoffs once over its window
+    # 1: one cutoff row a call; 700: below the widest windows at N = 4096
+    monkeypatch.setattr(lp, "_BUMP_VALUES", values)
+    bump, seen = lp.bump, []
+    monkeypatch.setattr(lp, "bump", lambda s: seen.append(np.size(s)) or bump(s))
     bank = lp._Bank(GridSpec(length, n, 1.0, 1))
     nblocks = len(bank.edges) - 1
+    windows = bank.stop - bank.start
+    assert values != 700 or windows.min() < values < windows.max()
+    # block 78 of N = 131072 is the first whose window passes 2^15 bins
+    assert n != 131072 or windows[78] == 32969 and windows[:78].max() <= 1 << 15
     for b in range(nblocks) if blocks is None else [b % nblocks for b in blocks]:
         i, j = bank.edges[b], bank.edges[b + 1]
-        cut = lp.bump(bank.pos[bank.start[b]:bank.stop[b]] / bank.cut[i:j + 1, None])
+        cut = bump(bank.pos[bank.start[b]:bank.stop[b]] / bank.cut[i:j + 1, None])
         want = cut[1:] - cut[:-1]
+        seen.clear()
         lo, blk, rows = bank.block(b)
+        assert sum(seen) == (j - i + 1) * windows[b]
         assert lo == bank.start[b] and blk.tobytes() == want.tobytes()
         for r, (start, row) in enumerate(rows):
             k = np.flatnonzero(want[r])
             assert (start, row.size) == ((lo + k[0], k[-1] + 1 - k[0]) if k.size else (lo, 0))
             assert np.shares_memory(row, blk) or not row.size
             assert not row.flags.writeable
+
+
+@pytest.mark.parametrize("length, n", [(10.0, 4), (200.0, 256), (400.0, 4096),
+                                       (400.0, 131072), _C13_SETS[-1]])
+def test_partition_sum_is_the_rows_spread_in_z_order(length, n):
+    # added block by block, bitwise the rows added one by one in z order, for
+    # the full band, a band past the store at both ends and one inside it;
+    # N = 4 keeps its 73 rows in one block over a one-bin window, and the top
+    # blocks of N = 131072 hold more than _BUMP_VALUES cells: both add row by row
+    g = GridSpec(length, n, 1.0, 1)
+    band = lp.default_band(g)
+    bank = lp._bank(length, n)
+    cells = np.diff(bank.edges) * (bank.stop - bank.start)
+    assert (n in (4, 131072)) == any((cells > lp._BUMP_VALUES) | (bank.stop - bank.start == 1))
+    for zs in (band, range(band.start - 5, band.stop + 5), range(band.start + 10, band.stop - 20)):
+        want = lp._spread(g, (lp.band_row(g, z) for z in zs))
+        assert lp.partition_sum(g, zs).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [4096, 131072])

@@ -3,7 +3,9 @@ or of Picard solves on given grids.
 
 For each cutoff bin of `verify_bernstein_linfty` (L=400, N=131072, K=12)
 and each source tree given, a fresh process runs one bernstein op at that
-bin (caches cold, then filled), then times in CPU seconds (time.process_time):
+bin (caches cold, then filled), timing that cold op in CPU seconds
+(time.process_time) and counting the values it passes to `lp.bump` while it
+builds its band blocks and low-pass row, then times in CPU seconds:
 
 - `mixed_norm(low, inf, inf)` of a new low-pass path per call, the median
   of CALLS calls (`low` is `free_solution(lp.band_piece(phi, z, "leq"))`
@@ -33,7 +35,7 @@ With --picard "L,N,K,T ..." it times `solve_picard` instead, on each grid
 (L, N, K, T) for the picard workload's packet of seed 303
 (perfbench/workloads.py; dt = T/K): a fresh process solves once (caches
 filled), then reports the median of SOLVES warm solves, the CPU seconds spent
-in `norms.xs_report`, in its DP bound `norms._dp_bounds` and in
+in `xs_norm` (as `picard` calls it), in its DP bound `norms._dp_bounds` and in
 `power_spectra` during that solve, the band blocks read in one warm solve
 (deterministic) and the process's peak RSS (ru_maxrss).
 
@@ -88,7 +90,14 @@ def measure(top_bin: int) -> dict:
     z = int(round(math.log(top_bin * g.delta_xi) / math.log(lp.BASE)))
     op = lambda: estimates.verify_bernstein_linfty(  # noqa: E731
         estimates.TrialEnsemble(top_bin, 1, schedule=(top_bin,)), 5.0)
-    op()
+    bump, values = lp.bump, []
+    lp.bump = lambda s: values.append(np.size(s)) or bump(s)
+    try:
+        t = time.process_time()
+        op()
+        cold_s = time.process_time() - t
+    finally:
+        lp.bump = bump
     built = len(lp._bank(g.domain_length, g.num_points).built)
     phi = estimates.flat_field(g, top_bin, np.random.default_rng(top_bin))
     s_p = norms.critical_index(5.0).s_p
@@ -133,7 +142,8 @@ def measure(top_bin: int) -> dict:
             "layers_s": layers_s,
             "op_peak_mb": op_peak / 2.0 ** 20,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "sup_points": sum(points), "blocks": blocks, "built": built}
+            "sup_points": sum(points), "blocks": blocks, "built": built,
+            "cold_s": cold_s, "bump_values": sum(values)}
 
 
 def _picard_grid(arg: str):
@@ -166,8 +176,8 @@ def measure_picard(grid_arg: str, tree: str) -> dict:
 
     wl.op(phi)
     blocks = _count_blocks(lp, lambda: wl.op(phi))
-    real = norms.xs_report, norms._dp_bounds, picard.power_spectra
-    norms.xs_report, norms._dp_bounds, picard.power_spectra = (
+    real = picard.xs_norm, norms._dp_bounds, picard.power_spectra
+    picard.xs_norm, norms._dp_bounds, picard.power_spectra = (
         timed(key, fn) for key, fn in zip(("xs", "dp", "power"), real))
     rounds = []
     for _ in range(SOLVES):
@@ -175,7 +185,7 @@ def measure_picard(grid_arg: str, tree: str) -> dict:
         t = time.process_time()
         wl.op(phi)
         rounds.append((time.process_time() - t, spent["xs"], spent["dp"], spent["power"]))
-    norms.xs_report, norms._dp_bounds, picard.power_spectra = real
+    picard.xs_norm, norms._dp_bounds, picard.power_spectra = real
     solve_s, xs_s, dp_s, power_s = _median(rounds)
     return {"solve_s": solve_s, "xs_s": xs_s, "dp_s": dp_s, "power_s": power_s, "blocks": blocks,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -217,7 +227,7 @@ def main(argv=None) -> None:
         rows = [{"grid": list(_picard_grid(g)), "side": label,
                  "layer": f"picard.solve_picard warm, picard workload packet of seed {PICARD_SEED}",
                  "solve_warm_p50_s": sorted(round(r["solve_s"], 4) for r in runs),
-                 "xs_report_in_solve_s": sorted(round(r["xs_s"], 4) for r in runs),
+                 "xs_norm_in_solve_s": sorted(round(r["xs_s"], 4) for r in runs),
                  "dp_bounds_in_solve_s": sorted(round(r["dp_s"], 4) for r in runs),
                  "power_spectra_in_solve_s": sorted(round(r["power_s"], 4) for r in runs),
                  "band_blocks_read_per_solve": runs[0]["blocks"],
@@ -231,6 +241,8 @@ def main(argv=None) -> None:
              "mixed_norm_sample_points": runs[0]["sup_points"],
              "band_sums_blocks_read": runs[0]["blocks"],
              "bank_blocks_built_by_cold_op": runs[0]["built"],
+             "cold_op_s": sorted(round(r["cold_s"], 4) for r in runs),
+             "bump_values": runs[0]["bump_values"],
              **{f"{name}_warm_p50_s": sorted(round(r["layers_s"][name], 6) for r in runs)
                 for name in runs[0]["layers_s"]},
              "bernstein_op_warm_p50_s": sorted(round(r["op_s"], 4) for r in runs),
