@@ -32,7 +32,8 @@ built on first use, a few rows at a time (band z's row is bump(xi / lam_z)
 - bump(xi / lam_{z-1}); each bump call of at most _BUMP_VALUES values carries
 its last cutoff to the next: one value per cutoff per window bin, bump clipped
 to [1, 2]); two argmax passes find the rows' spans, and band_row returns views
-trimmed to them. leq rows are stored one by one; partition_sum adds by blocks.
+trimmed to them. leq rows are stored one by one over their spans, and
+nothing else is stored: partition_sum spreads the psi rows on each call.
 Spread on the N/2 stored bins a row is bitwise the symbol on the grid
 frequencies (mode 0 zeroed for leq). Band reductions run band_sums, one
 matmul per block that meets the rows' support, squared on the fly, reading
@@ -146,7 +147,7 @@ _BANKS_KEPT = 8  # frequency sets (L, N) whose rows stay in memory
 # _FLOOR bins: the narrow low bands share a few blocks (18 is the largest floor that
 # keeps the blocks within 1.3 times the spans at N = 1024)
 _SLACK, _FLOOR = 1.2, 18
-_BUMP_VALUES = 1 << 16  # values per bump call building a block; cells per partition_sum reduce
+_BUMP_VALUES = 1 << 16  # cutoff values per bump call while a block is built
 
 
 class _Bank(dict):
@@ -191,10 +192,11 @@ class _Bank(dict):
                 np.subtract(cut[0], last, out=blk[q])
                 np.subtract(cut[1:], cut[:-1], out=blk[q + 1:q + cut.shape[0]])
             blk.flags.writeable = False
-            # row r spans bins a[r] .. e[r] - 1: argmax from both ends, a zero bin past the end
-            nz = np.pad(blk != 0.0, ((0, 0), (0, 1)))
+            # row r spans bins a[r] .. e[r] - 1: argmax from both ends (one zero bin stands
+            # for an empty window, which has no argmax)
+            nz = blk != 0.0 if pos.size else np.zeros((j - i, 1), bool)
             a = nz.argmax(1)
-            e = np.where(nz[np.arange(j - i), a], pos.size + 1 - nz[:, ::-1].argmax(1), a)
+            e = np.where(nz[np.arange(j - i), a], pos.size - nz[:, ::-1].argmax(1), a)
             rows = [(lo + x, blk[r, x:y]) for r, (x, y) in enumerate(zip(a.tolist(), e.tolist()))]
             entry = self.built.setdefault(b, (lo, blk, rows))
         return entry
@@ -347,21 +349,8 @@ def default_band(grid: GridSpec) -> range:
 
 
 def partition_sum(grid: GridSpec, band: range) -> np.ndarray:
-    """sum_z Psi_z on the N/2 stored bins (telescopes exactly), added in z order: a block of
-    at most _BUMP_VALUES cells over 2+ bins in one reduce of [sum; rows], which numpy adds row
-    by row (x + 0.0 = x off a span), and a larger one row by row over the spans."""
-    bank = _bank(grid.domain_length, grid.num_points)
-    out, idx = np.zeros(grid.num_points // 2), np.asarray(band, dtype=np.int64) - bank.z0
-    at = np.searchsorted(idx, bank.edges)
-    for b in np.flatnonzero(at[1:] > at[:-1]).tolist():
-        lo, blk, rows = bank.block(b)
-        part, sel = out[lo:lo + blk.shape[1]], (idx[at[b]:at[b + 1]] - bank.edges[b]).tolist()
-        if 1 < part.size and blk.size <= _BUMP_VALUES:
-            part[:] = np.add.reduce(np.concatenate([part[None], blk[sel]]))
-        else:
-            for start, row in map(rows.__getitem__, sel):
-                out[start:start + row.size] += row
-    return out
+    """sum_z Psi_z on the N/2 stored bins (telescopes exactly), added in z order."""
+    return _spread(grid, (band_row(grid, z) for z in band))
 
 
 def decompose(f: Field, band: Iterable[int]) -> List[Tuple[LPScale, Field]]:

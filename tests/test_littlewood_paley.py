@@ -68,7 +68,8 @@ class TestBump:
             assert got.shape == s.shape and got.tobytes() == masked(s).tobytes()
         for x in edges.tolist():
             got = lp.bump(x)
-            assert type(got) is float and np.float64(got).tobytes() == np.float64(masked(x)).tobytes()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(masked(x)).tobytes()
         assert type(lp.bump(np.float64(1.5))) is float
         # NaN: no mask catches it, so the masked form gives 1.0; the clip form gives NaN
         assert masked(np.nan) == 1.0
@@ -417,13 +418,15 @@ def test_band_rows_are_the_computed_symbols_on_their_spans(length, n):
 
 @pytest.mark.parametrize("length, n, blocks, values", [
     (400.0, 4096, None, lp._BUMP_VALUES), (400.0, 4096, None, 1),
-    (400.0, 131072, (0, 1, 40, 78, -2, -1), lp._BUMP_VALUES), (400.0, 4096, None, 700)])
+    (400.0, 131072, (0, 1, 40, 78, -2, -1), lp._BUMP_VALUES), (400.0, 4096, None, 700),
+    (1.0, 4096, None, lp._BUMP_VALUES)])
 def test_row_built_blocks_equal_the_one_shot_difference(length, n, blocks, values,
                                                         monkeypatch):
     # a block built a few cutoff rows at a time is bitwise the difference of
     # adjacent rows of bump(xi / lam) evaluated over the whole block at once,
     # and its build evaluates each of its cutoffs once over its window
-    # 1: one cutoff row a call; 700: below the widest windows at N = 4096
+    # 1: one cutoff row a call; 700: below the widest windows at N = 4096;
+    # L = 1: a block whose window holds no bin
     monkeypatch.setattr(lp, "_BUMP_VALUES", values)
     bump, seen = lp.bump, []
     monkeypatch.setattr(lp, "bump", lambda s: seen.append(np.size(s)) or bump(s))
@@ -431,6 +434,7 @@ def test_row_built_blocks_equal_the_one_shot_difference(length, n, blocks, value
     nblocks = len(bank.edges) - 1
     windows = bank.stop - bank.start
     assert values != 700 or windows.min() < values < windows.max()
+    assert length != 1.0 or windows.min() == 0
     # block 78 of N = 131072 is the first whose window passes 2^15 bins
     assert n != 131072 or windows[78] == 32969 and windows[:78].max() <= 1 << 15
     for b in range(nblocks) if blocks is None else [b % nblocks for b in blocks]:
@@ -446,23 +450,6 @@ def test_row_built_blocks_equal_the_one_shot_difference(length, n, blocks, value
             assert (start, row.size) == ((lo + k[0], k[-1] + 1 - k[0]) if k.size else (lo, 0))
             assert np.shares_memory(row, blk) or not row.size
             assert not row.flags.writeable
-
-
-@pytest.mark.parametrize("length, n", [(10.0, 4), (200.0, 256), (400.0, 4096),
-                                       (400.0, 131072), _C13_SETS[-1]])
-def test_partition_sum_is_the_rows_spread_in_z_order(length, n):
-    # added block by block, bitwise the rows added one by one in z order, for
-    # the full band, a band past the store at both ends and one inside it;
-    # N = 4 keeps its 73 rows in one block over a one-bin window, and the top
-    # blocks of N = 131072 hold more than _BUMP_VALUES cells: both add row by row
-    g = GridSpec(length, n, 1.0, 1)
-    band = lp.default_band(g)
-    bank = lp._bank(length, n)
-    cells = np.diff(bank.edges) * (bank.stop - bank.start)
-    assert (n in (4, 131072)) == any((cells > lp._BUMP_VALUES) | (bank.stop - bank.start == 1))
-    for zs in (band, range(band.start - 5, band.stop + 5), range(band.start + 10, band.stop - 20)):
-        want = lp._spread(g, (lp.band_row(g, z) for z in zs))
-        assert lp.partition_sum(g, zs).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [4096, 131072])
