@@ -38,7 +38,6 @@ from .estimates import (
 from .littlewood_paley import LPScale, project, scale
 from .nonlinearity import (
     PowerLaw,
-    dealiased_product,
     evaluate_power,
     quintic_expansion_check,
     telescoping_check,
@@ -66,8 +65,6 @@ from .picard import (
 )
 from .variation import (
     SampledPath,
-    bilinear_form,
-    duality_lower_bound,
     sampled_from_path,
     v2_kdv_norm,
     vp_norm,

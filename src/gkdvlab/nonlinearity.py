@@ -93,6 +93,8 @@ def expansion_constant(p: float) -> float:
 # of fields on the stored bins; for p = 5 and 7 the alias part is at rounding
 # on the seeded CLI data, and no finite ratio is exact for a non-integer p
 DEALIAS_FACTOR = 2.0
+# bytes of padded samples per block of power_spectra rows: 8 rows at 2N = 8192
+_POWER_BLOCK_BYTES = 1 << 19
 
 
 def _padded_size(grid: GridSpec) -> int:
@@ -101,32 +103,28 @@ def _padded_size(grid: GridSpec) -> int:
 
 def power_spectra(c: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
     """Spectra of |f|^{p-1} f for the fields whose spectra are c along the
-    last axis (one field or a whole path at once).
+    last axis (one field or a whole path), in a new C-contiguous (..., N/2) array.
 
     This is the Galerkin truncation of the nonlinearity: f(u) is formed on
-    DEALIAS_FACTOR * N samples of the bins m < N/2 and cut back to those bins,
-    with no roll-off. Real powers alias; the padding pushes the dominant
-    aliases out of the stored bins. Overflowed values come back as NaN or inf;
-    the callers that need finite spectra refuse them.
+    DEALIAS_FACTOR * N samples of the bins m < N/2, in row blocks of at most
+    _POWER_BLOCK_BYTES padded samples, and cut back to those bins, with no
+    roll-off. Real powers alias; the padding pushes the dominant aliases out
+    of the stored bins. Overflowed values come back as NaN or inf; the callers
+    that need finite spectra refuse them.
     """
-    law = PowerLaw(p)
-    return to_spectrum(law(to_samples(c, _padded_size(grid))), grid.num_points)
+    law, n, m = PowerLaw(p), grid.num_points, _padded_size(grid)
+    out = np.empty(c.shape[:-1] + (n // 2,), dtype=np.complex128)
+    rows, into = c.reshape(-1, c.shape[-1]), out.reshape(-1, n // 2)
+    step = max(1, _POWER_BLOCK_BYTES // (8 * m))
+    for i in range(0, rows.shape[0], step):
+        into[i:i + step] = to_spectrum(law(to_samples(rows[i:i + step], m)), n)
+    return out
 
 
 def evaluate_power(f: Field, p: float) -> Field:
     """|f|^{p-1} f formed on the zero-padded grid and cut back to the stored
     bins m < N/2 (power_spectra), with no roll-off."""
     return Field.from_coefficients(f.grid, power_spectra(f.coefficients, f.grid, p))
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product via the padded grid; exact for bandwidths that fit."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    m = _padded_size(f.grid)
-    out = to_spectrum(to_samples(f.coefficients, m) * to_samples(g.coefficients, m),
-                      f.grid.num_points)
-    return Field.from_coefficients(f.grid, out)
 
 
 def _gl_nodes(n: int):

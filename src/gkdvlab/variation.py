@@ -1,4 +1,4 @@
-"""Discrete p-variation norms, the flow-adapted V2 norm, and the pairing form.
+"""Discrete p-variation norms and the flow-adapted V2 norm.
 
 The continuum supremum over all partitions is replaced by the supremum over
 the sample times, which is exact for the piecewise-constant interpolant and
@@ -15,7 +15,6 @@ adding the next increment never changes the attained floating-point maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -138,71 +137,3 @@ def v2_kdv_norm(path: Path, terminal: bool = True) -> float:
     Free solutions pull back to constants, so their value is exactly the
     terminal jump ||phi||."""
     return vp_norm(pullback_sampled(path, terminal=terminal), 2.0)
-
-
-def _inner(sp: SampledPath, a: np.ndarray, b: np.ndarray) -> float:
-    return float(sp.weight * np.real(np.vdot(b, a)))
-
-
-def bilinear_form(u: SampledPath, v: SampledPath,
-                  indices: Sequence[int], include_terminal: bool = False) -> float:
-    """sum_k <u(t_{k-1}), v(t_k) - v(t_{k-1})> over the given partition.
-
-    With include_terminal the final jump of v to zero contributes
-    <u(t_last), -v(t_last)>. The partition must have at least two indices
-    (one suffices when the terminal jump supplies the second point).
-    """
-    if u.times.shape != v.times.shape or not np.array_equal(u.times, v.times):
-        raise ValueError("paths must share sample times")
-    idx = list(int(i) for i in indices)
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError("partition indices must be strictly increasing")
-    if idx and (idx[0] < 0 or idx[-1] >= len(u)):
-        raise ValueError("partition indices out of range")
-    if len(idx) < (1 if include_terminal else 2):
-        raise ValueError("partition needs at least two points")
-    total = 0.0
-    for a, b in zip(idx, idx[1:]):
-        total += _inner(u, u.vectors[a], v.vectors[b] - v.vectors[a])
-    if include_terminal:
-        total += _inner(u, u.vectors[idx[-1]], -v.vectors[idx[-1]])
-    return total
-
-
-def duality_lower_bound(u: Path) -> float:
-    """Lower bound for the atomic-space norm of the flow-undone path.
-
-    Pairs the path against a dictionary of unit-V2 step paths
-    chi_[t_j, inf) e (V2 norm sqrt(2) for j >= 1, norm 1 for j = 0) with
-    directions e drawn from the normalized snapshots and increments. For a
-    free solution the j=0 atom with e = phi/||phi|| pairs to exactly ||phi||,
-    and no atom exceeds it.
-    """
-    sp = pullback_sampled(u, terminal=True)
-    g = sp.vectors
-    m = g.shape[0]
-    w = sp.weight
-    norms = np.sqrt(np.maximum(w * np.real(np.sum(g * np.conj(g), axis=1)), 0.0))
-    dirs = []
-    for k in range(m):
-        if norms[k] > 0:
-            dirs.append(g[k] / norms[k])
-    for k in range(1, m):
-        inc = g[k] - g[k - 1]
-        ninc = np.sqrt(max(w * float(np.real(np.vdot(inc, inc))), 0.0))
-        if ninc > 1e-14 * max(norms.max(initial=0.0), 1e-300):
-            dirs.append(inc / ninc)
-    if not dirs:
-        return 0.0
-    E = np.stack(dirs)  # (d, dim)
-    last = g[-1]
-    best = 0.0
-    # j = 0 atom: v = e on every sample, single terminal jump, V2 norm 1
-    b0 = np.abs(w * np.real(E @ np.conj(last)))
-    best = float(b0.max(initial=0.0))
-    if m >= 2:
-        # j >= 1 atoms: B = <g(t_{j-1}) - g(t_K), e>, V2 norm sqrt(2)
-        P = g[:-1] - last[None, :]
-        vals = np.abs(w * np.real(P @ np.conj(E.T))) / np.sqrt(2.0)
-        best = max(best, float(vals.max(initial=0.0)))
-    return best

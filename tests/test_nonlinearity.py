@@ -1,5 +1,6 @@
 """Power nonlinearity and the band decomposition identities."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from gkdvlab import littlewood_paley as lp
 from gkdvlab import nonlinearity as nl
-from gkdvlab.grid import Field, GridSpec, NonFiniteFieldError, l2_norm
+from gkdvlab.grid import (Field, GridSpec, NonFiniteFieldError, l2_norm, to_samples,
+                          to_spectrum)
 
 from conftest import gaussian_bump
 
@@ -20,12 +22,22 @@ def lowpass(f: Field, frac: float) -> Field:
     return Field.from_coefficients(f.grid, np.where(keep, f.coefficients, 0.0))
 
 
+def dealiased_product(f: Field, g: Field) -> Field:
+    """Pointwise product via the padded grid; exact for bandwidths that fit."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    m = nl._padded_size(f.grid)
+    out = to_spectrum(to_samples(f.coefficients, m) * to_samples(g.coefficients, m),
+                      f.grid.num_points)
+    return Field.from_coefficients(f.grid, out)
+
+
 def product_power5(f: Field) -> Field:
     # |u|^4 u == u^5 for real u, so a dealiased product chain is an
     # independent route to the p = 5 power
-    g2 = nl.dealiased_product(f, f)
-    g4 = nl.dealiased_product(g2, g2)
-    return nl.dealiased_product(g4, f)
+    g2 = dealiased_product(f, f)
+    g4 = dealiased_product(g2, g2)
+    return dealiased_product(g4, f)
 
 
 class TestPowerLaw:
@@ -159,11 +171,41 @@ class TestEvaluatePower:
             with pytest.raises(NonFiniteFieldError):
                 nl.evaluate_power(f, 5.0)
 
+    @pytest.mark.parametrize("rows", [(65,), ()], ids=["65-rows", "1-D"])
+    @pytest.mark.parametrize("p", [5.0, 5.5])
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+    def test_row_blocks_are_the_one_shot_power_bitwise(self, monkeypatch, block_rows, p, rows):
+        # the one-shot formula, every row's padded samples at once, is the
+        # reference; no block size divides 65 rows, and row 7 overflows
+        grid = GridSpec(400.0, 4096, 1.0 / 64, 64)
+        m = 2 * grid.num_points
+        if block_rows is not None:
+            monkeypatch.setattr(nl, "_POWER_BLOCK_BYTES", 8 * m * block_rows)
+        rng = np.random.default_rng(31)
+        c = rng.standard_normal(rows + (2048, 2)).view(np.complex128)[..., 0]
+        c *= 0.05 / (1.0 + np.arange(2048)) ** 0.5
+        if rows:
+            c[7] *= 1e70
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = to_spectrum(nl.PowerLaw(p)(to_samples(c, m)), grid.num_points)
+            tracemalloc.start()
+            try:
+                got = nl.power_spectra(c, grid, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got.shape == c.shape[:-1] + (grid.num_points // 2,)
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+        if rows:
+            assert not np.isfinite(want[7]).any() and np.isfinite(np.delete(want, 7, 0)).all()
+        assert peak <= got.nbytes + 4 * nl._POWER_BLOCK_BYTES
+
     def test_product_grid_mismatch(self, grid, small_grid):
         a = gaussian_bump(grid)
         b = gaussian_bump(small_grid)
         with pytest.raises(ValueError):
-            nl.dealiased_product(a, b)
+            dealiased_product(a, b)
 
 
 class TestTelescoping:

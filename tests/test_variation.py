@@ -10,7 +10,7 @@ from gkdvlab import airy
 from gkdvlab import variation as var
 from gkdvlab.grid import Field, GridSpec, l2_norm
 
-from conftest import gaussian_bump, random_field
+from conftest import random_field
 
 
 def brute_force_vp(sp, p):
@@ -194,115 +194,3 @@ class TestV2Kdv:
         n1 = var.v2_kdv_norm(path)
         n3 = var.v2_kdv_norm(path * 3.0)
         assert n3 == pytest.approx(3.0 * n1, rel=1e-12)
-
-
-class TestBilinearForm:
-    def test_constant_v_gives_zero(self):
-        rng = np.random.default_rng(11)
-        u = random_sampled(rng, 6, 4)
-        v = var.SampledPath(u.times, np.tile(rng.standard_normal(4), (6, 1)),
-                            weight=u.weight)
-        assert var.bilinear_form(u, v, range(6)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_u_telescopes(self):
-        rng = np.random.default_rng(12)
-        e = rng.standard_normal(4)
-        t = np.arange(5.0)
-        u = var.SampledPath(t, np.tile(e, (5, 1)), weight=2.0)
-        v = random_sampled(rng, 5, 4)
-        v = var.SampledPath(t, v.vectors, weight=2.0)
-        got = var.bilinear_form(u, v, [0, 2, 4])
-        want = 2.0 * float(e @ (v.vectors[4] - v.vectors[0]))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_partition_validation(self):
-        rng = np.random.default_rng(13)
-        u = random_sampled(rng, 5, 2)
-        v = random_sampled(rng, 5, 2)
-        v = var.SampledPath(u.times, v.vectors, weight=u.weight)
-        with pytest.raises(ValueError):
-            var.bilinear_form(u, v, [2, 2, 3])
-        with pytest.raises(ValueError):
-            var.bilinear_form(u, v, [3])
-        with pytest.raises(ValueError):
-            var.bilinear_form(u, v, [0, 7])
-        # one point is fine once the terminal jump supplies the other end
-        var.bilinear_form(u, v, [3], include_terminal=True)
-
-    def test_mismatched_times_rejected(self):
-        rng = np.random.default_rng(14)
-        u = random_sampled(rng, 5, 2)
-        v = random_sampled(rng, 6, 2)
-        with pytest.raises(ValueError):
-            var.bilinear_form(u, v, [0, 1])
-
-    def test_refines_to_integration_by_parts(self):
-        # smooth scalar paths with v vanishing at both ends:
-        # B -> -int u'(t) v(t) dt at first order in the mesh
-        T = 3.0
-
-        def u_fn(t):
-            return np.sin(t)
-
-        def du_fn(t):
-            return np.cos(t)
-
-        def v_fn(t):
-            return np.sin(np.pi * t / T) ** 2
-
-        tt = np.linspace(0.0, T, 20001)
-        target = -np.trapezoid(du_fn(tt) * v_fn(tt), tt)
-        errs = []
-        for m in (40, 80, 160):
-            t = np.linspace(0.0, T, m + 1)
-            u = var.SampledPath(t, u_fn(t)[:, None])
-            v = var.SampledPath(t, v_fn(t)[:, None])
-            got = var.bilinear_form(u, v, range(m + 1))
-            errs.append(abs(got - target))
-        assert errs[0] / errs[1] > 1.6
-        assert errs[1] / errs[2] > 1.6
-        assert errs[-1] < 2e-2
-
-    def test_terminal_jump_contribution(self):
-        rng = np.random.default_rng(15)
-        u = random_sampled(rng, 4, 3)
-        v = var.SampledPath(u.times, rng.standard_normal((4, 3)),
-                            weight=u.weight)
-        base = var.bilinear_form(u, v, range(4))
-        full = var.bilinear_form(u, v, range(4), include_terminal=True)
-        jump = -u.weight * float(u.vectors[3] @ v.vectors[3])
-        assert full - base == pytest.approx(jump, rel=1e-12)
-
-
-class TestDualityLowerBound:
-    def test_free_solution_attains_initial_norm(self, small_grid):
-        rng = np.random.default_rng(21)
-        phi = random_field(small_grid, rng, decay=2.0)
-        path = airy.free_solution(phi)
-        got = var.duality_lower_bound(path)
-        want = l2_norm(phi)
-        assert got == pytest.approx(want, rel=1e-10)
-        # a lower bound must not overshoot the atomic norm, which the V2
-        # value of the pulled-back path dominates from above here
-        assert got <= var.v2_kdv_norm(path) * (1.0 + 1e-10)
-
-    def test_zero_path(self, small_grid):
-        from gkdvlab.grid import Path
-        assert var.duality_lower_bound(Path.zero(small_grid)) == 0.0
-
-    def test_homogeneous(self, small_grid):
-        rng = np.random.default_rng(22)
-        phi = gaussian_bump(small_grid, 1.0, 4.0, 1.3)
-        path = airy.free_solution(phi)
-        a = var.duality_lower_bound(path)
-        b = var.duality_lower_bound(path * 2.0)
-        assert b == pytest.approx(2.0 * a, rel=1e-12)
-
-    def test_positive_on_forced_path(self, small_grid):
-        # Duhamel output is not a free solution; bound should still be
-        # strictly positive and below the V2 value
-        forcing = airy.free_solution(gaussian_bump(small_grid, 0.5, 3.0, 1.0))
-        path = airy.duhamel(forcing)
-        got = var.duality_lower_bound(path)
-        assert got > 0.0
-        assert got <= var.v2_kdv_norm(path) * (1.0 + 1e-10)

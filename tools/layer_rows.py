@@ -37,7 +37,12 @@ With --picard "L,N,K,T ..." it times `solve_picard` instead, on each grid
 filled), then reports the median of SOLVES warm solves, the CPU seconds spent
 in `xs_norm` (as `picard` calls it), in its DP bound `norms._dp_bounds` and in
 `power_spectra` during that solve, the band blocks read in one warm solve
-(deterministic) and the process's peak RSS (ru_maxrss).
+(deterministic), the minor page faults (ru_minflt) per timed solve, the
+process's peak RSS (ru_maxrss) after the timed solves, and the peak traced
+allocation (tracemalloc) of one more warm solve, run after them. The last
+two split an RSS change into working set and allocator: the traced peak
+follows the arrays the solve holds at once, while the RSS also holds what
+the allocator keeps mapped.
 
     python tools/layer_rows.py parent=... change=. --picard "400,4096,64,1 400,4096,256,4"
 
@@ -179,16 +184,22 @@ def measure_picard(grid_arg: str, tree: str) -> dict:
     real = picard.xs_norm, norms._dp_bounds, picard.power_spectra
     picard.xs_norm, norms._dp_bounds, picard.power_spectra = (
         timed(key, fn) for key, fn in zip(("xs", "dp", "power"), real))
-    rounds = []
+    rounds, minflt = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(SOLVES):
         spent.update(xs=0.0, dp=0.0, power=0.0)
         t = time.process_time()
         wl.op(phi)
         rounds.append((time.process_time() - t, spent["xs"], spent["dp"], spent["power"]))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     picard.xs_norm, norms._dp_bounds, picard.power_spectra = real
+    tracemalloc.start()
+    wl.op(phi)
+    traced_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     solve_s, xs_s, dp_s, power_s = _median(rounds)
     return {"solve_s": solve_s, "xs_s": xs_s, "dp_s": dp_s, "power_s": power_s, "blocks": blocks,
-            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+            "minflt": (usage.ru_minflt - minflt) / SOLVES, "traced_peak_mb": traced_peak / 2.0 ** 20,
+            "rss_mb": usage.ru_maxrss / 1024.0}
 
 
 def main(argv=None) -> None:
@@ -231,6 +242,8 @@ def main(argv=None) -> None:
                  "dp_bounds_in_solve_s": sorted(round(r["dp_s"], 4) for r in runs),
                  "power_spectra_in_solve_s": sorted(round(r["power_s"], 4) for r in runs),
                  "band_blocks_read_per_solve": runs[0]["blocks"],
+                 "minflt_per_solve": sorted(round(r["minflt"]) for r in runs),
+                 "traced_peak_mb": sorted(round(r["traced_peak_mb"], 2) for r in runs),
                  "peak_rss_mb": sorted(round(r["rss_mb"], 1) for r in runs)}
                 for (g, label), runs in got.items()]
         print(json.dumps(rows, indent=1))
