@@ -206,6 +206,8 @@ def verify_strichartz(ensemble: TrialEnsemble, q: float) -> EstimateReport:
 
 
 _BERNSTEIN_BINS = (25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600)
+# one grid for every sweep, so that its frequencies and bin weights are built once
+_BERNSTEIN_GRID = GridSpec(400.0, 131072, 1e-3, 12)
 
 
 def verify_bernstein_linfty(ensemble: TrialEnsemble,
@@ -219,7 +221,7 @@ def verify_bernstein_linfty(ensemble: TrialEnsemble,
     critical Besov norm, equal to the free path's flow norm by c05's identity.
     """
     ci = critical_index(p)
-    grid = GridSpec(400.0, 131072, 1e-3, 12)
+    grid = _BERNSTEIN_GRID
     steps = tuple(ensemble.schedule) or _BERNSTEIN_BINS
     sweep = _Sweep()
     for trial in range(ensemble.num_trials):
@@ -534,9 +536,9 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
             else:
                 for k in range(grid.num_steps + 1):
                     prod = np.ones(pad)
-                    v0 = to_samples(paths[0][k], pad)
-                    av0 = np.maximum(np.abs(v0), 1e-300)
-                    prod *= av0 ** (p - 5.0)
+                    if p != 5.0:  # at p = 5 the first factor is |v0|^0 = 1
+                        v0 = to_samples(paths[0][k], pad)
+                        prod *= np.maximum(np.abs(v0), 1e-300) ** (p - 5.0)
                     for rows in paths[1:]:
                         prod *= to_samples(rows[k], pad)
                     prod *= to_samples(path_u[k], pad)

@@ -424,11 +424,15 @@ def _twists(n: int, shifts, e: int) -> np.ndarray:
 
 
 def _sup(c: np.ndarray, n: int, m: int) -> float:
-    """max |x_j| over the N samples of the fields with stored bins c (rows), m >= 2 c.shape[1]."""
+    """max |x_j| over the N samples of the fields with stored bins c (rows), m >= 2 c.shape[1].
+
+    A sparse row's cells that the first-order bound keeps are screened again,
+    as a list, by the curvature bound max(|f_i|, |f_i+1|) + M2 r^2/8 (mixed_norm)."""
     e, r, k, ac = c.shape[1], n // m, np.arange(c.shape[1]), np.abs(c)
     node = to_samples(c, m)
     best = np.abs(node, out=node).max()
-    slack = (2 * np.pi / m) * (ac @ k) * (1 + 1e-9) + 64 * np.finfo(float).eps * (2 * ac.sum(1) - ac[:, 0])
+    ulps = 64 * np.finfo(float).eps * (2 * ac.sum(1) - ac[:, 0])
+    slack = (2 * np.pi / m) * (ac @ k) * (1 + 1e-9) + ulps
     keep = node > (best - slack)[:, None]
     keep |= np.roll(keep, -1, axis=1)  # cell i: the r - 1 points between nodes i and i + 1
     # the shifts 1 .. r-1 twist bin k by k a < r e <= N/2: no reduction mod N
@@ -438,7 +442,12 @@ def _sup(c: np.ndarray, n: int, m: int) -> float:
         v = to_samples(c[dense, None] * tw, m)
         best = max(best, v.max(), -v.min())
     sparse = np.flatnonzero((kept > 0) & ~dense)
-    (t, i), step = np.nonzero(keep[sparse]), max(1, _SUP_CHUNK_BYTES // (16 * (e + r)))
+    t, i = np.divmod(np.flatnonzero(keep[sparse]), m)
+    # the kept cells again, by the curvature bound: the cell's higher node plus (pi/M)^2 sum_k k^2 |c_k|
+    curve = (np.pi / m) ** 2 * (ac @ (k * k)) * (1 + 1e-9) + ulps
+    row = sparse[t]
+    near = np.maximum(node[row, i], node[row, (i + 1) % m]) + curve[row] > best
+    t, i, step = t[near], i[near], max(1, _SUP_CHUNK_BYTES // (16 * (e + r)))
     cw = c[sparse] * np.where(k > 0, 2.0, 1.0)  # irfft's weights: a plain sum's real part is its sample
     for s in range(0, t.size, step):
         at = _twists(n, i[s:s + step] * r, e) * cw[t[s:s + step]]
@@ -467,6 +476,13 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     exceeds the largest node; nodes are not summed again, so a sup on a node is
     bitwise the transform's. A row keeping cells whose sums would cost more than its
     transforms (_SUP_DIRECT_RATIO; random phases do) runs the shifts 1 .. r-1 instead.
+    The cells the other rows keep are screened a second time, as a list (never the
+    node arrays), by the second-order bound: |f''| <= M2 = sum_k w_k (2 pi k/N)^2 |c_k|,
+    so on a cell of r samples f lies within M2 r^2/8 = (pi/M)^2 sum_k w_k k^2 |c_k| / 2
+    of the line through its two nodes, and no sample tops the higher node by more; a
+    cell is summed only if that node plus this bound (1 + 1e-9) and the same rounding
+    term exceeds the largest value found so far. The dense/sparse choice stays on the
+    first bound's counts.
     """
     q_time, q_space = float(q_time), float(q_space)
     if not (q_time >= 1 and q_space >= 1):

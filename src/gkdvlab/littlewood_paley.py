@@ -67,6 +67,7 @@ class CoverageWarning(UserWarning):
 
 _table_lock = threading.Lock()
 _pos_powers = [1.0]  # _pos_powers[k] = 1.01^k by repeated multiplication
+_pos_array = np.ones(1)  # _pos_powers as a read-only ndarray, replaced when the table has grown
 
 
 def scale_value(z: int) -> float:
@@ -86,6 +87,13 @@ def scale_value(z: int) -> float:
     return 1.0 / v if z < 0 else v
 
 
+def _exponents(band) -> np.ndarray:
+    """The exponents of a band as int64: a range through np.arange, without iterating it."""
+    if isinstance(band, range):
+        return np.arange(band.start, band.stop, band.step, dtype=np.int64)
+    return np.asarray(band, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class LPScale:
     """One lattice frequency lam = 1.01^exponent."""
@@ -100,9 +108,18 @@ class LPScale:
 
 def scale_values(band) -> np.ndarray:
     """scale_value(z) for each z of the band, read from the same table."""
-    z = np.asarray(band, dtype=np.int64)
-    scale_value(int(np.abs(z).max(initial=0)))  # the table now covers the band
-    v = np.array(_pos_powers)[np.abs(z)]
+    global _pos_array
+    z = _exponents(band)
+    k = np.abs(z)
+    top = int(k.max(initial=0))
+    if top >= _pos_array.size:  # mirror the table anew once it covers the band
+        scale_value(top)
+        with _table_lock:
+            if _pos_array.size < len(_pos_powers):
+                table = np.array(_pos_powers)
+                table.flags.writeable = False
+                _pos_array = table
+    v = _pos_array[k]
     return np.where(z < 0, 1.0 / v, v)
 
 
@@ -245,22 +262,29 @@ def band_sums(grid: GridSpec, band, x: np.ndarray) -> np.ndarray:
     columns of x, against its rows squared on the fly, the window clipped to
     the columns of x, so x may stop where its support ends. Empty rows give zeros."""
     bank = _bank(grid.domain_length, grid.num_points)
-    idx = np.asarray(band, dtype=np.int64) - bank.z0
+    idx = _exponents(band) - bank.z0
     out = np.zeros((x.shape[0], idx.size))
     first, end = x.shape[1] - _support_end(x[:, ::-1]), _support_end(x)
-    at, idx = np.searchsorted(idx, bank.edges).tolist(), idx.tolist()
-    for b in range(int(np.searchsorted(bank.stop, first, "right")),
-                   int(np.searchsorted(bank.start, end))):
-        u, v = at[b], at[b + 1]
+    b0 = int(np.searchsorted(bank.stop, first, "right"))
+    b1 = int(np.searchsorted(bank.start, end))
+    if b1 <= b0:
+        return out
+    # the band's offsets at the edges of the blocks met, from its first band in them,
+    # and its exponents there: a copy, so the whole band is not held over the loop
+    at = np.searchsorted(idx, bank.edges[b0:b1 + 1])
+    base = int(at[0])
+    idx, at = idx[base:at[-1]].copy(), (at - base).tolist()
+    for b in range(b0, b1):
+        u, v = at[b - b0], at[b - b0 + 1]
         if u == v:
             continue
         lo, blk, _ = bank.block(b)
-        r, edge = idx[u] - bank.edges[b], idx[v - 1] - bank.edges[b]
+        r, edge = int(idx[u]) - bank.edges[b], int(idx[v - 1]) - bank.edges[b]
         cols = min(blk.shape[1], x.shape[1] - lo)
         # a band covering the block's rows contiguously reads them as a slice
         w = np.square(blk[r:edge + 1, :cols] if edge - r == v - 1 - u
-                      else blk[[z - bank.edges[b] for z in idx[u:v]], :cols])
-        out[:, u:v] = x[:, lo:lo + cols] @ w.T
+                      else blk[idx[u:v] - bank.edges[b], :cols])
+        out[:, base + u:base + v] = x[:, lo:lo + cols] @ w.T
     return out
 
 

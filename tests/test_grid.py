@@ -302,7 +302,10 @@ class TestPath:
     @pytest.mark.parametrize("top_bin", [25, 55, 120, 265, 580, 1270, 2790, 6130, 13470, 29600])
     def test_mixed_norm_sup_of_bernstein_data_from_one_coarse_transform(self, top_bin, monkeypatch):
         # the op's low-pass path: one transform of the nodes, every other cell
-        # screened out or summed directly; bitwise the shifted transforms' sup
+        # screened out or summed directly; bitwise the shifted transforms' sup.
+        # The cells summed (the rows of the twist tables) are those the
+        # curvature bound keeps of the first-order bound's, which alone kept
+        # 52/52/26/41/30/5/2/2/2/2
         import math
 
         from gkdvlab import grid as grid_mod
@@ -317,13 +320,53 @@ class TestPath:
         shapes, real = [], grid_mod.to_samples
         monkeypatch.setattr(grid_mod, "to_samples",
                             lambda c, m: shapes.append(c.shape[:-1] + (m,)) or real(c, m))
+        cells, twists = [], grid_mod._twists
+        monkeypatch.setattr(grid_mod, "_twists", lambda n, a, e: cells.append(len(a)) or twists(n, a, e))
         sup = mixed_norm(low, np.inf, np.inf)
         e = low.spectral_end
         m = max(256, 1 << (2 * e - 1).bit_length())
         assert shapes == [(13, m)] and low._vmat is None  # 13 x 256 at bin 25
+        assert sum(cells) == {25: 26, 55: 26, 120: 26, 265: 26, 580: 8}.get(top_bin, 2)
         c = low.spectral_matrix
         assert repr(sup) == repr(self._shifted_sup(c, g.num_points))
         assert sup == pytest.approx(np.abs(real(c, g.num_points)).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("case", ["aligned", "random", "off_node", "mid_cell"])
+    def test_mixed_norm_sup_screens_are_safe(self, case, seed):
+        # random band-limited paths on random grids: row 0 peaks on a node, the
+        # others (of random sign) are aligned on a node, of random phases,
+        # aligned at a point off the nodes, or midway between two nodes, where
+        # the curvature bound is loosest; each is scaled so that its own peak
+        # tops row 0's by a small part of its drop to its highest node, so
+        # only a safe screen keeps that cell. The sup is the full transform's
+        # to 1e-14, and bitwise the shifted transforms' when it sits on a node
+        rng = np.random.default_rng(100 * seed + len(case))
+        n = int(rng.choice([4096, 8192, 32768]))
+        g = GridSpec(50.0, n, 0.01, int(rng.integers(1, 6)))
+        rows = g.num_steps + 1
+        e = int(rng.integers(2, n // 4 + 1))
+        m = max(256, 1 << (2 * e - 1).bit_length())
+        r = n // m
+        shift = r * rng.integers(m, size=rows) + {
+            "aligned": 0, "random": 0, "off_node": rng.integers(1, r, size=rows), "mid_cell": r // 2}[case]
+        shift[0] -= shift[0] % r
+        phase = -2 * np.pi * np.outer(shift, np.arange(e)) / n
+        if case == "random":
+            phase[1:] = rng.uniform(0, 2 * np.pi, (rows - 1, e))
+        c = np.zeros((rows, n // 2), dtype=np.complex128)
+        c[:, :e] = np.abs(rng.standard_normal((rows, e))) * np.exp(1j * phase)
+        c[:, 0] = c[:, 0].real
+        c[1:] *= rng.choice([-1.0, 1.0], (rows - 1, 1))
+        vm = np.abs(np.fft.irfft(c, n, norm="forward"))
+        peak, node = vm.max(axis=1), vm[:, ::r].max(axis=1)
+        c[1:] *= (peak[0] / (peak - rng.uniform(0.02, 0.3) * (peak - node)))[1:, None]
+        sup, vm = mixed_norm(Path.from_spectral_matrix(g, c), np.inf, np.inf), np.fft.irfft(c, n, norm="forward")
+        assert sup == pytest.approx(np.abs(vm).max(), rel=1e-14, abs=0.0)
+        if int(np.argmax(np.abs(vm))) % n % r == 0:  # the max sits on a node
+            assert repr(sup) == repr(self._shifted_sup(c, n))
+        else:
+            assert case != "aligned"
 
     @pytest.mark.parametrize("case", ["off_node", "trough", "mid_cell", "random", "mean",
                                       "one_bin", "zero", "wide"])

@@ -298,6 +298,49 @@ def test_band_sums_match_per_band_loops(n):
         assert any(lp.band_row(g, z)[1].size == 1 for z in band)
 
 
+def _forms(band):
+    # the same exponents as a range, a list and an int64 array
+    return band, list(band), np.array(list(band), dtype=np.int64)
+
+
+@pytest.mark.parametrize("grow", ["none", "scale_values", "scale_value"])
+def test_scale_values_of_range_list_and_array_bitwise(grow):
+    # a range is read through np.arange, never iterated; the table's ndarray
+    # mirror is built anew once the band passes it, whichever call grew the table
+    top = len(lp._pos_powers) + 12
+    if grow == "scale_value":
+        lp.scale_value(-top)  # the list grows, its mirror does not
+        assert lp._pos_array.size <= top
+    bands = [range(-300, 80), range(-3, -9, -1), range(7, 7), range(5, 400, 7)]
+    if grow != "none":
+        bands = [range(-top, -top + 4), range(top - 6, top + 1)] + bands
+    for band in bands:
+        size = len(lp._pos_powers)
+        got = [lp.scale_values(b) for b in _forms(band)]
+        if grow == "scale_values" and band.start == -top:
+            assert len(lp._pos_powers) > size  # the range grew the table
+        want = np.array([lp.scale_value(z) for z in band])
+        for v in got:
+            assert v.shape == (len(band),) and v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_band_sums_of_range_list_and_array_bitwise(n):
+    # bands with negative exponents, a stepped band, an empty one, and (on a
+    # new cell so short that its band lies past the table) one that grows it
+    top = len(lp._pos_powers) + 20
+    g = GridSpec(np.pi * n / lp.BASE ** top, n, 0.05, 4) if n == 64 else GridSpec(50.0, n, 0.05, 4)
+    band = lp.default_band(g)
+    assert (band.start < 0) == (n == 1024) and (band.stop > top - 20) == (n == 64)
+    x = np.random.default_rng(n).random((3, n // 2))
+    for zs in (band, range(band.start, band.start + 9), range(band.start + 1, band.stop, 3),
+               range(band.start + 4, band.start + 4)):
+        got = [lp.band_sums(g, b, x) for b in _forms(zs)]
+        assert got[0].shape == (3, len(zs))
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+        assert zs.stop == zs.start or got[0].any()
+
+
 def _band_sums_every_block(g, band, x):
     # band_sums without the support rule: every block the band reaches, its
     # window clipped to the columns x has

@@ -19,11 +19,13 @@ builds its band blocks and low-pass row, then times in CPU seconds:
 - the whole op at that bin, the median of OPS ops;
 
 and reports the peak traced allocation of one more warm op (tracemalloc),
-the process's peak RSS (ru_maxrss) and three deterministic counts: the
+the process's peak RSS (ru_maxrss) and four deterministic counts: the
 band blocks the cold op built (`_Bank.built` of the op's frequency set),
 the sample points (rows x transform length, summed over calls) that one
-`mixed_norm(low, inf, inf)` call passes through `grid.to_samples`, and the
-band blocks (`_Bank.block` reads) of one `xs_report(path, s_p)`. Processes
+`mixed_norm(low, inf, inf)` call passes through `grid.to_samples`, the
+cells that call sums directly (`sup_cells`: the shifts passed to
+`grid._twists`), and the band blocks (`_Bank.block` reads) of one
+`xs_report(path, s_p)`. Processes
 alternate between the trees; each list in a row holds the sorted values of PROCS
 processes. OPENBLAS_NUM_THREADS is pinned to 1 in every child.
 
@@ -127,12 +129,13 @@ def measure(top_bin: int) -> dict:
         t = time.process_time()
         grid.mixed_norm(low, np.inf, np.inf)
         sup_s.append(time.process_time() - t)
-    real, points = grid.to_samples, []
+    (real, points), (twists, cells) = (grid.to_samples, []), (grid._twists, [])
     grid.to_samples = lambda c, m: points.append(c[..., 0].size * m) or real(c, m)
+    grid._twists = lambda n, shifts, e: cells.append(len(shifts)) or twists(n, shifts, e)
     try:
         grid.mixed_norm(low, np.inf, np.inf)
     finally:
-        grid.to_samples = real
+        grid.to_samples, grid._twists = real, twists
     blocks = _count_blocks(lp, lambda: norms.xs_report(path, s_p))
     tracemalloc.start()
     op()
@@ -147,7 +150,7 @@ def measure(top_bin: int) -> dict:
             "layers_s": layers_s,
             "op_peak_mb": op_peak / 2.0 ** 20,
             "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "sup_points": sum(points), "blocks": blocks, "built": built,
+            "sup_points": sum(points), "sup_cells": sum(cells), "blocks": blocks, "built": built,
             "cold_s": cold_s, "bump_values": sum(values)}
 
 
@@ -252,6 +255,7 @@ def main(argv=None) -> None:
              "layer": "grid.mixed_norm(low, inf, inf) warm",
              "mixed_norm_warm_p50_s": sorted(round(r["sup_s"], 4) for r in runs),
              "mixed_norm_sample_points": runs[0]["sup_points"],
+             "sup_cells": runs[0]["sup_cells"],
              "band_sums_blocks_read": runs[0]["blocks"],
              "bank_blocks_built_by_cold_op": runs[0]["built"],
              "cold_op_s": sorted(round(r["cold_s"], 4) for r in runs),
