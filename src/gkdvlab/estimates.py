@@ -23,7 +23,7 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from .airy import free_solution
-from .grid import Field, GridSpec, l2_norm, mixed_norm, time_weights, to_samples
+from .grid import Field, GridSpec, _l2_rows, l2_norm, mixed_norm, time_weights, to_samples
 from .io import canonical_json
 from .norms import besov_norm, critical_index, rescaled_grid
 
@@ -327,9 +327,7 @@ def verify_bilinear(ensemble: TrialEnsemble) -> EstimateReport:
     flags: List[str] = []
     for trial, d, lam, horizon, grid, cv, cu, lhs in \
             _crossing_sweep(ensemble, steps, 2.0, 2.1):
-        nv, nu = (math.sqrt(grid.domain_length
-                            * float(np.abs(c) ** 2 @ grid.bin_weights))
-                  for c in (cv, cu))
+        nv, nu = (float(_l2_rows(grid, c)) for c in (cv, cu))
         rhs = lam ** -1.0 * nv * nu
         rec = {"trial": trial, "mu": mu, "lam": lam, "lhs": lhs,
                "rhs": rhs, "ratio": _ratio(lhs, rhs),

@@ -332,6 +332,12 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.weight * np.dot(v, v)))
 
 
+def _l2_rows(g: GridSpec, c: np.ndarray) -> np.ndarray:
+    """The L2 norm of each field whose stored bins are c along the last axis,
+    by Parseval, so no sample value is built."""
+    return np.sqrt(g.domain_length * (np.abs(c) ** 2 @ g.bin_weights))
+
+
 class Path(_Stored):
     """Time-sampled sequence of fields on one grid, snapshots at t_k = k dt.
 
@@ -424,16 +430,15 @@ def _twists(n: int, shifts, e: int) -> np.ndarray:
 
 
 def _sup(c: np.ndarray, n: int, m: int) -> float:
-    """max |x_j| over the N samples of the fields with stored bins c (rows), m >= 2 c.shape[1].
-
-    A sparse row's cells that the first-order bound keeps are screened again,
-    as a list, by the curvature bound max(|f_i|, |f_i+1|) + M2 r^2/8 (mixed_norm)."""
+    """max |x_j| over the N samples of the fields with stored bins c (rows), m >= 2 c.shape[1]:
+    the nodes, then the cells that the curvature bound keeps (mixed_norm)."""
     e, r, k, ac = c.shape[1], n // m, np.arange(c.shape[1]), np.abs(c)
     node = to_samples(c, m)
     best = np.abs(node, out=node).max()
-    ulps = 64 * np.finfo(float).eps * (2 * ac.sum(1) - ac[:, 0])
-    slack = (2 * np.pi / m) * (ac @ k) * (1 + 1e-9) + ulps
-    keep = node > (best - slack)[:, None]
+    # no sample of a cell tops its higher node by more than (pi/M)^2 sum_k k^2 |c_k|, plus rounding
+    curve = ((np.pi / m) ** 2 * (ac @ (k * k)) * (1 + 1e-9)
+             + 64 * np.finfo(float).eps * (2 * ac.sum(1) - ac[:, 0]))
+    keep = node > (best - curve)[:, None]
     keep |= np.roll(keep, -1, axis=1)  # cell i: the r - 1 points between nodes i and i + 1
     # the shifts 1 .. r-1 twist bin k by k a < r e <= N/2: no reduction mod N
     kept, tw = np.count_nonzero(keep, axis=1), _roots(n)[np.outer(np.arange(1, r), k)]
@@ -443,11 +448,7 @@ def _sup(c: np.ndarray, n: int, m: int) -> float:
         best = max(best, v.max(), -v.min())
     sparse = np.flatnonzero((kept > 0) & ~dense)
     t, i = np.divmod(np.flatnonzero(keep[sparse]), m)
-    # the kept cells again, by the curvature bound: the cell's higher node plus (pi/M)^2 sum_k k^2 |c_k|
-    curve = (np.pi / m) ** 2 * (ac @ (k * k)) * (1 + 1e-9) + ulps
-    row = sparse[t]
-    near = np.maximum(node[row, i], node[row, (i + 1) % m]) + curve[row] > best
-    t, i, step = t[near], i[near], max(1, _SUP_CHUNK_BYTES // (16 * (e + r)))
+    step = max(1, _SUP_CHUNK_BYTES // (16 * (e + r)))
     cw = c[sparse] * np.where(k > 0, 2.0, 1.0)  # irfft's weights: a plain sum's real part is its sample
     for s in range(0, t.size, step):
         at = _twists(n, i[s:s + step] * r, e) * cw[t[s:s + step]]
@@ -468,21 +469,15 @@ def mixed_norm(path: Path, q_time, q_space) -> float:
     built on first use).
 
     The sup over space and time transforms the shift a = 0 only: the nodes
-    x_{r i}. As a function of a continuous j, f_j has |df/dj| <= (2 pi/N) sum_k
-    w_k k |c_k| (w_0 = 1, w_k = 2), and every point lies within r/2 of a node,
-    so no sample tops the nearer node by more than delta = (pi/M) sum_k w_k k |c_k|.
-    The r - 1 points between two nodes are summed directly over k < e only if one
-    of the two nodes plus delta (1 + 1e-9) and 64 ulp of the row's l1 norm (rounding)
-    exceeds the largest node; nodes are not summed again, so a sup on a node is
-    bitwise the transform's. A row keeping cells whose sums would cost more than its
-    transforms (_SUP_DIRECT_RATIO; random phases do) runs the shifts 1 .. r-1 instead.
-    The cells the other rows keep are screened a second time, as a list (never the
-    node arrays), by the second-order bound: |f''| <= M2 = sum_k w_k (2 pi k/N)^2 |c_k|,
-    so on a cell of r samples f lies within M2 r^2/8 = (pi/M)^2 sum_k w_k k^2 |c_k| / 2
-    of the line through its two nodes, and no sample tops the higher node by more; a
-    cell is summed only if that node plus this bound (1 + 1e-9) and the same rounding
-    term exceeds the largest value found so far. The dense/sparse choice stays on the
-    first bound's counts.
+    x_{r i}. As a function of a continuous j, f_j has |f''| <= M2 = sum_k w_k
+    (2 pi k/N)^2 |c_k| (w_0 = 1, w_k = 2), so on a cell of r samples f lies within
+    M2 r^2/8 = (pi/M)^2 sum_k k^2 |c_k| of the line through its two nodes, and no
+    sample tops the higher node by more. The r - 1 points between two nodes are
+    summed directly over k < e only if one of the two nodes plus that bound
+    (1 + 1e-9) and 64 ulp of the row's l1 norm (rounding) exceeds the largest node;
+    nodes are not summed again, so a sup on a node is bitwise the transform's. A
+    row keeping cells whose sums would cost more than its transforms
+    (_SUP_DIRECT_RATIO; random phases do) runs the shifts 1 .. r-1 instead.
     """
     q_time, q_space = float(q_time), float(q_space)
     if not (q_time >= 1 and q_space >= 1):

@@ -66,8 +66,25 @@ class CoverageWarning(UserWarning):
 # ---------------------------------------------------------------- lambda table
 
 _table_lock = threading.Lock()
-_pos_powers = [1.0]  # _pos_powers[k] = 1.01^k by repeated multiplication
-_pos_array = np.ones(1)  # _pos_powers as a read-only ndarray, replaced when the table has grown
+_powers = np.ones(1)  # _powers[k] = 1.01^k by repeated multiplication; read-only, replaced when grown
+_powers.flags.writeable = False
+
+
+def _table(k: int) -> np.ndarray:
+    """The lattice table, grown under _table_lock to hold index k:
+    np.multiply.accumulate is the repeated multiplication from the last entry."""
+    global _powers
+    if k >= _powers.size:
+        with _table_lock:
+            size = _powers.size
+            if k >= size:
+                step = np.full(k + 2 - size, BASE)
+                step[0] = _powers[-1]
+                with np.errstate(over="ignore"):  # from k = 71333 on the entries are inf
+                    table = np.concatenate([_powers[:-1], np.multiply.accumulate(step)])
+                table.flags.writeable = False
+                _powers = table
+    return _powers
 
 
 def scale_value(z: int) -> float:
@@ -79,11 +96,7 @@ def scale_value(z: int) -> float:
     """
     z = int(z)
     k = abs(z)
-    if k >= len(_pos_powers):
-        with _table_lock:
-            while len(_pos_powers) <= k:
-                _pos_powers.append(_pos_powers[-1] * BASE)
-    v = _pos_powers[k]
+    v = float(_table(k)[k])
     return 1.0 / v if z < 0 else v
 
 
@@ -99,32 +112,22 @@ class LPScale:
     """One lattice frequency lam = 1.01^exponent."""
 
     exponent: int
-    lam: float
 
-    def __post_init__(self):
-        if self.lam != scale_value(self.exponent):
-            raise ValueError("lam must equal the shared table value for exponent")
+    @property
+    def lam(self) -> float:
+        return scale_value(self.exponent)
 
 
 def scale_values(band) -> np.ndarray:
     """scale_value(z) for each z of the band, read from the same table."""
-    global _pos_array
     z = _exponents(band)
     k = np.abs(z)
-    top = int(k.max(initial=0))
-    if top >= _pos_array.size:  # mirror the table anew once it covers the band
-        scale_value(top)
-        with _table_lock:
-            if _pos_array.size < len(_pos_powers):
-                table = np.array(_pos_powers)
-                table.flags.writeable = False
-                _pos_array = table
-    v = _pos_array[k]
+    v = _table(int(k.max(initial=0)))[k]
     return np.where(z < 0, 1.0 / v, v)
 
 
 def scale(z: int) -> LPScale:
-    return LPScale(int(z), scale_value(z))
+    return LPScale(int(z))
 
 
 # ---------------------------------------------------------------- bump profile

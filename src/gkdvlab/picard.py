@@ -20,7 +20,7 @@ import numpy as np
 
 from .airy import duhamel_spectra, equation_defects, free_solution
 from .grid import (Field, GridSpec, NonFiniteFieldError, Path, _finite,
-                   _unit_scaled, l2_norm, to_samples)
+                   _l2_rows, _unit_scaled, l2_norm, to_samples)
 from .nonlinearity import power_spectra
 from .norms import besov_norm, critical_index, xs_norm
 
@@ -94,12 +94,6 @@ class IterationTrace:
             lines.append(f"{r['n']},{r['w_norm']!r},{r['diff_norm']!r},"
                          f"{ratio},{r['residual']!r}")
         return "\n".join(lines) + "\n"
-
-
-def _l2_rows(g: GridSpec, c: np.ndarray) -> np.ndarray:
-    """The L2 norm of each field whose stored bins are c along the last axis,
-    by Parseval, so no sample value is built."""
-    return np.sqrt(g.domain_length * (np.abs(c) ** 2 @ g.bin_weights))
 
 
 def _correction(g: GridSpec, power: np.ndarray) -> Path:

@@ -304,8 +304,7 @@ class TestPath:
         # the op's low-pass path: one transform of the nodes, every other cell
         # screened out or summed directly; bitwise the shifted transforms' sup.
         # The cells summed (the rows of the twist tables) are those the
-        # curvature bound keeps of the first-order bound's, which alone kept
-        # 52/52/26/41/30/5/2/2/2/2
+        # curvature bound keeps
         import math
 
         from gkdvlab import grid as grid_mod

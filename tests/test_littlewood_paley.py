@@ -12,13 +12,44 @@ def test_lambda_table_adjacent_ratio():
         assert lp.scale_value(z) == pytest.approx(1.01 ** z, rel=1e-12)
     # adjacent entries are exact float multiples on the positive side
     assert lp.scale_value(10) == lp.scale_value(9) * 1.01
+    # the table is bitwise the repeated multiplication, and its reciprocal for z < 0
+    v = 1.0
+    for k in range(5001):
+        assert lp.scale_value(k) == v and lp.scale_value(-k) == 1.0 / v
+        v *= 1.01
+    assert not lp._powers.flags.writeable
+
+
+def test_lambda_table_grows_under_threads():
+    # threads growing the one table past its end in small steps, with a
+    # short switch interval: every value read is the repeated multiplication's
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    base = lp._powers.size
+    want = [1.0]
+    while len(want) < base + 6000:
+        want.append(want[-1] * 1.01)
+
+    def grow(seed):
+        rng = np.random.default_rng(seed)
+        for k in np.sort(rng.integers(base, base + 6000, 400)).tolist():
+            assert lp.scale_value(k) == want[k]
+            assert lp.scale_values(range(-k, -k + 3)).tolist() == [1.0 / want[k - j] for j in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            for done in [pool.submit(grow, s) for s in range(6)]:
+                done.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scale_factory_checks_table():
     s = lp.scale(12)
-    assert s.lam == lp.scale_value(12)
-    with pytest.raises(ValueError):
-        lp.LPScale(12, s.lam * (1 + 1e-9))
+    assert s.lam == lp.scale_value(12) and s == lp.LPScale(12)
 
 
 class TestBump:
@@ -305,20 +336,20 @@ def _forms(band):
 
 @pytest.mark.parametrize("grow", ["none", "scale_values", "scale_value"])
 def test_scale_values_of_range_list_and_array_bitwise(grow):
-    # a range is read through np.arange, never iterated; the table's ndarray
-    # mirror is built anew once the band passes it, whichever call grew the table
-    top = len(lp._pos_powers) + 12
+    # a range is read through np.arange, never iterated; scale_value and
+    # scale_values read the one table, whichever call grew it
+    top = lp._powers.size + 12
     if grow == "scale_value":
-        lp.scale_value(-top)  # the list grows, its mirror does not
-        assert lp._pos_array.size <= top
+        lp.scale_value(-top)
+        assert lp._powers.size > top
     bands = [range(-300, 80), range(-3, -9, -1), range(7, 7), range(5, 400, 7)]
     if grow != "none":
         bands = [range(-top, -top + 4), range(top - 6, top + 1)] + bands
     for band in bands:
-        size = len(lp._pos_powers)
+        size = lp._powers.size
         got = [lp.scale_values(b) for b in _forms(band)]
         if grow == "scale_values" and band.start == -top:
-            assert len(lp._pos_powers) > size  # the range grew the table
+            assert lp._powers.size > size  # the range grew the table
         want = np.array([lp.scale_value(z) for z in band])
         for v in got:
             assert v.shape == (len(band),) and v.tobytes() == want.tobytes()
@@ -328,7 +359,7 @@ def test_scale_values_of_range_list_and_array_bitwise(grow):
 def test_band_sums_of_range_list_and_array_bitwise(n):
     # bands with negative exponents, a stepped band, an empty one, and (on a
     # new cell so short that its band lies past the table) one that grows it
-    top = len(lp._pos_powers) + 20
+    top = lp._powers.size + 20
     g = GridSpec(np.pi * n / lp.BASE ** top, n, 0.05, 4) if n == 64 else GridSpec(50.0, n, 0.05, 4)
     band = lp.default_band(g)
     assert (band.start < 0) == (n == 1024) and (band.stop > top - 20) == (n == 64)
