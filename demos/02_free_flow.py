@@ -12,7 +12,7 @@ import numpy as np
 from gkdvlab.airy import evolve, free_solution
 from gkdvlab.grid import Field, GridSpec, l2_norm
 from gkdvlab.norms import besov_norm, critical_index, xs_norm
-from gkdvlab.variation import v2_kdv_norm, vp_norm, sampled_from_path
+from gkdvlab.variation import v2_kdv_norm, vp_norm
 
 grid = GridSpec(domain_length=100.0, num_points=512, dt=0.05, num_steps=16)
 x = grid.x
@@ -26,7 +26,8 @@ two = evolve(evolve(phi, 0.3), 0.4)
 print(f"group law defect   = {l2_norm(two - moved) / nrm:.3e}")
 
 path = free_solution(phi)
-raw = vp_norm(sampled_from_path(path), 2.0)
+raw = vp_norm(path.spectral_matrix * np.sqrt(grid.bin_weights),
+              grid.domain_length, 2.0)
 adapted = v2_kdv_norm(path)
 print(f"\nV2 of the raw path          = {raw:.6f}   (sees the oscillation)")
 print(f"V2 after undoing the flow   = {adapted:.6f}   (= ||phi||, "

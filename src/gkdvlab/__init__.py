@@ -63,12 +63,7 @@ from .picard import (
     lipschitz_probe,
     solve_picard,
 )
-from .variation import (
-    SampledPath,
-    sampled_from_path,
-    v2_kdv_norm,
-    vp_norm,
-)
+from .variation import v2_kdv_norm, vp_norm
 
 # the public names are exactly the ones imported above
 __all__ = [name for name, obj in globals().items()

@@ -187,6 +187,8 @@ def resolve_config(argv: List[str]) -> tuple:
         if v is None:
             v = file_vals.get(opt.name, opt.default)
         problem = opt.check(v) if opt.check and v is not None else None
+        if not problem and opt.type is float and v is not None and not math.isfinite(v):
+            problem = f"{opt.name} must be finite"
         if problem:
             problems.append(problem)
         vals[opt.name] = v
@@ -199,6 +201,10 @@ def resolve_config(argv: List[str]) -> tuple:
         problems.append("band-lo and band-hi must be given together")
     elif vals["band_lo"] is not None and vals["band_lo"] > vals["band_hi"]:
         problems.append("band-lo must not exceed band-hi")
+    if any(v is not None and abs(v) > lp.MAX_EXPONENT
+           for v in (vals["band_lo"], vals["band_hi"])):
+        problems.append(f"band-lo and band-hi must lie in [-{lp.MAX_EXPONENT}, "
+                        f"{lp.MAX_EXPONENT}], where the scale 1.01^|z| is finite")
     if vals["format"] == "csv" and ns.kind not in _CSV_KINDS:
         problems.append(f"format csv is written only by {', '.join(_CSV_KINDS)}; "
                         f"{ns.kind} always writes JSON")

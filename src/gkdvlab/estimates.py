@@ -558,17 +558,21 @@ def verify_multilinear(ensemble: TrialEnsemble, p: float, case: str,
     return sweep.report("multilinear_" + case, cfg, None, flags)
 
 
-def l6_smallness_report(phi: Field, T: float, p: float,
-                        num_steps: int = 48) -> Dict:
+_SMALLNESS_STEPS = 48
+
+
+def l6_smallness_report(phi: Field, T: float, p: float) -> Dict:
     """The sup ("sup") over scales of lam^{1/6+s_p} times the space-time L6
-    norm of the localized free solution on [0, T], the quantity whose
-    smallness puts the data inside the contraction regime, with its argmax
-    scale and its ratio to the data's critical Besov norm."""
+    norm of the localized free solution on [0, T], sampled at
+    _SMALLNESS_STEPS + 1 times, the quantity whose smallness puts the data
+    inside the contraction regime, with its argmax scale and its ratio to
+    the data's critical Besov norm."""
     ci = critical_index(p)
     g = phi.grid
     if T <= 0:
         raise ValueError("horizon must be positive")
-    grid = GridSpec(g.domain_length, g.num_points, T / num_steps, num_steps)
+    grid = GridSpec(g.domain_length, g.num_points, T / _SMALLNESS_STEPS,
+                    _SMALLNESS_STEPS)
     f = Field.from_coefficients(grid, phi.coefficients)
     path = free_solution(f)
     band = lp.default_band(grid)

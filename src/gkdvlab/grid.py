@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -304,17 +304,14 @@ class Field(_Stored):
         return f"Field(N={self.grid.num_points}, L={self.grid.domain_length:g}, max|f|={np.abs(self.values).max():.3e})"
 
 
-def apply_multiplier(f: Field, m: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> Field:
-    """Apply the Fourier multiplier m(xi) to the field.
-
-    m may be a callable evaluated on the (nonnegative) grid frequencies or a
-    precomputed table of shape (N/2,); it acts on -xi as conj(m(xi)), so the
-    output is real. A non-real m(0) has no real meaning and is rejected.
+def apply_multiplier(f: Field, table: np.ndarray) -> Field:
+    """Apply the Fourier multiplier m(xi) to the field, given as its table on
+    the (nonnegative) grid frequencies, shape (N/2,); it acts on -xi as
+    conj(m(xi)), so the output is real. A non-real m(0) has no real meaning
+    and is rejected.
     """
     grid = f.grid
-    table = np.asarray(m(grid.frequencies) if callable(m) else m, dtype=np.complex128)
-    if table.ndim == 0:
-        table = np.full(grid.num_points // 2, complex(table))
+    table = np.asarray(table, dtype=np.complex128)
     if table.shape != (grid.num_points // 2,):
         raise GridError("multiplier table has wrong shape")
     _check_mean(table, 1e-12, "multiplier")

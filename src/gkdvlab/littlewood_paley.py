@@ -57,6 +57,7 @@ import numpy as np
 from .grid import Field, GridSpec, _Stored, _support_end, _unit_scaled
 
 BASE = 1.01
+MAX_EXPONENT = 71332  # the largest k whose table entry 1.01^k is finite
 
 
 class CoverageWarning(UserWarning):
@@ -80,7 +81,7 @@ def _table(k: int) -> np.ndarray:
             if k >= size:
                 step = np.full(k + 2 - size, BASE)
                 step[0] = _powers[-1]
-                with np.errstate(over="ignore"):  # from k = 71333 on the entries are inf
+                with np.errstate(over="ignore"):  # past MAX_EXPONENT the entries are inf
                     table = np.concatenate([_powers[:-1], np.multiply.accumulate(step)])
                 table.flags.writeable = False
                 _powers = table

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from gkdvlab import cli, picard
+from gkdvlab import littlewood_paley as lp
 
 
 def run(args, outdir):
@@ -45,6 +46,43 @@ class TestConfigResolution:
         rc = cli.main(["norms", "--band-lo", "-5"])
         assert rc == 2
         assert "band-lo and band-hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, problem", [
+        (["norms", "--length", "inf"], "length must be finite"),
+        (["norms", "--amplitude", "inf"], "amplitude must be finite"),
+        (["picard", "--T", "inf"], "T must be finite"),
+        (["norms", "--p", "inf"], "p must be finite"),
+        (["verify-strichartz", "--q", "nan"], "q must be finite"),
+    ])
+    def test_non_finite_option_rejected(self, args, problem, tmp_path, capsys):
+        assert run(args, tmp_path) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("amplitude = inf\n")
+        assert cli.main(["norms", "--config", str(cfile)]) == 2
+        assert "amplitude must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(71330, 71335), (0, 10 ** 9),
+                                        (-10 ** 9, 0)])
+    def test_band_beyond_finite_scales_rejected(self, lo, hi, tmp_path, capsys):
+        # refused by the bound alone: the lattice table does not grow
+        size = lp._powers.size
+        rc = run(["norms", "--points", "1024", "--p", "7",
+                  "--band-lo", str(lo), "--band-hi", str(hi)], tmp_path)
+        assert rc == 2
+        assert "band-lo and band-hi must lie in [-71332, 71332]" \
+            in capsys.readouterr().err
+        assert lp._powers.size == size
+        assert not os.listdir(tmp_path)
+
+    def test_band_at_finite_scale_limit_accepted(self):
+        m = lp.MAX_EXPONENT
+        cfg, _ = cli.resolve_config(["norms", "--band-lo", str(-m),
+                                     "--band-hi", str(m)])
+        assert (cfg.band_lo, cfg.band_hi) == (-m, m)
 
     def test_config_file_and_override(self, tmp_path):
         cfile = tmp_path / "run.cfg"

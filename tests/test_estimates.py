@@ -332,9 +332,10 @@ class TestSmallness:
     def test_prune_matches_exhaustive(self):
         phi = smallness_profile()
         T = 0.5
-        rep = est.l6_smallness_report(phi, T, 5.0, num_steps=24)
+        rep = est.l6_smallness_report(phi, T, 5.0)
         ci = critical_index(5.0)
-        g2 = GridSpec(50.0, 512, T / 24, 24)
+        n = est._SMALLNESS_STEPS
+        g2 = GridSpec(50.0, 512, T / n, n)
         f2 = Field.from_coefficients(g2, phi.coefficients)
         path = free_solution(f2)
         best = 0.0
@@ -355,8 +356,8 @@ class TestSmallness:
         T = 0.5
         c = lp.scale_value(40)
         phi_c = rescale(phi, 40, 5.0)
-        s1 = est.l6_smallness_report(phi, T, 5.0, num_steps=24)["sup"]
-        s2 = est.l6_smallness_report(phi_c, T / c ** 3, 5.0, num_steps=24)["sup"]
+        s1 = est.l6_smallness_report(phi, T, 5.0)["sup"]
+        s2 = est.l6_smallness_report(phi_c, T / c ** 3, 5.0)["sup"]
         assert abs(s1 - s2) / s1 <= 1e-4
 
     def test_positive_horizon_required(self):

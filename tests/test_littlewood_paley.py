@@ -20,6 +20,16 @@ def test_lambda_table_adjacent_ratio():
     assert not lp._powers.flags.writeable
 
 
+def test_max_exponent_is_last_finite_scale(monkeypatch):
+    # the CLI refuses band exponents beyond it without reading the table;
+    # the grown table is dropped after the test, as later tests build grids
+    # from the table's size
+    monkeypatch.setattr(lp, "_powers", lp._powers)
+    assert np.isfinite(lp.scale_value(lp.MAX_EXPONENT))
+    assert lp.scale_value(lp.MAX_EXPONENT + 1) == np.inf
+    assert 0.0 < lp.scale_value(-lp.MAX_EXPONENT)
+
+
 def test_lambda_table_grows_under_threads():
     # threads growing the one table past its end in small steps, with a
     # short switch interval: every value read is the repeated multiplication's

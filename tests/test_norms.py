@@ -13,7 +13,7 @@ from gkdvlab.estimates import annulus_field, flat_field
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
 from gkdvlab.nonlinearity import power_spectra
 from gkdvlab.picard import _correction
-from gkdvlab.variation import SampledPath, vp_norm
+from gkdvlab.variation import vp_norm
 
 from conftest import gaussian_bump, random_field
 
@@ -224,14 +224,14 @@ class TestXs:
         the argmax is the lowest z attaining the maximum. Bands never reach
         mode 0, so every bin they cover has Parseval weight 2."""
         from gkdvlab.airy import phase_matrix
-        from gkdvlab.variation import SampledPath, vp_norm
+        from gkdvlab.variation import vp_norm
         grid = path.grid
         g = path.spectral_matrix * phase_matrix(grid, -1)
         best, arg = 0.0, None
         for z in lp.default_band(grid):
             psi = lp.symbol_array(grid, z, "psi")
-            sp = SampledPath(grid.times, g * psi, weight=2.0 * grid.domain_length)
-            v = lp.scale_value(z) ** s * vp_norm(sp, 2.0)
+            v = lp.scale_value(z) ** s \
+                * vp_norm(g * psi, 2.0 * grid.domain_length, 2.0)
             if v > best:
                 best, arg = v, lp.scale_value(z)
         return best, arg
@@ -436,7 +436,7 @@ class TestXs:
             x = g * lp.symbol_array(grid, z, "psi")
             for t, rows in zip(tables, (np.diff(x, axis=0), x - x.mean(axis=0), x)):
                 t[:rows.shape[0], b] = np.sqrt(L2 * np.sum(np.abs(rows) ** 2, axis=1))
-            exact[b] = vp_norm(SampledPath(grid.times, x, weight=L2), 2.0)
+            exact[b] = vp_norm(x, L2, 2.0)
         steps, cen, nrm = tables[0, :-1], tables[1], tables[2]
         up = norms._dp_bounds(steps, cen, nrm)
         assert up.tobytes() == _dp_bounds_by_tables(steps, cen, nrm).tobytes()
