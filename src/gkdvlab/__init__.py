@@ -20,7 +20,6 @@ from .grid import (
     NonFiniteFieldError,
     Path,
     apply_multiplier,
-    derivative,
     l2_norm,
     mixed_norm,
 )

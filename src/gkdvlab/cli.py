@@ -1,7 +1,9 @@
 """Batch front door: one experiment per invocation, reports on disk.
 
-Config comes from an optional flat key=value file plus flag overrides; all
-validation problems are reported together before any computation starts.
+Config comes from an optional flat key=value file plus flag overrides. Each
+kind accepts only the options it reads (the `_KINDS` table), and the config
+that every report echoes holds only those; all validation problems are
+reported together before any computation starts.
 Outputs are deterministic for a fixed config and seed (canonical JSON, no
 timestamps) and written atomically. Exit codes: 0 success, 2 invalid
 config, 3 numerical failure (divergence or blow-up) with the diagnostic
@@ -14,16 +16,15 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, make_dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
 from . import littlewood_paley as lp
-from .estimates import (EstimateReport, TrialEnsemble, l6_smallness_report,
-                        verify_bernstein_linfty, verify_bilinear,
-                        verify_interpolated, verify_multilinear,
+from .estimates import (TrialEnsemble, l6_smallness_report, verify_bernstein_linfty,
+                        verify_bilinear, verify_interpolated, verify_multilinear,
                         verify_strichartz)
 from .grid import Field, GridSpec, l2_norm
 from .io import atomic_write_text, canonical_json, save_path
@@ -32,10 +33,6 @@ from .airy import free_solution
 from .picard import (BlowUpError, PicardConfig, PicardDivergenceError,
                      amplitude_threshold, direct_solve, lipschitz_probe,
                      solve_picard)
-
-KINDS = ("solve", "picard", "norms", "verify-strichartz", "verify-bilinear",
-         "verify-multilinear", "verify-smallness", "lipschitz")
-
 
 class _Option(NamedTuple):
     """One option: flag --name (dashes for underscores) and config key name.
@@ -95,26 +92,16 @@ _OPTIONS = (
 )
 _OPTION = {opt.name: opt for opt in _OPTIONS}
 
-# the kinds whose report is an EstimateReport, which alone has a CSV form
-_CSV_KINDS = ("verify-strichartz", "verify-bilinear", "verify-multilinear")
 
+class RunConfig(SimpleNamespace):
+    """A resolved run: the kind plus one attribute per option it reads, so
+    reading any other option raises AttributeError."""
 
-class _RunConfigMethods:
     def grid(self) -> GridSpec:
         return GridSpec(self.length, self.points, self.dt, self.steps)
 
     def echo(self) -> Dict:
-        d = asdict(self)
-        d["version"] = __version__
-        return d
-
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    [("kind", str)] + [(opt.name, opt.type if isinstance(opt.type, type)
-                        else str) for opt in _OPTIONS],
-    bases=(_RunConfigMethods,))
-RunConfig.__doc__ = "A resolved run: the kind plus one field per option."
+        return dict(vars(self), version=__version__)
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -135,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gkdvlab",
         description="experiments for the supercritical dispersive laboratory")
-    ap.add_argument("kind", choices=KINDS)
+    ap.add_argument("kind", choices=tuple(_KINDS))
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--dry-run", action="store_true")
     # every option defaults to None so that a given flag can be told apart
@@ -164,8 +151,10 @@ def _coerce(opt: _Option, raw: str):
 def resolve_config(argv: List[str]) -> tuple:
     """(RunConfig, dry_run) from argv; raises ValueError listing every
     problem at once. A flag overrides the config file, which overrides the
-    option's default."""
+    option's default. A given option that the kind does not read, in its
+    mode, is a problem."""
     ns = _build_parser().parse_args(argv)
+    kind = _KINDS[ns.kind]
     problems: List[str] = []
     file_vals: Dict = {}
     if ns.config:
@@ -181,17 +170,22 @@ def resolve_config(argv: List[str]) -> tuple:
                 file_vals[k] = _coerce(_OPTION[k], v)
             except ValueError:
                 problems.append(f"config key {k!r}: cannot parse {v!r}")
-    vals: Dict = {}
+    flags = {k: v for k, v in vars(ns).items() if k in _OPTION and v is not None}
+    given = {**file_vals, **flags}
+    vals = {opt.name: given.get(opt.name, opt.default) for opt in _OPTIONS}
+    idle = kind.idle.get(vals.get(kind.mode), ())
+    reads = [name for name in kind.reads + ("outdir",) if name not in idle]
     for opt in _OPTIONS:
-        v = getattr(ns, opt.name)
-        if v is None:
-            v = file_vals.get(opt.name, opt.default)
+        v = vals[opt.name]
         problem = opt.check(v) if opt.check and v is not None else None
         if not problem and opt.type is float and v is not None and not math.isfinite(v):
             problem = f"{opt.name} must be finite"
         if problem:
             problems.append(problem)
-        vals[opt.name] = v
+        if opt.name in given and opt.name not in reads:
+            how = f" with {kind.mode.replace('_', '-')}={vals[kind.mode]}" \
+                if opt.name in idle else ""
+            problems.append(f"{ns.kind}{how} does not read {opt.name.replace('_', '-')}")
     T, dt, steps = vals["T"], vals["dt"], vals["steps"]
     if dt is not None and steps and abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         problems.append("dt, steps and T are inconsistent (need T = steps*dt)")
@@ -205,13 +199,10 @@ def resolve_config(argv: List[str]) -> tuple:
            for v in (vals["band_lo"], vals["band_hi"])):
         problems.append(f"band-lo and band-hi must lie in [-{lp.MAX_EXPONENT}, "
                         f"{lp.MAX_EXPONENT}], where the scale 1.01^|z| is finite")
-    if vals["format"] == "csv" and ns.kind not in _CSV_KINDS:
-        problems.append(f"format csv is written only by {', '.join(_CSV_KINDS)}; "
-                        f"{ns.kind} always writes JSON")
     vals["outdir"] = vals["outdir"] or os.environ.get("GKDVLAB_OUTDIR") or "."
     if problems:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(problems))
-    return RunConfig(kind=ns.kind, **vals), ns.dry_run
+    return RunConfig(kind=ns.kind, **{name: vals[name] for name in reads}), ns.dry_run
 
 
 def seeded_profile(grid: GridSpec, seed: int, amplitude: float = 1.0) -> Field:
@@ -231,17 +222,8 @@ def _data(cfg: RunConfig) -> Field:
 
 
 def _band(cfg: RunConfig):
-    if cfg.band_lo is None:
-        return None
-    return range(cfg.band_lo, cfg.band_hi + 1)
-
-
-def _write_estimate(cfg: RunConfig, rep: EstimateReport, name: str) -> str:
-    rep.config["cli"] = cfg.echo()
-    path = os.path.join(cfg.outdir, f"{name}.{cfg.format}")
-    atomic_write_text(path, rep.to_csv() if cfg.format == "csv"
-                      else rep.to_json() + "\n")
-    return path
+    lo = getattr(cfg, "band_lo", None)  # the dry-run plan asks kinds without bands too
+    return None if lo is None else range(lo, cfg.band_hi + 1)
 
 
 def _write_json(cfg: RunConfig, payload: Dict, name: str) -> str:
@@ -255,16 +237,17 @@ def _write_json(cfg: RunConfig, payload: Dict, name: str) -> str:
 
 def _dry_run_plan(cfg: RunConfig) -> str:
     lines = [f"kind: {cfg.kind}"]
-    grid = cfg.grid()
-    band = _band(cfg) or lp.default_band(grid)
-    # 8 B of values plus a 16 B stored bin per two samples
-    mem = (grid.num_steps + 1) * grid.num_points * 16 / 1e6
-    lines.append(f"grid: L={grid.domain_length} N={grid.num_points} "
-                 f"dt={grid.dt:.6g} K={grid.num_steps}")
-    lines.append(f"bands: {len(band)} (z={band.start}..{band.stop - 1})")
-    if cfg.kind.startswith("verify-"):
+    if hasattr(cfg, "steps"):
+        grid = cfg.grid()
+        band = _band(cfg) or lp.default_band(grid)
+        # 8 B of values plus a 16 B stored bin per two samples
+        mem = (grid.num_steps + 1) * grid.num_points * 16 / 1e6
+        lines.append(f"grid: L={grid.domain_length} N={grid.num_points} "
+                     f"dt={grid.dt:.6g} K={grid.num_steps}")
+        lines.append(f"bands: {len(band)} (z={band.start}..{band.stop - 1})")
+        lines.append(f"path memory estimate: {mem:.1f} MB")
+    if hasattr(cfg, "trials"):
         lines.append(f"trials: {cfg.trials}")
-    lines.append(f"path memory estimate: {mem:.1f} MB")
     lines.append(f"outputs: {cfg.outdir}")
     return "\n".join(lines)
 
@@ -364,27 +347,53 @@ def _run_estimates(cfg: RunConfig) -> int:
         if cfg.estimate == "bernstein":
             rep = verify_bernstein_linfty(ens, cfg.p)
         elif cfg.estimate == "interpolated":
-            rep = verify_interpolated(ens, cfg.q, cfg.p,
-                                      bilinear=cfg.bilinear_form)
+            rep = verify_interpolated(ens, cfg.q, cfg.p, bilinear=cfg.bilinear_form)
         else:
             rep = verify_strichartz(ens, cfg.q)
     elif cfg.kind == "verify-bilinear":
         rep = verify_bilinear(ens)
     else:
-        rep = verify_multilinear(ens, cfg.p, cfg.case,
-                                 num_points=cfg.points)
-    _write_estimate(cfg, rep, cfg.kind.replace("verify-", "") + "-report")
+        rep = verify_multilinear(ens, cfg.p, cfg.case, num_points=cfg.points)
+    rep.config["cli"] = cfg.echo()
+    name = cfg.kind.replace("verify-", "") + "-report." + cfg.format
+    atomic_write_text(os.path.join(cfg.outdir, name),
+                      rep.to_csv() if cfg.format == "csv" else rep.to_json() + "\n")
     return 0
 
 
 def _run_smallness(cfg: RunConfig) -> int:
-    _write_json(cfg, l6_smallness_report(_data(cfg), cfg.T, cfg.p),
-                "smallness-report")
+    # the report samples [0, T] on its own steps, so the data needs L and N only
+    phi = seeded_profile(GridSpec(cfg.length, cfg.points, cfg.T, 1), cfg.seed,
+                         cfg.amplitude)
+    _write_json(cfg, l6_smallness_report(phi, cfg.T, cfg.p), "smallness-report")
     return 0
 
 
-_RUNNERS = {"solve": _run_solve, "picard": _run_picard, "norms": _run_norms,
-            "lipschitz": _run_lipschitz, "verify-smallness": _run_smallness}
+class _Kind(NamedTuple):
+    """A kind's runner and the options it reads, besides outdir; idle maps
+    a value of the mode option to the options that mode leaves unread."""
+    run: Callable[[RunConfig], int]
+    reads: Tuple[str, ...]
+    mode: Optional[str] = None
+    idle: Dict = {}
+
+
+_SEEDED = ("T", "dt", "steps", "length", "points", "p", "seed", "amplitude")
+_SOLVER = ("max_iters", "tolerance")
+_ENSEMBLE = ("seed", "trials", "format")
+_KINDS = {
+    "solve": _Kind(_run_solve, _SEEDED),
+    "picard": _Kind(_run_picard, _SEEDED + _SOLVER + ("amplitude_bisect",),
+                    "amplitude_bisect", {True: ("amplitude",)}),
+    "norms": _Kind(_run_norms, _SEEDED + ("band_lo", "band_hi")),
+    "lipschitz": _Kind(_run_lipschitz, _SEEDED + _SOLVER + ("levels", "delta_scale")),
+    "verify-smallness": _Kind(_run_smallness, ("T", "length", "points", "p", "seed", "amplitude")),
+    "verify-strichartz": _Kind(
+        _run_estimates, _ENSEMBLE + ("estimate", "q", "p", "bilinear_form"), "estimate",
+        {"pair": ("p", "bilinear_form"), "bernstein": ("q", "bilinear_form")}),
+    "verify-bilinear": _Kind(_run_estimates, _ENSEMBLE),
+    "verify-multilinear": _Kind(_run_estimates, _ENSEMBLE + ("p", "case", "points")),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -398,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_dry_run_plan(cfg))
         return 0
     os.makedirs(cfg.outdir, exist_ok=True)
-    return _RUNNERS.get(cfg.kind, _run_estimates)(cfg)
+    return _KINDS[cfg.kind].run(cfg)
 
 
 if __name__ == "__main__":

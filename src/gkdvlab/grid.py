@@ -319,11 +319,6 @@ def apply_multiplier(f: Field, table: np.ndarray) -> Field:
     return Field._adopt(grid, table[:e] * f.bins(e))
 
 
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative (i xi)^order."""
-    return apply_multiplier(f, (1j * f.grid.frequencies) ** order)
-
-
 def l2_norm(f: Field) -> float:
     v = f.values
     return float(np.sqrt(f.grid.weight * np.dot(v, v)))

@@ -15,7 +15,6 @@ import numpy as np
 from . import littlewood_paley as lp
 from .airy import phase_matrix
 from .grid import Field, GridSpec, Path, _unit_scaled
-from .io import canonical_json
 from .variation import gram_distances, vp_batch
 
 
@@ -57,9 +56,6 @@ class NormReport:
             "argmax_scale": self.argmax_scale,
             "out_of_band_fraction": self.out_of_band_fraction,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 def _resolve_band(grid: GridSpec, band) -> range:

@@ -12,6 +12,7 @@ from gkdvlab.airy import (
     phase_matrix,
 )
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
+from gkdvlab.io import canonical_json
 
 from conftest import gaussian_bump, random_field
 
@@ -102,13 +103,13 @@ class TestEvolve:
         acc[1::2] = acc[:-1:2] + (dt / 2.0) * (p[:-1:2] + p[1::2])
         acc *= plus[:, :e]
         assert duhamel_spectra(g, forcing).tobytes() == acc.tobytes()
-        got = norms.xs_report(path, 0.1).to_json()
+        got = canonical_json(norms.xs_report(path, 0.1).to_dict())
 
         def explicit(grid, sign, end):
             return own[:, :end].copy()
 
         monkeypatch.setattr(norms, "phase_matrix", explicit)
-        assert got == norms.xs_report(path, 0.1).to_json()
+        assert got == canonical_json(norms.xs_report(path, 0.1).to_dict())
 
     def test_phase_cache_holds_one_table_per_grid(self, monkeypatch, phase_cache):
         # both signs and every column range read the one cached +1 table,

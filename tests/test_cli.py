@@ -87,12 +87,13 @@ class TestConfigResolution:
     def test_config_file_and_override(self, tmp_path):
         cfile = tmp_path / "run.cfg"
         cfile.write_text("# comment line\np = 6.0\nmax-iters = 4\n")
-        cfg, _ = cli.resolve_config(["solve", "--config", str(cfile)])
+        cfg, _ = cli.resolve_config(["picard", "--config", str(cfile)])
         assert cfg.p == 6.0
         assert cfg.max_iters == 4
-        cfg2, _ = cli.resolve_config(["solve", "--config", str(cfile),
+        cfg2, _ = cli.resolve_config(["picard", "--config", str(cfile),
                                       "--p", "7.0"])
         assert cfg2.p == 7.0
+        assert cfg2.max_iters == 4
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfile = tmp_path / "run.cfg"
@@ -113,15 +114,110 @@ class TestConfigResolution:
         assert (tmp_path / "norms-report.json").exists()
 
 
+_SEEDED = {"T", "dt", "steps", "length", "points", "p", "seed", "amplitude"}
+_ENSEMBLE = {"seed", "trials", "format"}
+# the options each kind reads in its default mode, besides outdir
+ROWS = {
+    "solve": _SEEDED,
+    "picard": _SEEDED | {"max_iters", "tolerance", "amplitude_bisect"},
+    "norms": _SEEDED | {"band_lo", "band_hi"},
+    "lipschitz": _SEEDED | {"max_iters", "tolerance", "levels", "delta_scale"},
+    "verify-smallness": {"T", "length", "points", "p", "seed", "amplitude"},
+    "verify-strichartz": _ENSEMBLE | {"estimate", "q"},
+    "verify-bilinear": _ENSEMBLE,
+    "verify-multilinear": _ENSEMBLE | {"p", "case", "points"},
+}
+# options read only in a mode other than the default one
+MODE_ONLY = {"verify-strichartz": {"p", "bilinear_form"}}
+# a valid value of every option but outdir, which every kind reads
+SAMPLE = {"T": "1.0", "dt": "0.015625", "steps": "64", "length": "200.0",
+          "points": "2048", "p": "5.0", "seed": "0", "trials": "3",
+          "levels": "4", "max_iters": "16", "tolerance": "1e-10",
+          "amplitude": "0.1", "band_lo": "-5", "band_hi": "5", "q": "6.0",
+          "estimate": "pair", "bilinear_form": "true", "case": "near",
+          "amplitude_bisect": "true", "delta_scale": "0.001", "format": "json"}
+
+
+def _flag(name):
+    flag = ["--" + name.replace("_", "-")]
+    return flag if name in ("bilinear_form", "amplitude_bisect") \
+        else flag + [SAMPLE[name]]
+
+
+class TestKindTable:
+    def test_every_option_is_sampled(self):
+        assert set(SAMPLE) | {"outdir"} == set(cli._OPTION)
+        accepted = sum(len(ROWS[k] | MODE_ONLY.get(k, set())) + 1 for k in ROWS)
+        assert set(ROWS) == set(cli._KINDS) and accepted == 71
+
+    @pytest.mark.parametrize("source", ["flag", "config key"])
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_unread_option_rejected(self, kind, source, tmp_path, capsys):
+        cfile = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        for name in sorted(set(SAMPLE) - ROWS[kind]):
+            if source == "flag":
+                args = [kind] + _flag(name)
+            else:
+                cfile.write_text(f"{name.replace('_', '-')} = {SAMPLE[name]}\n")
+                args = [kind, "--config", str(cfile)]
+            assert run(args, out) == 2, name
+            lines = capsys.readouterr().err.splitlines()
+            assert any(ln.strip().startswith(kind) and
+                       ln.endswith(f"does not read {name.replace('_', '-')}")
+                       for ln in lines), (name, lines)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_every_read_option_accepted(self, kind):
+        row = ROWS[kind] | MODE_ONLY.get(kind, set())
+        args = [kind] + [a for name in sorted(row - {"amplitude_bisect", "estimate"})
+                         for a in _flag(name)]
+        if kind == "verify-strichartz":
+            args += ["--estimate", "interpolated"]
+        cfg, _ = cli.resolve_config(args)
+        assert set(cfg.echo()) == row | {"outdir", "kind", "version"}
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_echo_is_the_row(self, kind):
+        cfg, _ = cli.resolve_config([kind])
+        assert set(cfg.echo()) == ROWS[kind] | {"outdir", "kind", "version"}
+
+    @pytest.mark.parametrize("args, problem", [
+        (["picard", "--amplitude-bisect", "--amplitude", "0.3"],
+         "picard with amplitude-bisect=True does not read amplitude"),
+        (["verify-strichartz", "--estimate", "bernstein", "--q", "8"],
+         "verify-strichartz with estimate=bernstein does not read q"),
+        (["verify-strichartz", "--estimate", "pair", "--bilinear-form"],
+         "verify-strichartz with estimate=pair does not read bilinear-form"),
+    ])
+    def test_mode_leaves_option_unread(self, args, problem, tmp_path, capsys):
+        assert run(args, tmp_path) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_modes_echo_what_they_read(self):
+        cfg, _ = cli.resolve_config(["verify-strichartz", "--estimate", "interpolated",
+                                     "--q", "8", "--p", "7", "--bilinear-form"])
+        assert (cfg.q, cfg.p, cfg.bilinear_form) == (8.0, 7.0, True)
+        cfg, _ = cli.resolve_config(["verify-strichartz", "--estimate", "bernstein"])
+        assert set(cfg.echo()) == _ENSEMBLE | {"estimate", "p", "outdir", "kind",
+                                               "version"}
+        cfg, _ = cli.resolve_config(["picard", "--amplitude-bisect"])
+        assert set(cfg.echo()) == ROWS["picard"] - {"amplitude"} | {
+            "outdir", "kind", "version"}
+
+
 class TestDryRun:
     def test_plan_printed_nothing_written(self, tmp_path, capsys):
         rc = run(["verify-strichartz", "--dry-run", "--trials", "2"], tmp_path)
         assert rc == 0
         out = capsys.readouterr().out
         assert "kind: verify-strichartz" in out
-        assert "grid:" in out and "bands:" in out
         assert "trials: 2" in out
-        assert "memory" in out
+        # the kind builds no grid of its options, so the plan shows none
+        assert "grid:" not in out and "bands:" not in out
+        assert "memory" not in out
         assert list(tmp_path.iterdir()) == []
 
     def test_path_memory_counts_values_and_spectrum(self, tmp_path, capsys):
@@ -131,6 +227,7 @@ class TestDryRun:
         assert rc == 0
         out = capsys.readouterr().out
         assert "path memory estimate: 16.8 MB" in out
+        assert "trials" not in out
 
 
 class TestSolve:
@@ -261,6 +358,20 @@ class TestReports:
         assert rep["estimate"] == "multilinear_near"
         assert rep["worst_ratio"] < 1.0
 
+    @pytest.mark.parametrize("args, estimate", [
+        (["--estimate", "bernstein"], "bernstein_linfty"),
+        (["--estimate", "interpolated", "--q", "8"], "interpolated_linear"),
+        (["--estimate", "interpolated", "--bilinear-form", "--q", "3"],
+         "interpolated_bilinear"),
+    ])
+    def test_strichartz_estimate_modes(self, args, estimate, tmp_path):
+        assert run(["verify-strichartz", "--trials", "1"] + args, tmp_path) == 0
+        rep = json.loads((tmp_path / "strichartz-report.json").read_text())
+        assert rep["estimate"] == estimate
+        read = {"seed", "trials", "format", "estimate", "outdir", "kind", "version"}
+        read |= {"bernstein": {"p"}}.get(args[1], {"q", "p", "bilinear_form"})
+        assert set(rep["config"]["cli"]) == read
+
     def test_csv_format(self, tmp_path):
         rc = run(["verify-strichartz", "--trials", "1", "--format", "csv"],
                  tmp_path)
@@ -273,7 +384,7 @@ class TestReports:
                   "--format", "csv"], tmp_path)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "format csv" in err and "norms" in err
+        assert "norms does not read format" in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -345,9 +345,11 @@ def _forms(band):
 
 
 @pytest.mark.parametrize("grow", ["none", "scale_values", "scale_value"])
-def test_scale_values_of_range_list_and_array_bitwise(grow):
+def test_scale_values_of_range_list_and_array_bitwise(grow, monkeypatch):
     # a range is read through np.arange, never iterated; scale_value and
-    # scale_values read the one table, whichever call grew it
+    # scale_values read the one table, whichever call grew it. The test
+    # starts from a fixed table (the same values), whatever grew it before
+    monkeypatch.setattr(lp, "_powers", lp._table(1000)[:1001])
     top = lp._powers.size + 12
     if grow == "scale_value":
         lp.scale_value(-top)
@@ -366,9 +368,11 @@ def test_scale_values_of_range_list_and_array_bitwise(grow):
 
 
 @pytest.mark.parametrize("n", [64, 1024])
-def test_band_sums_of_range_list_and_array_bitwise(n):
+def test_band_sums_of_range_list_and_array_bitwise(n, monkeypatch):
     # bands with negative exponents, a stepped band, an empty one, and (on a
-    # new cell so short that its band lies past the table) one that grows it
+    # new cell so short that its band lies past the table) one that grows it;
+    # the test starts from a fixed table (the same values)
+    monkeypatch.setattr(lp, "_powers", lp._table(1000)[:1001])
     top = lp._powers.size + 20
     g = GridSpec(np.pi * n / lp.BASE ** top, n, 0.05, 4) if n == 64 else GridSpec(50.0, n, 0.05, 4)
     band = lp.default_band(g)

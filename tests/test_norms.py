@@ -11,6 +11,7 @@ from gkdvlab import littlewood_paley as lp
 from gkdvlab.airy import phase_matrix
 from gkdvlab.estimates import annulus_field, flat_field
 from gkdvlab.grid import Field, GridSpec, Path, l2_norm
+from gkdvlab.io import canonical_json
 from gkdvlab.nonlinearity import power_spectra
 from gkdvlab.picard import _correction
 from gkdvlab.variation import vp_norm
@@ -89,7 +90,7 @@ class TestBesov:
     def test_report_fields_and_json(self, small_grid):
         f = gaussian_bump(small_grid, 1.0, 4.0, 2.0)
         rep = norms.besov_report(f, 0.25)
-        d = json.loads(rep.to_json())
+        d = json.loads(canonical_json(rep.to_dict()))
         assert d["norm"] == "besov"
         assert d["s"] == 0.25
         assert d["value"] == rep.value

@@ -10,7 +10,7 @@ import gkdvlab as g
 from gkdvlab.airy import free_solution
 from gkdvlab.cli import seeded_profile
 from gkdvlab.grid import (Field, GridSpec, NonFiniteFieldError, Path, _finite,
-                          derivative, l2_norm, mixed_norm)
+                          apply_multiplier, l2_norm, mixed_norm)
 from gkdvlab.nonlinearity import evaluate_power, power_spectra
 from gkdvlab.picard import (BlowUpError, PicardConfig, PicardDivergenceError,
                             _correction, _residual_from_power, amplitude_threshold,
@@ -97,7 +97,7 @@ class TestPicardStep:
         fine = GridSpec(50.0, 512, grid.dt / M, grid.num_steps * M)
         vf = free_solution(Field.from_coefficients(fine, phi.coefficients))
         xi = fine.frequencies
-        F = np.stack([derivative(evaluate_power(s, 5.0), 1).coefficients
+        F = np.stack([apply_multiplier(evaluate_power(s, 5.0), 1j * xi).coefficients
                       for s in vf])
         out = np.zeros((grid.num_steps + 1, grid.num_points // 2),
                        dtype=np.complex128)
